@@ -204,9 +204,6 @@ class Scalar:
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
@@ -228,19 +225,6 @@ SC_ZERO = Scalar(0)
 SC_ONE = Scalar(1)
 SC_I = Scalar(0, 1)
 SC_MINUS_I = Scalar(0, -1)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Named-op entry point mirroring the arithmetic dunders."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise AlgebraError(f"unknown scalar op {op!r}")
 
 
 class Monomial:
@@ -519,16 +503,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise AlgebraError(f"unknown polynomial op {op!r}")
-
-
 def _check_denominator_monomial(mono: Monomial) -> None:
     for s in mono.symbols():
         if s.kind not in _OFFSHELL_KINDS:
@@ -750,14 +724,6 @@ RF_ZERO = RationalFunction(Polynomial.zero())
 RF_ONE = RationalFunction(Polynomial.constant(1))
 RF_I = RationalFunction(Polynomial.constant(SC_I))
 RF_MINUS_I = RationalFunction(Polynomial.constant(SC_MINUS_I))
-
-
-def rf_combine(r: RationalFunction, s: RationalFunction, op: str) -> RationalFunction:
-    if op == "add":
-        return r + s
-    if op == "mul":
-        return r * s
-    raise AlgebraError(f"unknown rational-function op {op!r}")
 
 
 def rf(value) -> RationalFunction:

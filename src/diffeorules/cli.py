@@ -1,8 +1,8 @@
 """Command-line frontend: rule inspection, tree-sum evaluation and the
 verification suite.
 
-Configuration is a JSON document with top-level keys ``theory``, ``diffeo``,
-``suite`` and ``output``.  Rational literals use the exact string form
+Configuration is a JSON document with top-level keys ``theory``, ``diffeo``
+and ``suite``.  Rational literals use the exact string form
 ``"p/q"``; symbolic coefficients use the bare names ``a1``, ``lambda3``,
 ``xp``, ``msq``.  Exit codes: 0 pass, 1 check failure, 2 usage or
 configuration error.  Data goes to stdout, diagnostics to stderr.
@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 from .algebra import (
     AlgebraError,
@@ -74,8 +75,20 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """``cfg[key]`` (default: an empty object), which must be a JSON object."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_diffeo(cfg: dict) -> DiffeoSpec:
-    section = cfg.get("diffeo", {})
+    section = _section(cfg, "diffeo")
     coeffs = section.get("a", "symbolic")
     if coeffs == "symbolic":
         return DiffeoSpec.symbolic()
@@ -93,25 +106,29 @@ def build_diffeo(cfg: dict) -> DiffeoSpec:
 
 
 def build_theory(cfg: dict) -> TheorySpec:
-    section = cfg.get("theory", {})
+    section = _section(cfg, "theory")
     kind = section.get("propagator", "standard")
     if kind not in ("standard", "generalized"):
         raise ConfigError(f"unknown propagator kind {kind!r}")
     mass = _parse_value(section.get("mass_sq", "msq"))
+    entries = section.get("interactions", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"theory.interactions must be a list, got {entries!r}")
     interactions = []
-    for entry in section.get("interactions", []):
-        s = int(entry.get("s"))
+    for entry in entries:
+        if not isinstance(entry, dict) or not _is_int(entry.get("s")):
+            raise ConfigError(f"each interaction needs an integer power \"s\", got {entry!r}")
+        s = entry["s"]
         if s < 3:
             raise ConfigError("interaction powers start at 3")
         value = entry.get("coupling", f"lambda{s}")
         interactions.append(Interaction(s, _parse_value(value)))
     beta = None
     if kind == "generalized":
-        raw = section.get("beta")
-        if raw is not None:
-            beta = {int(k): _parse_value(v) for k, v in raw.items()}
+        if section.get("beta") is not None:
+            beta = {int(k): _parse_value(v) for k, v in _section(section, "beta").items()}
         elif "alpha" in section:
-            alpha = {int(k): _parse_value(v) for k, v in section["alpha"].items()}
+            alpha = {int(k): _parse_value(v) for k, v in _section(section, "alpha").items()}
             beta = rules.NonlocalSpec(alpha=alpha, mass_sq_value=mass).beta_table()
     return TheorySpec(kind=kind, mass_sq_value=mass, interactions=tuple(interactions), beta=beta)
 
@@ -136,11 +153,12 @@ def cmd_rules(args, cfg: dict) -> int:
     if kind == "free":
         value = rules.free_vertex(n, singles, diffeo, theory.mass_sq_value)
     elif kind == "interaction":
-        s = args.s or (theory.interactions[0].power if theory.interactions else None)
+        s = args.s
+        if s is None and theory.interactions:
+            s = theory.interactions[0].power
         if s is None:
             raise ConfigError("interaction rules need --s or a configured interaction")
-        match = [it for it in theory.interactions if it.power == s]
-        value = rules.interaction_vertex(n, s, diffeo, match[0].coupling_value if match else None)
+        value = rules.interaction_vertex(n, s, diffeo, theory.coupling_of(s))
     elif kind == "total":
         value = rules.total_vertex(n, singles, theory, diffeo)
     elif kind == "generalized":
@@ -175,6 +193,17 @@ def _parse_offshell(spec: str | None, n: int) -> frozenset[int]:
     return legs
 
 
+def _single_interaction(kind: str, s: int | None, theory: TheorySpec) -> TheorySpec:
+    """The theory that b' and S sum over: one power-``s`` interaction (by
+    default the first configured power, else 3) with its configured coupling,
+    or ``lambda_s`` when none is configured."""
+    if theory.generalized:
+        raise ConfigError(f"treesum --kind {kind} needs the standard propagator")
+    if s is None:
+        s = theory.interactions[0].power if theory.interactions else 3
+    return replace(theory, interactions=(rules.interaction(s, theory.coupling_of(s)),))
+
+
 def cmd_treesum(args, cfg: dict) -> int:
     theory = build_theory(cfg)
     diffeo = build_diffeo(cfg)
@@ -182,19 +211,21 @@ def cmd_treesum(args, cfg: dict) -> int:
     if n is None or n < 1:
         raise ConfigError("treesum needs --n >= 1")
     kind = args.kind
-    trace_topologies = None
+    offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
+    if kind in ("bprime", "S"):
+        theory = _single_interaction(kind, args.s, theory)
+        (it,) = theory.interactions
     if kind == "b":
         result = trees.rooted_tree_sum(n, diffeo, theory=theory)
     elif kind == "bprime":
-        s = args.s or (theory.interactions[0].power if theory.interactions else 3)
         mode = "s_only" if args.reduced else "all_vertices"
-        result = trees.interacting_rooted_tree_sum(n, s, diffeo, mode=mode)
+        result = trees.interacting_rooted_tree_sum(
+            n, it.power, diffeo, mode=mode, coupling_value=it.coupling_value
+        )
     elif kind == "A":
-        offshell = _parse_offshell(args.offshell, n)
         result = trees.amputated_tree_sum(n, offshell, theory, diffeo)
     elif kind == "S":
-        s = args.s or (theory.interactions[0].power if theory.interactions else 3)
-        result = trees.coupling_linear_tree_sum(n, s, diffeo)
+        result = trees.coupling_linear_tree_sum(n, it.power, diffeo, coupling_value=it.coupling_value)
     else:
         raise ConfigError(f"unknown tree-sum kind {kind!r}")
     payload = {
@@ -208,46 +239,30 @@ def cmd_treesum(args, cfg: dict) -> int:
         "value": str(result.value),
     }
     if args.trace:
-        payload["trace"] = _trace(kind, n, args, theory, diffeo)
+        payload["trace"] = _trace(kind, n, offshell, theory, diffeo)
     _emit({k: v for k, v in payload.items() if v is not None}, args.format)
     return 0
 
 
-def _trace(kind: str, n: int, args, theory: TheorySpec, diffeo: DiffeoSpec) -> list[dict]:
-    """Per-tree dump through the reference amplitude path."""
+def _trace(
+    kind: str, n: int, offshell: frozenset[int], theory: TheorySpec, diffeo: DiffeoSpec
+) -> list[dict]:
+    """Per-tree dump through the reference amplitude path, over the theory
+    whose sum ``cmd_treesum`` printed."""
     rows: list[dict] = []
-    if kind in ("b", "bprime"):
-        rooted = True
-        labels = range(1, n + 1)
-        onshell = frozenset(labels)
-        include_root = True
-    else:
-        rooted = False
-        labels = range(1, n + 1)
-        offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
-        onshell = frozenset(labels) - offshell
-        include_root = False
-    if kind == "b":
-        work_theory = TheorySpec(kind=theory.kind, mass_sq_value=theory.mass_sq_value, beta=theory.beta)
-    elif kind in ("bprime", "S"):
-        s = args.s or (theory.interactions[0].power if theory.interactions else 3)
-        match = [it for it in theory.interactions if it.power == s]
-        lam = match[0].coupling_value if match else rf(coupling(s))
-        work_theory = TheorySpec(kind=theory.kind, mass_sq_value=theory.mass_sq_value,
-                                 interactions=(Interaction(s, lam),), beta=theory.beta)
-    else:
-        work_theory = theory
-    exactly_one = kind == "S"
-    decorated = kind != "b"
+    rooted = kind in ("b", "bprime")
+    labels = range(1, n + 1)
+    onshell = frozenset(labels) - offshell
+    interactions = theory.interactions if kind != "b" else ()
     for topo in trees.enumerate_trees(labels, rooted):
         decos = (
-            trees.enumerate_decorations(topo, work_theory.interactions, exactly_one=exactly_one)
-            if decorated and work_theory.interactions
+            trees.enumerate_decorations(topo, interactions, exactly_one=kind == "S")
+            if interactions
             else [None]
         )
         for deco in decos:
             value = trees.amplitude(
-                topo, deco, work_theory, diffeo, onshell, include_root_propagator=include_root
+                topo, deco, theory, diffeo, onshell, include_root_propagator=rooted
             )
             rows.append(
                 {
@@ -269,54 +284,39 @@ def _report_rows(reports, with_timing: bool) -> list[dict]:
     return rows
 
 
+def _suite_params(args, cfg: dict) -> dict:
+    """Keyword arguments of ``verify.default_suite``: each from its flag, else
+    from the config's ``suite`` section, else the built-in default."""
+    section = _section(cfg, "suite")
+    params = {}
+    for key, flag, default, least in (
+        ("max_n", args.max_n, 7, 1),
+        ("order", args.order, 10, 1),
+        ("seed", args.seed, 1, None),
+        ("trials", None, 50, 1),
+        ("dimension", None, 4, 1),
+    ):
+        value = flag if flag is not None else section.get(key, default)
+        if not _is_int(value) or (least is not None and value < least):
+            bound = f" of at least {least}" if least is not None else ""
+            raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+        params[key] = value
+    s_values = [args.s] if args.s is not None else section.get("s_values", [3, 4])
+    if not (isinstance(s_values, list) and s_values and all(_is_int(s) and s >= 3 for s in s_values)):
+        raise ConfigError(f"--s/suite.s_values must be powers of at least 3, got {s_values!r}")
+    params["s_values"] = s_values
+    return params
+
+
 def cmd_verify(args, cfg: dict) -> int:
-    suite_cfg = cfg.get("suite", {})
-    max_n = args.max_n or suite_cfg.get("max_n", 7)
-    order = args.order or suite_cfg.get("order", 10)
-    seed = args.seed if args.seed is not None else suite_cfg.get("seed", 1)
-    trials = suite_cfg.get("trials", 50)
-    dimension = suite_cfg.get("dimension", 4)
-    s_values = [args.s] if args.s else suite_cfg.get("s_values", [3, 4])
+    specs = verify.default_suite(**_suite_params(args, cfg))
     if args.check:
         known = verify.check_names()
         for name in args.check:
             if name not in known:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(known)}")
-        specs = []
-        for name in args.check:
-            if name == "bn":
-                specs.append(verify.CheckSpec(name, {"max_n": max_n}))
-            elif name == "smatrix_free":
-                specs.append(verify.CheckSpec(name, {"max_n": max_n}))
-            elif name == "interaction_cancellation":
-                for s in s_values:
-                    specs.append(verify.CheckSpec(name, {"s": s, "max_n": max_n + 1}))
-            elif name == "bprime":
-                specs.append(verify.CheckSpec(name, {"s": s_values[0], "max_n": min(max_n, 6)}))
-            elif name == "adiabatic":
-                for s in s_values:
-                    specs.append(verify.CheckSpec(name, {"s": s, "max_n": max_n, "order": order}))
-            elif name == "generalized":
-                specs.append(verify.CheckSpec(name, {"max_n": min(max_n, 6)}))
-            elif name == "nonlocal":
-                specs.append(verify.CheckSpec(name, {"max_n": min(max_n, 5)}))
-            elif name == "kinematics":
-                specs.append(
-                    verify.CheckSpec(
-                        name,
-                        {
-                            "n_values": [3, 4, 5],
-                            "trials": trials,
-                            "seed": seed,
-                            "dimension": dimension,
-                        },
-                    )
-                )
-    else:
-        specs = verify.default_suite(
-            max_n=max_n, s_values=s_values, order=order, trials=trials, seed=seed, dimension=dimension
-        )
-    reports = verify.run_suite(specs, jobs=args.jobs)
+        specs = [spec for name in args.check for spec in specs if spec.name == name]
+    reports = verify.run_suite(specs)
     if args.format == "json":
         rows = _report_rows(reports, with_timing=False)
         sys.stdout.write(json.dumps({"reports": rows}, indent=2, sort_keys=True) + "\n")
@@ -355,10 +355,6 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument(
         "--format", choices=["json", "csv", "pretty"], default=default("pretty")
     )
-    parser.add_argument(
-        "--jobs", type=int, default=default(1),
-        help="parallelism degree (evaluation is deterministic)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run theorem checks")
     _add_common(p_verify, top=False)
-    p_verify.add_argument("--check", action="append", help="check name (repeatable); default: full suite")
+    p_verify.add_argument(
+        "--check", action="append", help="check name (repeatable, run in the order given); default: full suite"
+    )
     p_verify.add_argument("--max-n", dest="max_n", type=int)
     p_verify.add_argument("--s", type=int)
     p_verify.add_argument("--order", type=int)

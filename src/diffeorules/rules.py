@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -87,7 +88,6 @@ class DiffeoSpec:
     """
 
     bindings: Mapping[int, RationalFunction] | None = None
-    max_order: int | None = None
 
     @staticmethod
     def symbolic() -> "DiffeoSpec":
@@ -95,7 +95,7 @@ class DiffeoSpec:
 
     @staticmethod
     def from_bindings(bindings: Mapping[int, RationalFunction]) -> "DiffeoSpec":
-        return DiffeoSpec(bindings=dict(bindings), max_order=max(bindings, default=0))
+        return DiffeoSpec(bindings=dict(bindings))
 
     @staticmethod
     def tuned(s: int, max_j: int) -> "DiffeoSpec":
@@ -146,6 +146,14 @@ class TheorySpec:
     @property
     def generalized(self) -> bool:
         return self.kind == "generalized"
+
+    def coupling_of(self, s: int) -> RationalFunction | None:
+        """Coupling of the power-``s`` interaction, or ``None`` when the
+        theory has no such interaction."""
+        for it in self.interactions:
+            if it.power == s:
+                return it.coupling_value
+        return None
 
     @staticmethod
     def free() -> "TheorySpec":
@@ -285,7 +293,7 @@ def generalized_vertex(
             continue
         weight = Scalar(Fraction(factorial(n - size) * factorial(size), 2))
         subset_sum = RF_ZERO
-        for choice in _subsets_of_size(blocks, size):
+        for choice in combinations(blocks, size):
             union = frozenset().union(*choice)
             subset_sum = subset_sum + edge_var(
                 union, universe, generalized=generalized, onshell=onshell
@@ -293,12 +301,6 @@ def generalized_vertex(
         if not subset_sum.is_zero():
             total = total + (coeff * subset_sum).scaled(weight)
     return total * RF_I
-
-
-def _subsets_of_size(blocks: Sequence[frozenset[int]], size: int):
-    from itertools import combinations
-
-    return combinations(blocks, size)
 
 
 def propagator(

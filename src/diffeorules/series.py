@@ -284,7 +284,7 @@ def vertex_coefficients(n: int, a=symbolic_coeffs):
     """
     if n < 2:
         raise AlgebraError("vertex coefficients need n >= 2")
-    acc = _coeff_accessor(a) if not callable(a) else a
+    acc = _coeff_accessor(a)
     kin = _kinetic_args(acc, max(n - 2, 0))
     f_n = bell_partial(n - 2, 1, kin) + bell_partial(n - 2, 2, kin)
     c_nm2 = bell_partial(n, 2, _tangent_args(acc, n - 1))
@@ -296,7 +296,7 @@ def gn_explicit(n: int, a=symbolic_coeffs) -> RationalFunction:
     """Mass-term coupling as the explicit double-product sum (n >= 3)."""
     if n < 3:
         raise AlgebraError("explicit mass coupling form needs n >= 3")
-    acc = _coeff_accessor(a) if not callable(a) else a
+    acc = _coeff_accessor(a)
     total = RF_ZERO
     for k in range(0, n - 1):
         weight = (n - k - 2) * k
@@ -314,7 +314,7 @@ def tree_sum_closed_form(n: int, a=symbolic_coeffs) -> RationalFunction:
         raise AlgebraError("tree sums are indexed from 1")
     if n == 1:
         return RF_ONE
-    acc = _coeff_accessor(a) if not callable(a) else a
+    acc = _coeff_accessor(a)
     m = n - 1
     args = [acc(j).scaled(Scalar(-factorial(j))) for j in range(1, m + 1)]
     total = RF_ZERO
@@ -327,7 +327,7 @@ def tree_sum_closed_form(n: int, a=symbolic_coeffs) -> RationalFunction:
 
 def inverse_series_tree_sum(n: int, a=symbolic_coeffs, order: int | None = None) -> RationalFunction:
     """b_n as n! times the n-th coefficient of the inverse of the field map."""
-    acc = _coeff_accessor(a) if not callable(a) else a
+    acc = _coeff_accessor(a)
     size = order if order is not None else n
     coeffs = [RF_ZERO] + [acc(j - 1) for j in range(1, size + 1)]
     series = PowerSeries(coeffs)
@@ -365,7 +365,7 @@ def coupling_linear_closed_form(
     """
     if n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
-    acc = _coeff_accessor(a) if not callable(a) else a
+    acc = _coeff_accessor(a)
     b_acc: CoeffFn = b if b is not None else (lambda k: tree_sum_closed_form(k, acc))
     tangent = _tangent_args(acc, n)
     b_args = [b_acc(j) for j in range(1, n + 1)]

@@ -243,9 +243,7 @@ def amplitude(
             s = tag[1]
             if valence < s:
                 raise AlgebraError(f"interaction of power {s} needs valence >= {s}")
-            match = [it for it in theory.interactions if it.power == s]
-            coupling_value = match[0].coupling_value if match else None
-            value = interaction_vertex(valence, s, diffeo, coupling_value)
+            value = interaction_vertex(valence, s, diffeo, theory.coupling_of(s))
         else:
             raise AlgebraError(f"unknown decoration tag {tag!r}")
         for child in node:
@@ -429,9 +427,7 @@ class TreeSumEngine:
                 onshell=self.onshell,
             )
         s = tag[1]
-        match = [it for it in self.theory.interactions if it.power == s]
-        coupling_value = match[0].coupling_value if match else None
-        return interaction_vertex(len(blocks) + 1, s, self.diffeo, coupling_value)
+        return interaction_vertex(len(blocks) + 1, s, self.diffeo, self.theory.coupling_of(s))
 
     def _tags(self, valence: int) -> list[tuple]:
         if self.policy == "free":

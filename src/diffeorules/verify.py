@@ -387,7 +387,7 @@ def check_names() -> list[str]:
 
 def default_suite(
     max_n: int = 7,
-    s_values: Iterable[int] = (3, 4),
+    s_values: Sequence[int] = (3, 4),
     order: int = 10,
     trials: int = 50,
     seed: int = 1,
@@ -399,7 +399,7 @@ def default_suite(
     ]
     for s in s_values:
         specs.append(CheckSpec("interaction_cancellation", {"s": s, "max_n": max_n + 1}))
-    specs.append(CheckSpec("bprime", {"s": 3, "max_n": min(max_n, 6)}))
+    specs.append(CheckSpec("bprime", {"s": s_values[0], "max_n": min(max_n, 6)}))
     for s in s_values:
         specs.append(CheckSpec("adiabatic", {"s": s, "max_n": max_n, "order": order}))
     specs.append(CheckSpec("generalized", {"max_n": min(max_n, 6)}))
@@ -413,11 +413,9 @@ def default_suite(
     return specs
 
 
-def run_suite(specs: Sequence[CheckSpec], jobs: int = 1) -> list[Report]:
+def run_suite(specs: Sequence[CheckSpec]) -> list[Report]:
     """Run the checks in the given order; reports follow that order and are
     identical for identical parameters and seeds."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     reports = []
     for spec in specs:
         fn = _CHECKS.get(spec.name)

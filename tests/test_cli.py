@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from diffeorules import cli, verify
+
 CLI = [sys.executable, "-m", "diffeorules.cli"]
 
 
@@ -64,6 +68,25 @@ class TestTreesum:
         out = run_cli("treesum", "--kind", "A", "--n", "4", "--offshell", "1,9")
         assert out.returncode == 2
 
+    def test_configured_coupling_reaches_value_and_trace(self, tmp_path):
+        cfg = {"theory": {"interactions": [{"s": 3, "coupling": "2"}]}}
+        out = run_cli(
+            "treesum", "--kind", "S", "--n", "3", "--trace", "--format", "json",
+            config=cfg, tmp_path=tmp_path,
+        )
+        assert out.returncode == 0
+        payload = json.loads(out.stdout)
+        assert payload["value"] == "-2*i"
+        assert [row["amplitude"] for row in payload["trace"]] == ["-2*i"]
+
+    @pytest.mark.parametrize("kind", ["bprime", "S"])
+    def test_interacting_sums_refuse_generalized_theory(self, kind, tmp_path):
+        cfg = {"theory": {"propagator": "generalized"}}
+        out = run_cli("treesum", "--kind", kind, "--n", "3", config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+
     def test_trace_lists_decorated_trees(self):
         out = run_cli(
             "treesum", "--kind", "S", "--n", "4", "--s", "3", "--trace", "--format", "json"
@@ -101,7 +124,62 @@ class TestVerify:
         assert row.startswith("bn,")
 
 
+def planned_specs(monkeypatch, *argv):
+    """The specs ``verify`` would run for ``argv``, without running them."""
+    planned = []
+
+    def record(specs):
+        planned.extend(specs)
+        return []
+
+    monkeypatch.setattr(verify, "run_suite", record)
+    assert cli.main(["verify", "--format", "json", *argv]) == 0
+    return planned
+
+
+class TestVerifyPlan:
+    @pytest.mark.parametrize("name", verify.check_names())
+    def test_single_check_takes_the_default_suite_params(self, name, monkeypatch):
+        suite = planned_specs(monkeypatch)
+        assert planned_specs(monkeypatch, "--check", name) == [
+            spec for spec in suite if spec.name == name
+        ]
+        assert suite == verify.default_suite()
+
+    def test_checks_run_in_the_order_given(self, monkeypatch):
+        specs = planned_specs(monkeypatch, "--check", "kinematics", "--check", "bn")
+        assert [spec.name for spec in specs] == ["kinematics", "bn"]
+
+    def test_s_flag_reaches_bprime(self, monkeypatch):
+        (spec,) = planned_specs(monkeypatch, "--s", "4", "--check", "bprime")
+        assert spec.params["s"] == 4
+        suite = planned_specs(monkeypatch, "--s", "4")
+        assert [s.params["s"] for s in suite if s.name == "bprime"] == [4]
+
+    @pytest.mark.parametrize("flag", [["--max-n", "0"], ["--order", "0"], ["--s", "0"], ["--s", "2"]])
+    def test_out_of_range_flag_is_usage_error(self, flag):
+        out = run_cli("verify", "--check", "bn", *flag)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "cfg, argv",
+        [
+            ({"theory": {"interactions": [3]}}, ["treesum", "--kind", "b", "--n", "2"]),
+            ({"theory": {"interactions": [{"coupling": "lambda3"}]}}, ["treesum", "--kind", "b", "--n", "2"]),
+            ({"suite": {"trials": "many"}}, ["verify", "--check", "kinematics"]),
+        ],
+    )
+    def test_malformed_field_is_one_line_usage_error(self, cfg, argv, tmp_path):
+        out = run_cli(*argv, config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
