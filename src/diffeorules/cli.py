@@ -2,9 +2,9 @@
 verification suite.
 
 Configuration is a JSON document with top-level keys ``theory``, ``diffeo``
-and ``suite``.  Rational literals use the exact string form
-``"p/q"``; symbolic coefficients use the bare names ``a1``, ``lambda3``,
-``xp``, ``msq``.  Exit codes: 0 pass, 1 check failure, 2 usage or
+and ``suite``; ``verify`` reads only ``suite``.  Rational literals use the
+exact string form ``"p/q"``; symbolic coefficients use the bare names ``a1``,
+``lambda3``, ``xp``, ``msq``.  Exit codes: 0 pass, 1 check failure, 2 usage or
 configuration error.  Data goes to stdout, diagnostics to stderr.
 """
 
@@ -42,8 +42,12 @@ _NAMED_SYMBOLS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_value(text) -> RationalFunction:
-    if isinstance(text, int):
+    if _is_int(text):
         return rf(text)
     if not isinstance(text, str):
         raise ConfigError(f"expected a rational literal or symbol name, got {text!r}")
@@ -81,10 +85,6 @@ def _section(cfg: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a JSON object, got {value!r}")
     return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def build_diffeo(cfg: dict) -> DiffeoSpec:
@@ -309,6 +309,9 @@ def _suite_params(args, cfg: dict) -> dict:
 
 
 def cmd_verify(args, cfg: dict) -> int:
+    for key in ("theory", "diffeo"):
+        if key in cfg:
+            raise ConfigError(f"verify reads only the config's suite section, not {key}")
     specs = verify.default_suite(**_suite_params(args, cfg))
     if args.check:
         known = verify.check_names()

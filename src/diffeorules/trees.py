@@ -17,11 +17,18 @@ Two evaluation paths compute every sum:
   the sum over shapes factorizes exactly; this is plain distributivity in an
   exact commutative ring, and the test suite pins the two paths against each
   other.
+
+Values and counts share that one walk in two coefficient domains: exact
+partial-fraction bags for values, and integers (every factor 1) for the
+tree, decorated-tree and topology counts.  The tests pin the counts against
+:func:`enumerate_trees` and :func:`enumerate_decorations`, and the topology
+counts also against the series functional equation.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -100,14 +107,23 @@ def _rooted_structures(labels: frozenset) -> tuple:
 
 @lru_cache(maxsize=None)
 def topology_count(n_leaves: int, rooted: bool = True) -> int:
-    """Number of topologies; the series functional equation is the test oracle."""
+    """Number of topologies, counted by the engine's walk in the integer
+    domain; enumeration and the series functional equation are the test
+    oracles."""
     if rooted:
         if n_leaves < 1:
             raise AlgebraError("need at least one leaf")
-        return len(_rooted_structures(frozenset(range(1, n_leaves + 1))))
-    if n_leaves < 3:
-        raise AlgebraError("unrooted sums need at least three legs")
-    return len(_rooted_structures(frozenset(range(1, n_leaves))))
+        block = frozenset(range(1, n_leaves + 1))
+    else:
+        if n_leaves < 3:
+            raise AlgebraError("unrooted sums need at least three legs")
+        block = frozenset(range(1, n_leaves))
+    if len(block) == 1:
+        return 1  # a bare edge
+    engine = TreeSumEngine(
+        block, onshell=block, diffeo=DiffeoSpec.symbolic(), theory=TheorySpec.free()
+    )
+    return engine._walk(block, _COUNTS)[_NO_INT]
 
 
 @dataclass(frozen=True)
@@ -298,23 +314,10 @@ def _bag_insert(bag: Bag, den: Monomial, num: Polynomial) -> None:
         bag[den] = total
 
 
-def _bag_add(bag: Bag | None, other: Bag) -> Bag:
-    if bag is None:
-        return dict(other)
+def _bag_add(bag: Bag, other: Bag) -> Bag:
     for den, num in other.items():
         _bag_insert(bag, den, num)
     return bag
-
-
-def _bag_mul_rf(bag: Bag, factor: RationalFunction) -> Bag:
-    if factor.is_zero():
-        return {}
-    out: Bag = {}
-    for den, num in bag.items():
-        r = RationalFunction(num * factor.num, den * factor.den)
-        if not r.is_zero():
-            _bag_insert(out, r.den, r.num)
-    return out
 
 
 def _bag_mul(b1: Bag, b2: Bag) -> Bag:
@@ -383,16 +386,58 @@ def _bag_total(bag: Bag) -> RationalFunction:
     return RationalFunction(Polynomial(acc, _trusted=True), lcm)
 
 
+class _Bags:
+    """Value domain: partial-fraction bags of the edge and vertex rules; a
+    block's sum is normalized once it is complete."""
+
+    one = _BAG_ONE
+    mul = staticmethod(_bag_mul)
+    add = staticmethod(_bag_add)
+    finish = staticmethod(_bag_normalize)
+
+    def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> Bag:
+        return _bag_of(propagator(block, engine.universe, generalized=engine.theory.generalized))
+
+    def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> Bag:
+        return _bag_of(engine._vertex(tag, blocks, parent))
+
+
+class _Counts:
+    """Count domain: integers with every edge and vertex factor 1, so a walk
+    counts the decorated trees its policy admits by type alone."""
+
+    one = 1
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+
+    def finish(self, x: int) -> int:
+        return x
+
+    def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> int:
+        return 1
+
+    def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> int:
+        return 1
+
+
+_BAGS = _Bags()
+_COUNTS = _Counts()
+
+
 class TreeSumEngine:
     """Distributive evaluation of decorated tree sums over shared subtrees.
 
     The sum over all decorated trees on a leg block factorizes through the
     partition at the block's top vertex, because the vertex rule depends on
-    the partition only.  ``policy`` selects the decoration family:
+    the partition only.  One walk over the set partitions computes every
+    quantity; the coefficient domain passed to it supplies the ring
+    operations and the edge and vertex factors (``_BAGS`` for values,
+    ``_COUNTS`` for decorated-tree counts).  ``policy`` selects the
+    decoration family:
 
       * ``free``   - every vertex is a diffeomorphism vertex,
       * ``all``    - every vertex is free or any admissible interaction,
-      * ``single`` - exactly one interaction vertex, values keyed by its
+      * ``single`` - exactly one interaction vertex, sums keyed by its
                      valence (for the term-by-term cancellation check).
     """
 
@@ -412,8 +457,7 @@ class TreeSumEngine:
         self.diffeo = diffeo
         self.theory = theory
         self.policy = policy
-        self._values: dict[frozenset, dict] = {}
-        self._counts: dict[frozenset, dict] = {}
+        self._memo: dict = {}  # domain -> block -> keyed sum
 
     # -- vertex factors ----------------------------------------------------
 
@@ -434,42 +478,37 @@ class TreeSumEngine:
             return [FREE]
         return admissible_tags(valence, self.theory.interactions)
 
-    # -- value sums ---------------------------------------------------------
+    # -- the walk -----------------------------------------------------------
 
-    def _subtree_bags(self, block: frozenset[int]) -> dict:
-        """Bag-valued sum over rooted decorated subtrees on ``block``, keyed
-        by the policy key; includes the top vertex and child propagators, not
-        the parent propagator."""
-        cached = self._values.get(block)
+    def _walk(self, block: frozenset[int], domain) -> dict:
+        """Sum over rooted decorated subtrees on ``block`` in ``domain``,
+        keyed by the policy key; includes the top vertex and the child edges,
+        not the parent edge.  Zero sums are dropped."""
+        memo = self._memo.setdefault(domain, {})
+        cached = memo.get(block)
         if cached is not None:
             return cached
         result: dict = {}
         parent = self.universe - block
-        gen = self.theory.generalized
         for partition in set_partitions(sorted(block)):
             if len(partition) < 2:
                 continue
             blocks = [frozenset(b) for b in partition]
-            child_factors = []
+            merged: dict = {_NO_INT: domain.one}
             for b in blocks:
                 if len(b) == 1:
-                    child_factors.append({_NO_INT: _BAG_ONE})
-                else:
-                    prop = propagator(b, self.universe, generalized=gen)
-                    child_factors.append(
-                        {key: _bag_mul_rf(bag, prop) for key, bag in self._subtree_bags(b).items()}
-                    )
-            merged: dict = {_NO_INT: _BAG_ONE}
-            for factor in child_factors:
+                    continue  # a bare leg contributes the factor one
+                edge = domain.edge(self, b)
+                factor = {key: domain.mul(x, edge) for key, x in self._walk(b, domain).items()}
                 nxt: dict = {}
-                for k1, bag1 in merged.items():
-                    for k2, bag2 in factor.items():
+                for k1, x1 in merged.items():
+                    for k2, x2 in factor.items():
                         if self.policy == "single" and k1 != _NO_INT and k2 != _NO_INT:
                             continue
                         key = k1 if k2 == _NO_INT else k2
-                        prod = _bag_mul(bag1, bag2)
+                        prod = domain.mul(x1, x2)
                         if prod:
-                            nxt[key] = _bag_add(nxt.get(key), prod)
+                            nxt[key] = domain.add(nxt[key], prod) if key in nxt else prod
                 merged = nxt
                 if not merged:
                     break
@@ -477,75 +516,24 @@ class TreeSumEngine:
                 continue
             valence = len(blocks) + 1
             for tag in self._tags(valence):
-                vval = self._vertex(tag, blocks, parent)
-                if vval.is_zero():
+                vertex = domain.vertex(self, tag, blocks, parent)
+                if not vertex:
                     continue
-                for key, bag in merged.items():
-                    if tag[0] == "I":
-                        if self.policy == "single":
-                            if key != _NO_INT:
-                                continue
-                            new_key = valence
-                        else:
-                            new_key = key
-                    else:
-                        new_key = key
-                    result[new_key] = _bag_add(result.get(new_key), _bag_mul_rf(bag, vval))
-        result = {k: _bag_normalize(bag) for k, bag in result.items()}
-        result = {k: bag for k, bag in result.items() if bag}
-        self._values[block] = result
+                for key, x in merged.items():
+                    if tag[0] == "I" and self.policy == "single":
+                        if key != _NO_INT:
+                            continue
+                        key = valence
+                    prod = domain.mul(x, vertex)
+                    result[key] = domain.add(result[key], prod) if key in result else prod
+        result = {key: y for key, x in result.items() if (y := domain.finish(x))}
+        memo[block] = result
         return result
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums over decorated subtrees on ``block``."""
-        keyed = {k: _bag_total(bag) for k, bag in self._subtree_bags(block).items()}
+        keyed = {k: _bag_total(bag) for k, bag in self._walk(block, _BAGS).items()}
         return keyed or {_NO_INT: RF_ZERO}
-
-    def subtree_counts(self, block: frozenset[int]) -> dict:
-        """Decorated-tree counts with the same keys (type admissibility only)."""
-        cached = self._counts.get(block)
-        if cached is not None:
-            return cached
-        result: dict = {}
-        for partition in set_partitions(sorted(block)):
-            if len(partition) < 2:
-                continue
-            blocks = [frozenset(b) for b in partition]
-            merged = {_NO_INT: 1}
-            for b in blocks:
-                factor = {_NO_INT: 1} if len(b) == 1 else self.subtree_counts(b)
-                nxt: dict = {}
-                for k1, c1 in merged.items():
-                    for k2, c2 in factor.items():
-                        if self.policy == "single" and k1 != _NO_INT and k2 != _NO_INT:
-                            continue
-                        key = k1 if k2 == _NO_INT else k2
-                        nxt[key] = nxt.get(key, 0) + c1 * c2
-                merged = nxt
-            valence = len(blocks) + 1
-            for tag in self._tags(valence):
-                for key, cnt in merged.items():
-                    if tag[0] == "I":
-                        if self.policy == "single":
-                            if key != _NO_INT:
-                                continue
-                            new_key = valence
-                        else:
-                            new_key = key
-                    else:
-                        new_key = key
-                    result[new_key] = result.get(new_key, 0) + cnt
-        self._counts[block] = result
-        return result
-
-
-def _total(keyed: Mapping, *, drop_no_int: bool = False):
-    total = RF_ZERO
-    for key, val in keyed.items():
-        if drop_no_int and key == _NO_INT:
-            continue
-        total = total + val
-    return total
 
 
 def rooted_tree_sum(
@@ -600,7 +588,7 @@ def interacting_rooted_tree_sum(
             universe, onshell=legs, diffeo=diffeo, theory=theory, policy="all"
         )
         value = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO) * propagator(legs, universe)
-        decorated = engine.subtree_counts(legs).get(_NO_INT, 0)
+        decorated = engine._walk(legs, _COUNTS)[_NO_INT]
         return TreeSumResult(value, count, decorated, meta)
     value, glued_terms = _reduced_bprime(legs, universe, s, lam, diffeo)
     meta["glued_terms"] = glued_terms
@@ -682,10 +670,10 @@ def amputated_tree_sum(
     v = max(legs)
     policy = "all" if theory.interactions else "free"
     engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory, policy=policy)
-    value = _total(engine.subtree_sums(legs - {v}))
-    counts = engine.subtree_counts(legs - {v})
+    value = sum(engine.subtree_sums(legs - {v}).values(), RF_ZERO)
+    decorated = sum(engine._walk(legs - {v}, _COUNTS).values())
     meta = {"n": n, "kind": "A", "offshell": sorted(offshell), "propagator": theory.kind}
-    return TreeSumResult(value, topology_count(n, False), sum(counts.values()), meta)
+    return TreeSumResult(value, topology_count(n, False), decorated, meta)
 
 
 def symmetrized_one_offshell_sum(
@@ -718,8 +706,8 @@ def coupling_linear_tree_sum(
     engine = TreeSumEngine(legs, onshell=legs, diffeo=diffeo, theory=theory, policy="single")
     keyed = engine.subtree_sums(legs - {v})
     by_valence = {k: val for k, val in keyed.items() if k != _NO_INT}
-    value = _total(keyed, drop_no_int=True)
-    counts = engine.subtree_counts(legs - {v})
+    value = sum(by_valence.values(), RF_ZERO)
+    counts = engine._walk(legs - {v}, _COUNTS)
     decorated = sum(c for k, c in counts.items() if k != _NO_INT)
     meta = {"n": n, "kind": "S", "s": s, "by_valence": by_valence}
     return TreeSumResult(value, topology_count(n, False), decorated, meta)

@@ -171,6 +171,8 @@ class TestConfig:
             ({"theory": {"interactions": [3]}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"theory": {"interactions": [{"coupling": "lambda3"}]}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"suite": {"trials": "many"}}, ["verify", "--check", "kinematics"]),
+            ({"theory": {"mass_sq": True}}, ["treesum", "--kind", "b", "--n", "2"]),
+            ({"diffeo": {"a": {"1": True}}}, ["treesum", "--kind", "b", "--n", "2"]),
         ],
     )
     def test_malformed_field_is_one_line_usage_error(self, cfg, argv, tmp_path):
@@ -179,6 +181,17 @@ class TestConfig:
         assert out.stdout == ""
         assert "Traceback" not in out.stderr
         assert len(out.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"diffeo": {"a": {"1": "1/2"}}}, {"theory": {"interactions": [{"s": 3}]}}],
+    )
+    def test_verify_refuses_sections_it_does_not_read(self, cfg, tmp_path):
+        out = run_cli("verify", "--check", "bn", "--max-n", "3", config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert next(iter(cfg)) in line
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -98,10 +98,64 @@ class TestEnumeration:
         topos = enumerate_trees(range(1, 5), rooted=False)
         assert all(t.virtual_root == 4 for t in topos)
         assert len(topos) == topology_count(4, rooted=False) == 4
+        for n in range(1, 7):
+            assert topology_count(n) == len(enumerate_trees(range(1, n + 1))), n
+            if n >= 3:
+                count = topology_count(n, rooted=False)
+                assert count == len(enumerate_trees(range(1, n + 1), rooted=False)), n
+
+    def test_count_beyond_enumeration(self):
+        assert topology_count(9) == 12818912
 
     def test_unrooted_needs_three_legs(self):
         with pytest.raises(AlgebraError):
             enumerate_trees({1, 2}, rooted=False)
+
+
+def enumerated_decorated_count(n, interactions, *, rooted, exactly_one=False):
+    return sum(
+        len(enumerate_decorations(topo, interactions, exactly_one=exactly_one))
+        for topo in enumerate_trees(range(1, n + 1), rooted)
+    )
+
+
+# The tuned s = 4 substitution has a1 = 0, so every free three-point vertex
+# vanishes; the counts must still include the trees that carry one.
+DIFFEOS = [SYMBOLIC, DiffeoSpec.tuned(3, 5), DiffeoSpec.tuned(4, 5)]
+
+
+class TestDecoratedCounts:
+    """The engine's integer-domain counts against tree enumeration."""
+
+    @pytest.mark.parametrize("diffeo", DIFFEOS)
+    @pytest.mark.parametrize("s", (3, 4))
+    def test_bprime(self, s, diffeo):
+        interactions = TheorySpec.standard(s).interactions
+        for n in range(1, 6):
+            result = interacting_rooted_tree_sum(n, s, diffeo)
+            assert result.tree_count == len(enumerate_trees(range(1, n + 1))), n
+            expect = enumerated_decorated_count(n, interactions, rooted=True)
+            assert result.decorated_count == expect, n
+
+    @pytest.mark.parametrize("diffeo", [SYMBOLIC, DiffeoSpec.tuned(4, 5)])
+    @pytest.mark.parametrize("offshell", ["none", "one", "all"])
+    def test_amputated(self, offshell, diffeo):
+        theory = TheorySpec.standard(3, 4)
+        for n in range(3, 6):
+            legs = {"none": (), "one": {1}, "all": range(1, n + 1)}[offshell]
+            result = amputated_tree_sum(n, legs, theory, diffeo)
+            assert result.tree_count == len(enumerate_trees(range(1, n + 1), rooted=False)), n
+            expect = enumerated_decorated_count(n, theory.interactions, rooted=False)
+            assert result.decorated_count == expect, n
+
+    @pytest.mark.parametrize("diffeo", [SYMBOLIC, DiffeoSpec.tuned(4, 5)])
+    @pytest.mark.parametrize("s", (3, 4))
+    def test_coupling_linear(self, s, diffeo):
+        interactions = TheorySpec.standard(s).interactions
+        for n in range(3, 6):
+            result = coupling_linear_tree_sum(n, s, diffeo)
+            expect = enumerated_decorated_count(n, interactions, rooted=False, exactly_one=True)
+            assert result.decorated_count == expect, (s, n)
 
 
 class TestAmplitude:
