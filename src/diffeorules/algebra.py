@@ -4,9 +4,10 @@ multivariate polynomials and rational functions with monomial denominators.
 Every amplitude in this package is a :class:`RationalFunction`.  The design
 is deliberately narrow:
 
-* Scalars are pairs of ``fractions.Fraction`` (real and imaginary part), so
-  the imaginary unit lives inside ordinary field arithmetic and ``i**2 == -1``
-  holds exactly.
+* Scalars are exact pairs (real and imaginary part), so the imaginary unit
+  lives inside ordinary field arithmetic and ``i**2 == -1`` holds exactly.
+  Each component is an ``int`` when integral and a ``fractions.Fraction``
+  otherwise (see :class:`Scalar`).
 * Polynomials are sparse maps ``Monomial -> Scalar`` over an interned symbol
   table with a global graded-lexicographic term order.
 * Denominators are restricted to monomials in offshell-variable symbols
@@ -150,24 +151,39 @@ def edge_symbol(subset: Iterable[int], generalized: bool = False) -> Symbol:
     return _intern(name, Kind.EDGE, (1 if generalized else 0, len(legs), legs), legs)
 
 
-def _fmt_fraction(q: Fraction) -> str:
+def _exact(x) -> int | Fraction:
+    """Exact ``Fraction(x)``, returned as an ``int`` when it is integral."""
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _fmt_fraction(q: int | Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 class Scalar:
-    """Gaussian rational ``re + im*i`` with exact Fraction components."""
+    """Gaussian rational ``re + im*i``.
+
+    Each component is an ``int`` when integral and a ``Fraction`` with
+    denominator > 1 otherwise.  Nearly every coefficient a tree sum
+    multiplies (factorials, vertex weights, the ``±1`` and ``±i`` of
+    vertices and propagators) is an integer, and ``int`` arithmetic skips
+    the ``Fraction`` constructor and its ``gcd``.  ``int`` and ``Fraction``
+    compare and hash alike, so equality, hashing and printing do not depend
+    on the representation.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if type(re) is int else _exact(re)
+        self.im = im if type(im) is int else _exact(im)
 
     @staticmethod
     def of(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar(Fraction(value))
+        return Scalar(value)
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -193,7 +209,8 @@ class Scalar:
         if not norm:
             raise DivisionByZeroError("scalar division by zero")
         a, b = self.re, self.im
-        return Scalar((a * c + b * d) / norm, (b * c - a * d) / norm)
+        # int / int would give a float: build the quotients as Fractions.
+        return Scalar(Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm))
 
     def inverse(self) -> "Scalar":
         return SC_ONE / self

@@ -36,6 +36,11 @@ class ConfigError(Exception):
     pass
 
 
+# Largest ``treesum --n``: S_8 is the default suite's largest sum and
+# topology_count(9) the largest count the tests pin; b_40 or S_30 would not end.
+TREESUM_MAX_N = 9
+
+
 _NAMED_SYMBOLS = {
     "msq": mass_sq,
     "xp": fixed_offshell,
@@ -105,6 +110,16 @@ def build_diffeo(cfg: dict) -> DiffeoSpec:
     return DiffeoSpec.from_bindings(bindings)
 
 
+def _index_table(section: dict, key: str) -> dict[int, RationalFunction]:
+    """``theory.<key>``: an object from indices ``k >= 0`` to values."""
+    table = {}
+    for k, value in _section(section, key).items():
+        if not (k.isascii() and k.isdigit()):
+            raise ConfigError(f"theory.{key} keys must be integers >= 0, got {k!r}")
+        table[int(k)] = _parse_value(value)
+    return table
+
+
 def build_theory(cfg: dict) -> TheorySpec:
     section = _section(cfg, "theory")
     kind = section.get("propagator", "standard")
@@ -123,13 +138,17 @@ def build_theory(cfg: dict) -> TheorySpec:
             raise ConfigError("interaction powers start at 3")
         value = entry.get("coupling", f"lambda{s}")
         interactions.append(Interaction(s, _parse_value(value)))
+    tables = [key for key in ("beta", "alpha") if section.get(key) is not None]
+    if tables and kind == "standard":
+        raise ConfigError(f"theory.{tables[0]} needs the generalized propagator")
+    if len(tables) > 1:
+        raise ConfigError("theory.beta and theory.alpha exclude each other; give one")
     beta = None
-    if kind == "generalized":
-        if section.get("beta") is not None:
-            beta = {int(k): _parse_value(v) for k, v in _section(section, "beta").items()}
-        elif "alpha" in section:
-            alpha = {int(k): _parse_value(v) for k, v in _section(section, "alpha").items()}
-            beta = rules.NonlocalSpec(alpha=alpha, mass_sq_value=mass).beta_table()
+    if tables == ["beta"]:
+        beta = _index_table(section, "beta")
+    elif tables == ["alpha"]:
+        alpha = _index_table(section, "alpha")
+        beta = rules.NonlocalSpec(alpha=alpha, mass_sq_value=mass).beta_table()
     return TheorySpec(kind=kind, mass_sq_value=mass, interactions=tuple(interactions), beta=beta)
 
 
@@ -210,6 +229,8 @@ def cmd_treesum(args, cfg: dict) -> int:
     n = args.n
     if n is None or n < 1:
         raise ConfigError("treesum needs --n >= 1")
+    if n > TREESUM_MAX_N:
+        raise ConfigError(f"treesum --n is limited to {TREESUM_MAX_N}; the sums grow factorially in n")
     kind = args.kind
     offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
     if kind in ("bprime", "S"):

@@ -50,24 +50,45 @@ class TestScalar:
             Scalar(1) / Scalar(0)
 
     def test_agrees_with_complex_fraction_oracle(self):
-        # Oracle: plain pair-of-Fractions arithmetic done inline.
+        # Oracle: plain pair-of-Fractions arithmetic done inline.  Components
+        # are drawn zero, integral or proper fractions, and integral inputs
+        # are passed as int or as Fraction, so every mix of the two
+        # representations meets in every operation.
         rng = random.Random(20240817)
 
-        def rand():
-            return (
-                Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
-                Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
-            )
+        def component():
+            kind = rng.randrange(3)
+            if kind == 0:
+                q = Fraction(0)
+            elif kind == 1:
+                q = Fraction(rng.randint(-20, 20))
+            else:
+                q = Fraction(rng.randint(-20, 20), rng.randint(2, 9))
+            return q.numerator if q.denominator == 1 and rng.random() < 0.5 else q
 
-        for _ in range(1000):
-            (ar, ai), (br, bi) = rand(), rand()
-            a, b = Scalar(ar, ai), Scalar(br, bi)
+        for _ in range(3000):
+            raw = [component() for _ in range(4)]
+            ar, ai, br, bi = map(Fraction, raw)
+            a, b = Scalar(*raw[:2]), Scalar(*raw[2:])
+            results = [a, b, a + b, a - b, -a, a * b]
             assert a + b == Scalar(ar + br, ai + bi)
             assert a - b == Scalar(ar - br, ai - bi)
             assert a * b == Scalar(ar * br - ai * bi, ar * bi + ai * br)
             norm = br * br + bi * bi
             if norm:
                 assert a / b == Scalar((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)
+                results += [a / b, b.inverse()]
+            for s in results:
+                for part in (s.re, s.im):
+                    assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
+
+    def test_integral_components_are_ints(self):
+        assert Scalar(1) / Scalar(3) == Scalar(Fraction(1, 3))
+        two = Scalar(Fraction(4, 2)).re
+        assert type(two) is int and two == 2
+        half = Scalar(0, 2) / Scalar(0, 4)
+        assert type(half.re) is Fraction and type(half.im) is int
+        assert hash(Scalar(Fraction(6, 3), 1)) == hash(Scalar(2, Fraction(1)))
 
     def test_lowest_terms_componentwise(self):
         s = Scalar(Fraction(2, 4), Fraction(-6, 9))

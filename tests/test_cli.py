@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,14 +12,27 @@ from diffeorules import cli, verify
 CLI = [sys.executable, "-m", "diffeorules.cli"]
 
 
-def run_cli(*args, config=None, tmp_path=None):
+def run_cli(*args, config=None, tmp_path=None, timeout=None):
     argv = list(CLI)
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     argv += list(args)
-    return subprocess.run(argv, capture_output=True, text=True)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+
+
+# Propagator tables that treesum would not read or cannot use, each with the
+# key its one-line error must name.
+_BAD_THEORY_TABLES = [
+    ({"theory": {"beta": {"1": "5"}}}, "theory.beta"),
+    ({"theory": {"alpha": {"1": "5"}}}, "theory.alpha"),
+    ({"theory": {"propagator": "generalized", "beta": {"-1": "1"}}}, "theory.beta"),
+    ({"theory": {"propagator": "generalized", "alpha": {"-1": "1"}}}, "theory.alpha"),
+    ({"theory": {"propagator": "generalized", "alpha": {"one": "1"}}}, "theory.alpha"),
+    ({"theory": {"propagator": "generalized", "beta": {"1": "1"}, "alpha": {"1": "1"}}}, "theory.alpha"),
+]
+_TREESUM_A = ["treesum", "--kind", "A", "--n", "3", "--offshell", "1"]
 
 
 class TestRules:
@@ -78,6 +92,16 @@ class TestTreesum:
         payload = json.loads(out.stdout)
         assert payload["value"] == "-2*i"
         assert [row["amplitude"] for row in payload["trace"]] == ["-2*i"]
+
+    @pytest.mark.parametrize("kind", ["b", "S"])
+    def test_size_above_the_cap_is_refused_at_once(self, kind):
+        start = time.perf_counter()
+        out = run_cli("treesum", "--kind", kind, "--n", "40", timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert str(cli.TREESUM_MAX_N) in line
 
     @pytest.mark.parametrize("kind", ["bprime", "S"])
     def test_interacting_sums_refuse_generalized_theory(self, kind, tmp_path):
@@ -173,7 +197,8 @@ class TestConfig:
             ({"suite": {"trials": "many"}}, ["verify", "--check", "kinematics"]),
             ({"theory": {"mass_sq": True}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"diffeo": {"a": {"1": True}}}, ["treesum", "--kind", "b", "--n", "2"]),
-        ],
+        ]
+        + [(cfg, _TREESUM_A) for cfg, _ in _BAD_THEORY_TABLES],
     )
     def test_malformed_field_is_one_line_usage_error(self, cfg, argv, tmp_path):
         out = run_cli(*argv, config=cfg, tmp_path=tmp_path)
@@ -181,6 +206,12 @@ class TestConfig:
         assert out.stdout == ""
         assert "Traceback" not in out.stderr
         assert len(out.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("cfg, key", _BAD_THEORY_TABLES)
+    def test_bad_propagator_table_names_its_key(self, cfg, key, tmp_path):
+        out = run_cli(*_TREESUM_A, config=cfg, tmp_path=tmp_path)
+        (line,) = out.stderr.splitlines()
+        assert key in line
 
     @pytest.mark.parametrize(
         "cfg",
