@@ -49,8 +49,6 @@ class Kind(enum.IntEnum):
     COUPLING = 2        # interaction couplings lambda_s, s >= 3
     MASS_SQ = 3         # the squared mass msq
     FIXED_OFFSHELL = 4  # the distinguished offshell value xp
-    NONLOCAL_ALPHA = 5  # derivative-series coefficients alpha_k
-    PROP_BETA = 6       # propagator polynomial coefficients beta_k
     EDGE = 7            # offshell variable of a canonical leg subset
 
 
@@ -66,14 +64,13 @@ class Symbol:
     integer index for indexed families).
     """
 
-    __slots__ = ("name", "kind", "key", "meta", "_hash")
+    __slots__ = ("name", "kind", "key", "meta")
 
     def __init__(self, name: str, kind: Kind, key: tuple, meta):
         self.name = name
         self.kind = kind
         self.key = key
         self.meta = meta
-        self._hash = hash(key)
 
     def __repr__(self) -> str:
         return f"Symbol({self.name})"
@@ -123,18 +120,6 @@ def mass_sq() -> Symbol:
 
 def fixed_offshell() -> Symbol:
     return _intern("xp", Kind.FIXED_OFFSHELL, (0,), None)
-
-
-def alpha_coeff(k: int) -> Symbol:
-    if k < 0:
-        raise AlgebraError("alpha coefficients are indexed from 0")
-    return _intern(f"alpha{k}", Kind.NONLOCAL_ALPHA, (k,), k)
-
-
-def beta_coeff(k: int) -> Symbol:
-    if k < 0:
-        raise AlgebraError("beta coefficients are indexed from 0")
-    return _intern(f"beta{k}", Kind.PROP_BETA, (k,), k)
 
 
 def edge_symbol(subset: Iterable[int], generalized: bool = False) -> Symbol:
@@ -247,11 +232,10 @@ SC_MINUS_I = Scalar(0, -1)
 class Monomial:
     """Product of symbol powers; ``pairs`` is sorted by the symbol order."""
 
-    __slots__ = ("pairs", "degree", "_hash")
+    __slots__ = ("pairs", "_hash")
 
     def __init__(self, pairs: tuple[tuple[Symbol, int], ...]):
         self.pairs = pairs
-        self.degree = sum(e for _, e in pairs)
         self._hash = hash(pairs)
 
     @staticmethod
@@ -278,9 +262,10 @@ class Monomial:
         # Graded lexicographic: higher total degree wins; at equal degree the
         # monomial with the higher exponent on the earliest differing symbol
         # is the larger one.
-        if self.degree != other.degree:
-            return self.degree < other.degree
         sp, op = self.pairs, other.pairs
+        degree, other_degree = sum(e for _, e in sp), sum(e for _, e in op)
+        if degree != other_degree:
+            return degree < other_degree
         i = j = 0
         while i < len(sp) and j < len(op):
             s1, e1 = sp[i]
@@ -323,11 +308,6 @@ class Monomial:
         out.extend(a[i:])
         out.extend(b[j:])
         return Monomial(tuple(out))
-
-    def __pow__(self, n: int) -> "Monomial":
-        if n < 0:
-            raise AlgebraError("monomial power must be nonnegative")
-        return Monomial(tuple((s, e * n) for s, e in self.pairs)) if n else MONO_ONE
 
     def exponent(self, symbol: Symbol) -> int:
         for s, e in self.pairs:
@@ -584,10 +564,6 @@ class RationalFunction:
         if isinstance(value, Scalar):
             return RationalFunction(Polynomial.constant(value))
         return RationalFunction(Polynomial.constant(Fraction(value)))
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RF_ZERO
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -39,6 +39,9 @@ class ConfigError(Exception):
 # Largest ``treesum --n``: S_8 is the default suite's largest sum and
 # topology_count(9) the largest count the tests pin; b_40 or S_30 would not end.
 TREESUM_MAX_N = 9
+# Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
+# about 1.4 s at n = 14 and more than twice that per further leg.
+RULES_MAX_N = 14
 
 
 _NAMED_SYMBOLS = {
@@ -99,23 +102,18 @@ def build_diffeo(cfg: dict) -> DiffeoSpec:
         return DiffeoSpec.symbolic()
     if not isinstance(coeffs, dict):
         raise ConfigError("diffeo.a must be \"symbolic\" or an index->value object")
-    bindings = {}
-    for key, value in coeffs.items():
-        j = int(key)
-        if j == 0:
-            raise ConfigError("a0 is fixed to 1; the substitution is tangent to identity")
-        if j < 0:
-            raise ConfigError("diffeomorphism indices start at 1")
-        bindings[j] = _parse_value(value)
+    bindings = _index_table(section, "diffeo", "a")
+    if 0 in bindings:
+        raise ConfigError("a0 is fixed to 1; the substitution is tangent to identity")
     return DiffeoSpec.from_bindings(bindings)
 
 
-def _index_table(section: dict, key: str) -> dict[int, RationalFunction]:
-    """``theory.<key>``: an object from indices ``k >= 0`` to values."""
+def _index_table(section: dict, name: str, key: str) -> dict[int, RationalFunction]:
+    """``<name>.<key>``: an object from indices ``k >= 0`` to values."""
     table = {}
     for k, value in _section(section, key).items():
         if not (k.isascii() and k.isdigit()):
-            raise ConfigError(f"theory.{key} keys must be integers >= 0, got {k!r}")
+            raise ConfigError(f"{name}.{key} keys must be integers >= 0, got {k!r}")
         table[int(k)] = _parse_value(value)
     return table
 
@@ -145,9 +143,9 @@ def build_theory(cfg: dict) -> TheorySpec:
         raise ConfigError("theory.beta and theory.alpha exclude each other; give one")
     beta = None
     if tables == ["beta"]:
-        beta = _index_table(section, "beta")
+        beta = _index_table(section, "theory", "beta")
     elif tables == ["alpha"]:
-        alpha = _index_table(section, "alpha")
+        alpha = _index_table(section, "theory", "alpha")
         beta = rules.NonlocalSpec(alpha=alpha, mass_sq_value=mass).beta_table()
     return TheorySpec(kind=kind, mass_sq_value=mass, interactions=tuple(interactions), beta=beta)
 
@@ -166,6 +164,8 @@ def cmd_rules(args, cfg: dict) -> int:
     n = args.n
     if n is None or n < 3:
         raise ConfigError("rules needs a valence --n of at least 3")
+    if n > RULES_MAX_N:
+        raise ConfigError(f"rules --n is limited to {RULES_MAX_N}; vertex rules grow quickly with the valence")
     legs = frozenset(range(1, n + 1))
     singles = [rf(edge_symbol(frozenset((j,)), theory.generalized)) for j in range(1, n + 1)]
     kind = args.kind

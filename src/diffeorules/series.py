@@ -85,10 +85,6 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries([RF_ZERO] * (order + 1))
-
-    @staticmethod
     def identity(order: int) -> "PowerSeries":
         if order < 1:
             raise AlgebraError("the identity series needs order >= 1")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -339,15 +339,10 @@ def _bag_normalize(bag: Bag) -> Bag:
         nxt: Bag = {}
         for den, num in current.items():
             r = RationalFunction(num, den)
-            if r.is_zero():
-                changed = True
-                continue
             if r.den != den:
                 changed = True
             _bag_insert(nxt, r.den, r.num)
-        if not changed and len(nxt) == len(current):
-            return nxt
-        if nxt == current:
+        if not changed:
             return nxt
         current = nxt
 
@@ -404,7 +399,7 @@ class _Bags:
 
 class _Counts:
     """Count domain: integers with every edge and vertex factor 1, so a walk
-    counts the decorated trees its policy admits by type alone."""
+    counts the decorated trees the engine admits by type alone."""
 
     one = 1
     mul = staticmethod(operator.mul)
@@ -432,13 +427,10 @@ class TreeSumEngine:
     the partition only.  One walk over the set partitions computes every
     quantity; the coefficient domain passed to it supplies the ring
     operations and the edge and vertex factors (``_BAGS`` for values,
-    ``_COUNTS`` for decorated-tree counts).  ``policy`` selects the
-    decoration family:
-
-      * ``free``   - every vertex is a diffeomorphism vertex,
-      * ``all``    - every vertex is free or any admissible interaction,
-      * ``single`` - exactly one interaction vertex, sums keyed by its
-                     valence (for the term-by-term cancellation check).
+    ``_COUNTS`` for decorated-tree counts).  Every vertex is a
+    diffeomorphism vertex or any admissible interaction of ``theory``; with
+    ``single`` the trees carry exactly one interaction vertex and the sums are
+    keyed by its valence (for the term-by-term cancellation check).
     """
 
     def __init__(
@@ -448,15 +440,13 @@ class TreeSumEngine:
         onshell: frozenset[int],
         diffeo: DiffeoSpec,
         theory: TheorySpec,
-        policy: str = "free",
+        single: bool = False,
     ):
-        if policy not in ("free", "all", "single"):
-            raise AlgebraError(f"unknown decoration policy {policy!r}")
         self.universe = universe
         self.onshell = onshell
         self.diffeo = diffeo
         self.theory = theory
-        self.policy = policy
+        self.single = single
         self._memo: dict = {}  # domain -> block -> keyed sum
 
     # -- vertex factors ----------------------------------------------------
@@ -473,17 +463,14 @@ class TreeSumEngine:
         s = tag[1]
         return interaction_vertex(len(blocks) + 1, s, self.diffeo, self.theory.coupling_of(s))
 
-    def _tags(self, valence: int) -> list[tuple]:
-        if self.policy == "free":
-            return [FREE]
-        return admissible_tags(valence, self.theory.interactions)
-
     # -- the walk -----------------------------------------------------------
 
     def _walk(self, block: frozenset[int], domain) -> dict:
         """Sum over rooted decorated subtrees on ``block`` in ``domain``,
-        keyed by the policy key; includes the top vertex and the child edges,
-        not the parent edge.  Zero sums are dropped."""
+        keyed by the valence of the interaction vertex under ``single`` and
+        by ``_NO_INT`` otherwise (or when there is none yet); includes the top
+        vertex and the child edges, not the parent edge.  Zero sums are
+        dropped."""
         memo = self._memo.setdefault(domain, {})
         cached = memo.get(block)
         if cached is not None:
@@ -503,7 +490,7 @@ class TreeSumEngine:
                 nxt: dict = {}
                 for k1, x1 in merged.items():
                     for k2, x2 in factor.items():
-                        if self.policy == "single" and k1 != _NO_INT and k2 != _NO_INT:
+                        if self.single and k1 != _NO_INT and k2 != _NO_INT:
                             continue
                         key = k1 if k2 == _NO_INT else k2
                         prod = domain.mul(x1, x2)
@@ -515,12 +502,12 @@ class TreeSumEngine:
             if not merged:
                 continue
             valence = len(blocks) + 1
-            for tag in self._tags(valence):
+            for tag in admissible_tags(valence, self.theory.interactions):
                 vertex = domain.vertex(self, tag, blocks, parent)
                 if not vertex:
                     continue
                 for key, x in merged.items():
-                    if tag[0] == "I" and self.policy == "single":
+                    if tag[0] == "I" and self.single:
                         if key != _NO_INT:
                             continue
                         key = valence
@@ -550,9 +537,8 @@ def rooted_tree_sum(
     meta = {"n": n, "kind": "b", "propagator": theory.kind}
     if n == 1:
         return TreeSumResult(RF_ONE, 1, 1, meta)
-    engine = TreeSumEngine(
-        legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=theory, policy="free"
-    )
+    free = replace(theory, interactions=())  # b_n has diffeomorphism vertices only
+    engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=free)
     body = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO)
     value = body * propagator(legs, legs | {ROOT}, generalized=theory.generalized)
     count = topology_count(n, True)
@@ -584,9 +570,7 @@ def interacting_rooted_tree_sum(
         return TreeSumResult(RF_ONE, 1, 1, meta)
     count = topology_count(n, True)
     if mode == "all_vertices":
-        engine = TreeSumEngine(
-            universe, onshell=legs, diffeo=diffeo, theory=theory, policy="all"
-        )
+        engine = TreeSumEngine(universe, onshell=legs, diffeo=diffeo, theory=theory)
         value = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO) * propagator(legs, universe)
         decorated = engine._walk(legs, _COUNTS)[_NO_INT]
         return TreeSumResult(value, count, decorated, meta)
@@ -668,8 +652,7 @@ def amputated_tree_sum(
         raise AlgebraError("offshell legs must be external legs")
     onshell = legs - offshell
     v = max(legs)
-    policy = "all" if theory.interactions else "free"
-    engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory, policy=policy)
+    engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory)
     value = sum(engine.subtree_sums(legs - {v}).values(), RF_ZERO)
     decorated = sum(engine._walk(legs - {v}, _COUNTS).values())
     meta = {"n": n, "kind": "A", "offshell": sorted(offshell), "propagator": theory.kind}
@@ -703,7 +686,7 @@ def coupling_linear_tree_sum(
     theory = TheorySpec(interactions=(Interaction(s, lam),))
     legs = frozenset(range(1, n + 1))
     v = max(legs)
-    engine = TreeSumEngine(legs, onshell=legs, diffeo=diffeo, theory=theory, policy="single")
+    engine = TreeSumEngine(legs, onshell=legs, diffeo=diffeo, theory=theory, single=True)
     keyed = engine.subtree_sums(legs - {v})
     by_valence = {k: val for k, val in keyed.items() if k != _NO_INT}
     value = sum(by_valence.values(), RF_ZERO)

@@ -63,8 +63,18 @@ class Report:
         }
 
 
+class _Stop(Exception):
+    """Raised by :class:`_Checker` at a check's first failed comparison."""
+
+
 class _Checker:
-    """Collects the first failure as a witness while timing the check."""
+    """Times a check and ends it at its first failed comparison.
+
+    A check runs its comparisons under ``with _Checker(name, params) as
+    chk``.  The first ``expect*`` call that fails records its context as the
+    witness and raises :class:`_Stop`, which ``__exit__`` swallows; the check
+    then returns ``chk.report()``.
+    """
 
     def __init__(self, name: str, params: dict):
         self.name = name
@@ -72,22 +82,26 @@ class _Checker:
         self.witness: dict | None = None
         self.start = time.monotonic()
 
-    def expect_zero(self, value: RationalFunction, **context) -> bool:
-        if value.is_zero():
-            return True
-        if self.witness is None:
-            self.witness = {**context, "residual": str(value)}
-        return False
+    def __enter__(self) -> "_Checker":
+        return self
 
-    def expect_equal(self, left: RationalFunction, right: RationalFunction, **context) -> bool:
-        return self.expect_zero(left - right, **context)
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return exc_type is _Stop
 
-    def expect(self, condition: bool, **context) -> bool:
-        if condition:
-            return True
-        if self.witness is None:
-            self.witness = dict(context)
-        return False
+    def _stop(self, witness: dict):
+        self.witness = witness
+        raise _Stop
+
+    def expect_zero(self, value: RationalFunction, **context) -> None:
+        if not value.is_zero():
+            self._stop({**context, "residual": str(value)})
+
+    def expect_equal(self, left: RationalFunction, right: RationalFunction, **context) -> None:
+        self.expect_zero(left - right, **context)
+
+    def expect(self, condition: bool, **context) -> None:
+        if not condition:
+            self._stop(dict(context))
 
     def report(self) -> Report:
         wall = int((time.monotonic() - self.start) * 1000)
@@ -102,25 +116,22 @@ def check_bn(max_n: int = 7, diffeo: DiffeoSpec | None = None, tamper: Tamper | 
     """Enumerated one-offshell tree sums vs the closed form vs the inverse
     series, and the constancy of the result (no edge / mass symbols)."""
     diffeo = diffeo or DiffeoSpec.symbolic()
-    chk = _Checker("bn", {"max_n": max_n})
-    for n in range(2, max_n + 1):
-        enum = trees.rooted_tree_sum(n, diffeo).value
-        closed = series.tree_sum_closed_form(n, diffeo.a)
-        if tamper is not None:
-            closed = tamper(n, closed)
-        inverse = series.inverse_series_tree_sum(n, diffeo.a, order=max_n)
-        if not chk.expect_equal(enum, closed, n=n, compared="enumerated vs closed form"):
-            break
-        if not chk.expect_equal(enum, inverse, n=n, compared="enumerated vs series inverse"):
-            break
-        kinds = {s.kind for s in enum.symbols()}
-        if not chk.expect(
-            Kind.EDGE not in kinds and Kind.MASS_SQ not in kinds,
-            n=n,
-            compared="constancy",
-            symbols=sorted(s.name for s in enum.symbols()),
-        ):
-            break
+    with _Checker("bn", {"max_n": max_n}) as chk:
+        for n in range(2, max_n + 1):
+            enum = trees.rooted_tree_sum(n, diffeo).value
+            closed = series.tree_sum_closed_form(n, diffeo.a)
+            if tamper is not None:
+                closed = tamper(n, closed)
+            inverse = series.inverse_series_tree_sum(n, diffeo.a, order=max_n)
+            chk.expect_equal(enum, closed, n=n, compared="enumerated vs closed form")
+            chk.expect_equal(enum, inverse, n=n, compared="enumerated vs series inverse")
+            kinds = {s.kind for s in enum.symbols()}
+            chk.expect(
+                Kind.EDGE not in kinds and Kind.MASS_SQ not in kinds,
+                n=n,
+                compared="constancy",
+                symbols=sorted(s.name for s in enum.symbols()),
+            )
     return chk.report()
 
 
@@ -128,28 +139,21 @@ def check_smatrix_free(max_n: int = 7, diffeo: DiffeoSpec | None = None) -> Repo
     """Vanishing onshell amplitude and the one-offshell shape
     A^1_n = -i b_{n-1} (x_1 + ... + x_n) for the free diffeomorphism."""
     diffeo = diffeo or DiffeoSpec.symbolic()
-    chk = _Checker("smatrix_free", {"max_n": max_n})
-    for n in range(3, max_n + 1):
-        onshell = trees.amputated_tree_sum(n, (), diffeo=diffeo).value
-        if not chk.expect_zero(onshell, n=n, compared="A0"):
-            break
-        b = series.tree_sum_closed_form(n - 1, diffeo.a)
-        symmetric = RF_ZERO
-        ok = True
-        for j in range(1, n + 1):
-            single = trees.amputated_tree_sum(n, {j}, diffeo=diffeo).value
-            expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,))))
-            if not chk.expect_equal(single, expect, n=n, offshell_leg=j, compared="A1 single leg"):
-                ok = False
-                break
-            symmetric = symmetric + single
-        if not ok:
-            break
-        total = RF_ZERO
-        for j in range(1, n + 1):
-            total = total + rf(edge_symbol(frozenset((j,))))
-        if not chk.expect_equal(symmetric, RF_MINUS_I * b * total, n=n, compared="A1 symmetrized"):
-            break
+    with _Checker("smatrix_free", {"max_n": max_n}) as chk:
+        for n in range(3, max_n + 1):
+            onshell = trees.amputated_tree_sum(n, (), diffeo=diffeo).value
+            chk.expect_zero(onshell, n=n, compared="A0")
+            b = series.tree_sum_closed_form(n - 1, diffeo.a)
+            symmetric = RF_ZERO
+            for j in range(1, n + 1):
+                single = trees.amputated_tree_sum(n, {j}, diffeo=diffeo).value
+                expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,))))
+                chk.expect_equal(single, expect, n=n, offshell_leg=j, compared="A1 single leg")
+                symmetric = symmetric + single
+            total = RF_ZERO
+            for j in range(1, n + 1):
+                total = total + rf(edge_symbol(frozenset((j,))))
+            chk.expect_equal(symmetric, RF_MINUS_I * b * total, n=n, compared="A1 symmetrized")
     return chk.report()
 
 
@@ -159,33 +163,26 @@ def check_interaction_cancellation(
     """S^(s)_n = -i lambda_s delta_{ns} by enumeration and the Bell-sum
     formula, with per-valence agreement of the two decompositions."""
     diffeo = diffeo or DiffeoSpec.symbolic()
-    chk = _Checker("interaction_cancellation", {"s": s, "max_n": max_n})
     tangent = diffeo.a
     lam = rf(coupling(s))
-    for n in range(s, max_n + 1):
-        result = trees.coupling_linear_tree_sum(n, s, diffeo)
-        expect = RF_MINUS_I * lam if n == s else RF_ZERO
-        formula = series.coupling_linear_closed_form(s, n, tangent)
-        if tamper is not None:
-            formula = tamper(n, formula)
-        if not chk.expect_equal(result.value, expect, n=n, compared="enumeration vs delta"):
-            break
-        if not chk.expect_equal(formula, expect, n=n, compared="Bell formula vs delta"):
-            break
-        by_valence = result.metadata["by_valence"]
-        ok = True
-        for k in range(s, n + 1):
-            args1 = [diffeo.a(m - 1).scaled(Scalar(series.factorial(m))) for m in range(1, k - s + 2)]
-            left = series.bell_partial(k, s, args1)
-            b_args = [series.tree_sum_closed_form(j, diffeo.a) for j in range(1, n - k + 2)]
-            right = series.bell_partial(n, k, b_args)
-            term = left * right * lam * RF_MINUS_I
-            enum_term = by_valence.get(k, RF_ZERO)
-            if not chk.expect_equal(enum_term, term, n=n, valence=k, compared="per-valence term"):
-                ok = False
-                break
-        if not ok:
-            break
+    with _Checker("interaction_cancellation", {"s": s, "max_n": max_n}) as chk:
+        for n in range(s, max_n + 1):
+            result = trees.coupling_linear_tree_sum(n, s, diffeo)
+            expect = RF_MINUS_I * lam if n == s else RF_ZERO
+            formula = series.coupling_linear_closed_form(s, n, tangent)
+            if tamper is not None:
+                formula = tamper(n, formula)
+            chk.expect_equal(result.value, expect, n=n, compared="enumeration vs delta")
+            chk.expect_equal(formula, expect, n=n, compared="Bell formula vs delta")
+            by_valence = result.metadata["by_valence"]
+            for k in range(s, n + 1):
+                args1 = [diffeo.a(m - 1).scaled(Scalar(series.factorial(m))) for m in range(1, k - s + 2)]
+                left = series.bell_partial(k, s, args1)
+                b_args = [series.tree_sum_closed_form(j, diffeo.a) for j in range(1, n - k + 2)]
+                right = series.bell_partial(n, k, b_args)
+                term = left * right * lam * RF_MINUS_I
+                enum_term = by_valence.get(k, RF_ZERO)
+                chk.expect_equal(enum_term, term, n=n, valence=k, compared="per-valence term")
     return chk.report()
 
 
@@ -193,25 +190,22 @@ def check_bprime(s: int = 3, max_n: int = 6, diffeo: DiffeoSpec | None = None, t
     """Agreement of the decoration enumeration with the reduced gluing, plus
     the small worked values of the interacting tree sums."""
     diffeo = diffeo or DiffeoSpec.symbolic()
-    chk = _Checker("bprime", {"s": s, "max_n": max_n})
     lam = rf(coupling(s))
-    for n in range(1, max_n + 1):
-        enum = trees.interacting_rooted_tree_sum(n, s, diffeo, mode="all_vertices").value
-        glued = trees.interacting_rooted_tree_sum(n, s, diffeo, mode="s_only").value
-        if tamper is not None:
-            glued = tamper(n, glued)
-        if not chk.expect_equal(enum, glued, n=n, compared="all_vertices vs s_only"):
-            break
-        if n < s - 1:
-            if not chk.expect_equal(
-                enum, series.tree_sum_closed_form(n, diffeo.a), n=n, compared="b'_k = b_k below s-1"
-            ):
-                break
-        if n == s - 1:
-            root = rf(edge_symbol(frozenset(range(1, n + 1))))
-            expect = series.tree_sum_closed_form(n, diffeo.a) + lam * root.inverse()
-            if not chk.expect_equal(enum, expect, n=n, compared="b'_{s-1} pole term"):
-                break
+    with _Checker("bprime", {"s": s, "max_n": max_n}) as chk:
+        for n in range(1, max_n + 1):
+            enum = trees.interacting_rooted_tree_sum(n, s, diffeo, mode="all_vertices").value
+            glued = trees.interacting_rooted_tree_sum(n, s, diffeo, mode="s_only").value
+            if tamper is not None:
+                glued = tamper(n, glued)
+            chk.expect_equal(enum, glued, n=n, compared="all_vertices vs s_only")
+            if n < s - 1:
+                chk.expect_equal(
+                    enum, series.tree_sum_closed_form(n, diffeo.a), n=n, compared="b'_k = b_k below s-1"
+                )
+            if n == s - 1:
+                root = rf(edge_symbol(frozenset(range(1, n + 1))))
+                expect = series.tree_sum_closed_form(n, diffeo.a) + lam * root.inverse()
+                chk.expect_equal(enum, expect, n=n, compared="b'_{s-1} pole term")
     return chk.report()
 
 
@@ -219,28 +213,24 @@ def check_adiabatic(s: int = 3, max_n: int = 7, order: int = 10) -> Report:
     """The interaction-cancelling coefficients: b_k vanish except
     b_{s-1} = -lambda_s/xp, b'_n vanishes at root value xp, and the
     Fuss-Catalan series solves its defining functional equation."""
-    chk = _Checker("adiabatic", {"s": s, "max_n": max_n, "order": order})
-    tuned = DiffeoSpec.tuned(s, max_n)
-    lam = rf(coupling(s))
-    xp = rf(fixed_offshell())
-    for k in range(2, max_n + 1):
-        closed = series.tree_sum_closed_form(k, tuned.a)
-        enum = trees.rooted_tree_sum(k, tuned).value
-        expect = lam.scaled(Scalar(-1)) * xp.inverse() if k == s - 1 else RF_ZERO
-        if not chk.expect_equal(closed, expect, k=k, compared="closed-form b_k"):
-            return chk.report()
-        if not chk.expect_equal(enum, expect, k=k, compared="enumerated b_k"):
-            return chk.report()
-    for n in range(2, max_n + 1):
-        bp = trees.interacting_rooted_tree_sum(n, s, tuned, mode="all_vertices").value
-        root = edge_symbol(frozenset(range(1, n + 1)))
-        bound = bp.substitute({root: xp})
-        if not chk.expect_zero(bound, n=n, compared="b'_n at the fixed offshell value"):
-            return chk.report()
-    residual = series.fc_functional_residual(s - 1, order)
-    for m, c in enumerate(residual.coeffs):
-        if not chk.expect_zero(c, order=m, compared="Fuss-Catalan functional equation"):
-            return chk.report()
+    with _Checker("adiabatic", {"s": s, "max_n": max_n, "order": order}) as chk:
+        tuned = DiffeoSpec.tuned(s, max_n)
+        lam = rf(coupling(s))
+        xp = rf(fixed_offshell())
+        for k in range(2, max_n + 1):
+            closed = series.tree_sum_closed_form(k, tuned.a)
+            enum = trees.rooted_tree_sum(k, tuned).value
+            expect = lam.scaled(Scalar(-1)) * xp.inverse() if k == s - 1 else RF_ZERO
+            chk.expect_equal(closed, expect, k=k, compared="closed-form b_k")
+            chk.expect_equal(enum, expect, k=k, compared="enumerated b_k")
+        for n in range(2, max_n + 1):
+            bp = trees.interacting_rooted_tree_sum(n, s, tuned, mode="all_vertices").value
+            root = edge_symbol(frozenset(range(1, n + 1)))
+            bound = bp.substitute({root: xp})
+            chk.expect_zero(bound, n=n, compared="b'_n at the fixed offshell value")
+        residual = series.fc_functional_residual(s - 1, order)
+        for m, c in enumerate(residual.coeffs):
+            chk.expect_zero(c, order=m, compared="Fuss-Catalan functional equation")
     return chk.report()
 
 
@@ -250,27 +240,23 @@ def check_generalized(max_n: int = 6, diffeo: DiffeoSpec | None = None, theory: 
     agreeing with enumeration."""
     diffeo = diffeo or DiffeoSpec.symbolic()
     theory = theory or TheorySpec.generalized_free()
-    chk = _Checker("generalized", {"max_n": max_n})
-    for n in range(3, max_n + 1):
-        onshell = trees.amputated_tree_sum(n, (), theory, diffeo).value
-        if not chk.expect_zero(onshell, n=n, compared="A0 generalized"):
-            return chk.report()
-        b = series.tree_sum_closed_form(n - 1, diffeo.a)
-        for j in range(1, n + 1):
-            single = trees.amputated_tree_sum(n, {j}, theory, diffeo).value
-            expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,)), True))
-            if not chk.expect_equal(single, expect, n=n, offshell_leg=j, compared="A1 generalized"):
-                return chk.report()
-    for j in range(3, 6):
-        for k in range(3, 6):
-            resid = trees.vertex_pair_edge_coefficient(j, k, diffeo)
-            if not chk.expect_zero(resid, valences=[j, k], compared="internal-edge coefficient"):
-                return chk.report()
-    for n in range(1, max_n + 1):
-        rec = trees.recursive_tree_sum(n, diffeo, generalized=theory.generalized)
-        enum = trees.rooted_tree_sum(n, diffeo, theory=theory).value
-        if not chk.expect_equal(rec, enum, n=n, compared="recursion vs enumeration"):
-            return chk.report()
+    with _Checker("generalized", {"max_n": max_n}) as chk:
+        for n in range(3, max_n + 1):
+            onshell = trees.amputated_tree_sum(n, (), theory, diffeo).value
+            chk.expect_zero(onshell, n=n, compared="A0 generalized")
+            b = series.tree_sum_closed_form(n - 1, diffeo.a)
+            for j in range(1, n + 1):
+                single = trees.amputated_tree_sum(n, {j}, theory, diffeo).value
+                expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,)), True))
+                chk.expect_equal(single, expect, n=n, offshell_leg=j, compared="A1 generalized")
+        for j in range(3, 6):
+            for k in range(3, 6):
+                resid = trees.vertex_pair_edge_coefficient(j, k, diffeo)
+                chk.expect_zero(resid, valences=[j, k], compared="internal-edge coefficient")
+        for n in range(1, max_n + 1):
+            rec = trees.recursive_tree_sum(n, diffeo, generalized=theory.generalized)
+            enum = trees.rooted_tree_sum(n, diffeo, theory=theory).value
+            chk.expect_equal(rec, enum, n=n, compared="recursion vs enumeration")
     return chk.report()
 
 
@@ -278,32 +264,26 @@ def check_nonlocal(max_n: int = 5, spec: NonlocalSpec | None = None) -> Report:
     """Propagator coefficients of the derivative transformation, recovery of
     the standard theory for the identity transform, and the generalized-suite
     identities for the induced theory."""
-    chk = _Checker("nonlocal", {"max_n": max_n})
-    identity = NonlocalSpec(alpha={})
-    msq = rf(mass_sq())
-    expect0 = [msq.scaled(Scalar(-1)), rf(1), RF_ZERO, RF_ZERO]
-    for n, expect in enumerate(expect0):
-        if not chk.expect_equal(rules.nonlocal_beta(n, identity), expect, n=n, compared="identity transform beta"):
-            return chk.report()
-    spec = spec or NonlocalSpec(alpha={1: rf(generic_symbol("c"))})
-    c = rf(generic_symbol("c"))
-    if spec.alpha_at(1) == c and spec.max_alpha() == 1:
-        table = {
-            0: msq.scaled(Scalar(-1)),
-            1: rf(1) - (c * msq).scaled(Scalar(2)),
-            2: c.scaled(Scalar(2)) - c * c * msq,
-            3: c * c,
-            4: RF_ZERO,
-        }
-        for n, expect in table.items():
-            if not chk.expect_equal(
-                rules.nonlocal_beta(n, spec), expect, n=n, compared="symbolic first-order beta"
-            ):
-                return chk.report()
-    induced = spec.induced_theory()
-    sub = check_generalized(max_n, theory=induced)
-    if sub.status == "fail":
-        chk.witness = {"compared": "generalized suite over the induced theory", **(sub.witness or {})}
+    with _Checker("nonlocal", {"max_n": max_n}) as chk:
+        identity = NonlocalSpec(alpha={})
+        msq = rf(mass_sq())
+        expect0 = [msq.scaled(Scalar(-1)), rf(1), RF_ZERO, RF_ZERO]
+        for n, expect in enumerate(expect0):
+            chk.expect_equal(rules.nonlocal_beta(n, identity), expect, n=n, compared="identity transform beta")
+        spec = spec or NonlocalSpec(alpha={1: rf(generic_symbol("c"))})
+        c = rf(generic_symbol("c"))
+        if spec.alpha_at(1) == c and spec.max_alpha() == 1:
+            table = {
+                0: msq.scaled(Scalar(-1)),
+                1: rf(1) - (c * msq).scaled(Scalar(2)),
+                2: c.scaled(Scalar(2)) - c * c * msq,
+                3: c * c,
+                4: RF_ZERO,
+            }
+            for n, expect in table.items():
+                chk.expect_equal(rules.nonlocal_beta(n, spec), expect, n=n, compared="symbolic first-order beta")
+        sub = check_generalized(max_n, theory=spec.induced_theory())
+        chk.expect(sub.passed, compared="generalized suite over the induced theory", inner=sub.witness)
     return chk.report()
 
 
@@ -315,57 +295,44 @@ def check_kinematics(
 ) -> Report:
     """Exact kinematic agreement of the two vertex forms, the four-point
     conservation identity, and determinism of the evaluator."""
-    chk = _Checker(
-        "kinematics",
-        {"n_values": list(n_values), "trials": trials, "seed": seed, "dimension": dimension},
-    )
-    rng = random.Random(seed)
-    universe4 = frozenset(range(1, 5))
-    identity4 = (
-        rules.edge_var({1, 2}, universe4)
-        + rules.edge_var({1, 3}, universe4)
-        + rules.edge_var({2, 3}, universe4)
-        - rf(mass_sq())
-    )
-    for j in range(1, 5):
-        identity4 = identity4 - rules.edge_var({j}, universe4)
-    for trial in range(trials):
-        momenta = trees.random_conserving_momenta(4, dimension, rng)
-        mass_value = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        value = trees.evaluate_at_kinematics(identity4, momenta, mass_value)
-        if not chk.expect(
-            value.is_zero(), trial=trial, compared="four-point conservation identity", value=str(value)
-        ):
-            return chk.report()
-    for n in n_values:
-        legs = frozenset(range(1, n + 1))
+    params = {"n_values": list(n_values), "trials": trials, "seed": seed, "dimension": dimension}
+    with _Checker("kinematics", params) as chk:
+        rng = random.Random(seed)
+        universe4 = frozenset(range(1, 5))
+        identity4 = (
+            rules.edge_var({1, 2}, universe4)
+            + rules.edge_var({1, 3}, universe4)
+            + rules.edge_var({2, 3}, universe4)
+            - rf(mass_sq())
+        )
+        for j in range(1, 5):
+            identity4 = identity4 - rules.edge_var({j}, universe4)
         for trial in range(trials):
-            bindings = {
-                j: rf(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for j in range(1, n - 1)
-            }
-            diffeo = DiffeoSpec.from_bindings(bindings) if bindings else DiffeoSpec.symbolic()
-            momenta = trees.random_conserving_momenta(n, dimension, rng)
+            momenta = trees.random_conserving_momenta(4, dimension, rng)
             mass_value = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-            display = rules.free_vertex(
-                n, [rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)], diffeo
-            )
-            subset = rules.generalized_vertex(
-                [frozenset((j,)) for j in range(1, n + 1)], legs, diffeo=diffeo
-            )
-            left = trees.evaluate_at_kinematics(display, momenta, mass_value)
-            right = trees.evaluate_at_kinematics(subset, momenta, mass_value)
-            if not chk.expect(
-                left == right,
-                n=n,
-                trial=trial,
-                compared="display vs subset vertex",
-                left=str(left),
-                right=str(right),
-            ):
-                return chk.report()
-            again = trees.evaluate_at_kinematics(display, momenta, mass_value)
-            if not chk.expect(left == again, n=n, trial=trial, compared="determinism"):
-                return chk.report()
+            value = trees.evaluate_at_kinematics(identity4, momenta, mass_value)
+            chk.expect(value.is_zero(), trial=trial, compared="four-point conservation identity", value=str(value))
+        for n in n_values:
+            legs = frozenset(range(1, n + 1))
+            for trial in range(trials):
+                bindings = {j: rf(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for j in range(1, n - 1)}
+                diffeo = DiffeoSpec.from_bindings(bindings) if bindings else DiffeoSpec.symbolic()
+                momenta = trees.random_conserving_momenta(n, dimension, rng)
+                mass_value = Fraction(rng.randint(0, 5), rng.randint(1, 3))
+                display = rules.free_vertex(n, [rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)], diffeo)
+                subset = rules.generalized_vertex([frozenset((j,)) for j in range(1, n + 1)], legs, diffeo=diffeo)
+                left = trees.evaluate_at_kinematics(display, momenta, mass_value)
+                right = trees.evaluate_at_kinematics(subset, momenta, mass_value)
+                chk.expect(
+                    left == right,
+                    n=n,
+                    trial=trial,
+                    compared="display vs subset vertex",
+                    left=str(left),
+                    right=str(right),
+                )
+                again = trees.evaluate_at_kinematics(display, momenta, mass_value)
+                chk.expect(left == again, n=n, trial=trial, compared="determinism")
     return chk.report()
 
 

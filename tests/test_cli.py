@@ -22,15 +22,16 @@ def run_cli(*args, config=None, tmp_path=None, timeout=None):
     return subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
 
 
-# Propagator tables that treesum would not read or cannot use, each with the
-# key its one-line error must name.
-_BAD_THEORY_TABLES = [
+# Index tables that treesum would not read or cannot use, each with the key
+# its one-line error must name.
+_BAD_INDEX_TABLES = [
     ({"theory": {"beta": {"1": "5"}}}, "theory.beta"),
     ({"theory": {"alpha": {"1": "5"}}}, "theory.alpha"),
     ({"theory": {"propagator": "generalized", "beta": {"-1": "1"}}}, "theory.beta"),
     ({"theory": {"propagator": "generalized", "alpha": {"-1": "1"}}}, "theory.alpha"),
     ({"theory": {"propagator": "generalized", "alpha": {"one": "1"}}}, "theory.alpha"),
     ({"theory": {"propagator": "generalized", "beta": {"1": "1"}, "alpha": {"1": "1"}}}, "theory.alpha"),
+    ({"diffeo": {"a": {"x": "1"}}}, "diffeo.a"),
 ]
 _TREESUM_A = ["treesum", "--kind", "A", "--n", "3", "--offshell", "1"]
 
@@ -52,6 +53,16 @@ class TestRules:
         assert payload["valence"] == 4
         assert "4*i*a1^2*x{1+2}" in payload["canonical"]
         assert {"coefficient": "6*i*a2", "edges": [[1]]} in payload["terms"]
+
+    @pytest.mark.parametrize("kind", ["free", "interaction", "total", "generalized"])
+    def test_size_above_the_cap_is_refused(self, kind):
+        at_cap = run_cli("rules", "--n", str(cli.RULES_MAX_N), "--kind", kind, "--s", "3", timeout=60)
+        assert at_cap.returncode == 0
+        out = run_cli("rules", "--n", "3000", "--kind", kind, "--s", "3", timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert str(cli.RULES_MAX_N) in line
 
     def test_invalid_valence_is_usage_error(self):
         out = run_cli("rules", "--n", "2", "--kind", "free")
@@ -198,7 +209,7 @@ class TestConfig:
             ({"theory": {"mass_sq": True}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"diffeo": {"a": {"1": True}}}, ["treesum", "--kind", "b", "--n", "2"]),
         ]
-        + [(cfg, _TREESUM_A) for cfg, _ in _BAD_THEORY_TABLES],
+        + [(cfg, _TREESUM_A) for cfg, _ in _BAD_INDEX_TABLES],
     )
     def test_malformed_field_is_one_line_usage_error(self, cfg, argv, tmp_path):
         out = run_cli(*argv, config=cfg, tmp_path=tmp_path)
@@ -207,7 +218,7 @@ class TestConfig:
         assert "Traceback" not in out.stderr
         assert len(out.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("cfg, key", _BAD_THEORY_TABLES)
+    @pytest.mark.parametrize("cfg, key", _BAD_INDEX_TABLES)
     def test_bad_propagator_table_names_its_key(self, cfg, key, tmp_path):
         out = run_cli(*_TREESUM_A, config=cfg, tmp_path=tmp_path)
         (line,) = out.stderr.splitlines()

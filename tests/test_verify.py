@@ -2,7 +2,8 @@
 
 import pytest
 
-from diffeorules.algebra import Scalar, rf, generic_symbol
+from diffeorules import verify
+from diffeorules.algebra import RF_ONE, Scalar, rf, generic_symbol
 from diffeorules.rules import NonlocalSpec
 from diffeorules.verify import (
     CheckSpec,
@@ -96,6 +97,94 @@ class TestFaultInjection:
         enum = tree_sum_closed_form(2)
         residual = enum - enum.scaled(Scalar(-1))
         assert report.witness["residual"] == str(residual)
+
+
+def plus_one_at(step):
+    """Wrap a function whose first argument is a step ``n`` so that its value
+    is off by one at ``step`` only."""
+
+    def wrap(fn):
+        def faulty(n, *args, **kwargs):
+            value = fn(n, *args, **kwargs)
+            return value + RF_ONE if n == step else value
+
+        return faulty
+
+    return wrap
+
+
+class TestOracleFaults:
+    """Every check fails when the oracle it compares against is broken; the
+    five checks without a ``tamper`` hook are broken from outside."""
+
+    @pytest.mark.parametrize(
+        "module, name, step, run, witness",
+        [
+            (
+                verify.series, "tree_sum_closed_form", 3, lambda: check_smatrix_free(max_n=5),
+                {"n": 4, "offshell_leg": 1, "compared": "A1 single leg"},
+            ),
+            (
+                verify.series, "tree_sum_closed_form", 3, lambda: check_adiabatic(s=3, max_n=4),
+                {"k": 3, "compared": "closed-form b_k"},
+            ),
+            (
+                verify.trees, "recursive_tree_sum", 2, lambda: check_generalized(max_n=3),
+                {"n": 2, "compared": "recursion vs enumeration"},
+            ),
+            (
+                verify.rules, "nonlocal_beta", 2, lambda: check_nonlocal(max_n=3),
+                {"n": 2, "compared": "identity transform beta"},
+            ),
+        ],
+        ids=["smatrix_free", "adiabatic", "generalized", "nonlocal"],
+    )
+    def test_broken_oracle_fails_at_its_step(self, module, name, step, run, witness, monkeypatch):
+        monkeypatch.setattr(module, name, plus_one_at(step)(getattr(module, name)))
+        report = run()
+        assert report.status == "fail"
+        assert {key: report.witness[key] for key in witness} == witness
+
+    def test_broken_subset_vertex_fails_kinematics(self, monkeypatch):
+        vertex = verify.rules.generalized_vertex
+
+        def faulty(blocks, *args, **kwargs):
+            value = vertex(blocks, *args, **kwargs)
+            return value + RF_ONE if len(blocks) == 4 else value
+
+        monkeypatch.setattr(verify.rules, "generalized_vertex", faulty)
+        report = check_kinematics(n_values=(3, 4), trials=2)
+        assert report.status == "fail"
+        assert report.witness["n"] == 4
+        assert report.witness["trial"] == 0
+        assert report.witness["compared"] == "display vs subset vertex"
+
+    def test_nonlocal_witness_nests_the_induced_theory_failure(self, monkeypatch):
+        monkeypatch.setattr(verify.trees, "recursive_tree_sum", plus_one_at(1)(verify.trees.recursive_tree_sum))
+        report = check_nonlocal(max_n=3)
+        assert report.status == "fail"
+        assert report.witness == {
+            "compared": "generalized suite over the induced theory",
+            "inner": {"compared": "recursion vs enumeration", "n": 1, "residual": "1"},
+        }
+
+    def test_check_stops_at_its_first_failed_comparison(self):
+        steps = []
+
+        def tamper(n, value):
+            steps.append(n)
+            return value + RF_ONE if n == 3 else value
+
+        report = check_bn(max_n=6, tamper=tamper)
+        assert report.witness["n"] == 3
+        assert steps == [2, 3]
+
+    def test_errors_other_than_a_failed_comparison_propagate(self):
+        def tamper(n, value):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            check_bn(max_n=3, tamper=tamper)
 
 
 class TestSuite:
