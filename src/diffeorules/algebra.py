@@ -164,12 +164,6 @@ class Scalar:
         self.re = re if type(re) is int else _exact(re)
         self.im = im if type(im) is int else _exact(im)
 
-    @staticmethod
-    def of(value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        return Scalar(value)
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
@@ -371,7 +365,7 @@ class Polynomial:
 
     @staticmethod
     def constant(value) -> "Polynomial":
-        c = Scalar.of(value)
+        c = value if isinstance(value, Scalar) else Scalar(value)
         return Polynomial() if c.is_zero() else Polynomial({MONO_ONE: c}, _trusted=True)
 
     @staticmethod
@@ -553,18 +547,6 @@ class RationalFunction:
         )
         return num, Monomial(tuple(new_den))
 
-    @staticmethod
-    def of(value) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, Polynomial):
-            return RationalFunction(value)
-        if isinstance(value, Symbol):
-            return RationalFunction(Polynomial.symbol(value))
-        if isinstance(value, Scalar):
-            return RationalFunction(Polynomial.constant(value))
-        return RationalFunction(Polynomial.constant(Fraction(value)))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -721,7 +703,15 @@ RF_MINUS_I = RationalFunction(Polynomial.constant(SC_MINUS_I))
 
 def rf(value) -> RationalFunction:
     """Coerce ints, Fractions, Scalars, Symbols and Polynomials."""
-    return RationalFunction.of(value)
+    if isinstance(value, RationalFunction):
+        return value
+    if isinstance(value, Polynomial):
+        return RationalFunction(value)
+    if isinstance(value, Symbol):
+        return RationalFunction(Polynomial.symbol(value))
+    if isinstance(value, Scalar):
+        return RationalFunction(Polynomial.constant(value))
+    return RationalFunction(Polynomial.constant(Fraction(value)))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -5,7 +5,8 @@ Configuration is a JSON document with top-level keys ``theory``, ``diffeo``
 and ``suite``; ``verify`` reads only ``suite``.  Rational literals use the
 exact string form ``"p/q"``; symbolic coefficients use the bare names ``a1``,
 ``lambda3``, ``xp``, ``msq``.  Exit codes: 0 pass, 1 check failure, 2 usage or
-configuration error.  Data goes to stdout, diagnostics to stderr.
+configuration error, 130 interrupted, 141 stdout closed by its reader.  Data
+goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -42,6 +44,13 @@ TREESUM_MAX_N = 9
 # Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
 # about 1.4 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
+# Largest ``verify`` run sizes, each measured with the others at their
+# defaults.  max_n: the default suite takes 336 s at 7, and at 8
+# ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 2.8 s
+# to 20.6 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
+# ``kinematics`` takes about 9 ms a trial.  dimension: ``kinematics`` takes
+# 36 s at 1024.
+VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 
 
 _NAMED_SYMBOLS = {
@@ -321,6 +330,8 @@ def _suite_params(args, cfg: dict) -> dict:
         if not _is_int(value) or (least is not None and value < least):
             bound = f" of at least {least}" if least is not None else ""
             raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+        if value > VERIFY_CAPS.get(key, value):
+            raise ConfigError(f"verify {key} is limited to {VERIFY_CAPS[key]}, got {value}")
         params[key] = value
     s_values = [args.s] if args.s is not None else section.get("s_values", [3, 4])
     if not (isinstance(s_values, list) and s_values and all(_is_int(s) and s >= 3 for s in s_values)):
@@ -416,13 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.format == "csv" and args.command != "verify":
+            raise ConfigError(f"--format csv is for verify; {args.command} prints pretty or json")
         cfg = load_config(args.config)
         if args.command == "rules":
             return cmd_rules(args, cfg)
@@ -434,6 +447,22 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, AlgebraError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # Flush here, so a closed stdout raises below and not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): send what is left to devnull
+        # so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13  # SIGPIPE
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return 128 + 2  # SIGINT
 
 
 if __name__ == "__main__":

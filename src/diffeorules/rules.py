@@ -164,8 +164,8 @@ class TheorySpec:
         return TheorySpec(interactions=tuple(interaction(s) for s in powers))
 
     @staticmethod
-    def generalized_free(beta: Mapping[int, RationalFunction] | None = None) -> "TheorySpec":
-        return TheorySpec(kind="generalized", beta=dict(beta) if beta else None)
+    def generalized_free() -> "TheorySpec":
+        return TheorySpec(kind="generalized")
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,8 @@ class NonlocalSpec:
     def max_alpha(self) -> int:
         return max((k for k, v in self.alpha.items() if not v.is_zero()), default=0)
 
-    def beta_table(self, max_k: int | None = None) -> dict[int, RationalFunction]:
-        top = max_k if max_k is not None else 2 * self.max_alpha() + 1
-        return {n: nonlocal_beta(n, self) for n in range(top + 1)}
+    def beta_table(self) -> dict[int, RationalFunction]:
+        return {n: nonlocal_beta(n, self) for n in range(2 * self.max_alpha() + 2)}
 
     def induced_theory(self) -> TheorySpec:
         return TheorySpec(kind="generalized", mass_sq_value=self.mass_sq_value,
@@ -304,17 +303,10 @@ def generalized_vertex(
 
 
 def propagator(
-    block: Iterable[int] | Symbol,
-    universe: frozenset[int] | None = None,
-    *,
-    generalized: bool = False,
+    block: Iterable[int], universe: frozenset[int], *, generalized: bool = False
 ) -> RationalFunction:
-    """Edge propagator ``i / x`` (or ``i / X``) of a canonical subset."""
-    if isinstance(block, Symbol):
-        sym = block
-    else:
-        assert universe is not None, "propagator needs the universe to canonicalize"
-        sym = edge_symbol(canonical_subset(block, universe), generalized)
+    """Edge propagator ``i / x`` (or ``i / X``) of a leg block, canonicalized."""
+    sym = edge_symbol(canonical_subset(block, universe), generalized)
     return RationalFunction(Polynomial.constant(Scalar(0, 1)), Monomial.of(sym))
 
 

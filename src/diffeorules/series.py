@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -236,25 +236,6 @@ def fc_functional_residual(a: int, order: int) -> PowerSeries:
     return c - (t * c**a + one)
 
 
-def _coeff_accessor(a) -> CoeffFn:
-    if callable(a):
-        return a
-    if isinstance(a, Mapping):
-        table = {int(k): rf(v) for k, v in a.items()}
-
-        def lookup(j: int) -> RationalFunction:
-            if j == 0:
-                return RF_ONE
-            if j < 0:
-                raise AlgebraError("coefficient index must be nonnegative")
-            if j not in table:
-                raise AlgebraError(f"diffeomorphism coefficient a{j} is not bound")
-            return table[j]
-
-        return lookup
-    raise AlgebraError("expected a coefficient mapping or accessor")
-
-
 def symbolic_coeffs(j: int) -> RationalFunction:
     """Default accessor: a_0 = 1 and a_j the interned symbol for j >= 1."""
     if j == 0:
@@ -272,7 +253,7 @@ def _tangent_args(a: CoeffFn, count: int) -> list[RationalFunction]:
     return [a(m - 1).scaled(Scalar(factorial(m))) for m in range(1, count + 1)]
 
 
-def vertex_coefficients(n: int, a=symbolic_coeffs):
+def vertex_coefficients(n: int, a: CoeffFn = symbolic_coeffs):
     """Induced couplings (f_n, c_{n-2}, g_n) of the n-valent vertex.
 
     f_n multiplies the sum of adjacent offshell variables, g_n = n f_n - c_{n-2}
@@ -280,28 +261,27 @@ def vertex_coefficients(n: int, a=symbolic_coeffs):
     """
     if n < 2:
         raise AlgebraError("vertex coefficients need n >= 2")
-    acc = _coeff_accessor(a)
-    kin = _kinetic_args(acc, max(n - 2, 0))
+    kin = _kinetic_args(a, max(n - 2, 0))
     f_n = bell_partial(n - 2, 1, kin) + bell_partial(n - 2, 2, kin)
-    c_nm2 = bell_partial(n, 2, _tangent_args(acc, n - 1))
+    c_nm2 = bell_partial(n, 2, _tangent_args(a, n - 1))
     g_n = f_n.scaled(Scalar(n)) - c_nm2
     return f_n, c_nm2, g_n
 
 
-def gn_explicit(n: int, a=symbolic_coeffs) -> RationalFunction:
-    """Mass-term coupling as the explicit double-product sum (n >= 3)."""
+def gn_explicit(n: int) -> RationalFunction:
+    """Mass-term coupling of symbolic coefficients as the explicit
+    double-product sum (n >= 3)."""
     if n < 3:
         raise AlgebraError("explicit mass coupling form needs n >= 3")
-    acc = _coeff_accessor(a)
     total = RF_ZERO
     for k in range(0, n - 1):
         weight = (n - k - 2) * k
         if weight:
-            total = total + (acc(n - k - 2) * acc(k)).scaled(Scalar(weight))
+            total = total + (symbolic_coeffs(n - k - 2) * symbolic_coeffs(k)).scaled(Scalar(weight))
     return total.scaled(Scalar(Fraction(n * factorial(n - 2), 2)))
 
 
-def tree_sum_closed_form(n: int, a=symbolic_coeffs) -> RationalFunction:
+def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFunction:
     """Closed form of the one-offshell-leg tree sum b_n.
 
     b_1 = 1 and b_{n+1} = sum_k (n+k)!/n! B_{n,k}(-1! a_1, ..., -n! a_n).
@@ -310,9 +290,8 @@ def tree_sum_closed_form(n: int, a=symbolic_coeffs) -> RationalFunction:
         raise AlgebraError("tree sums are indexed from 1")
     if n == 1:
         return RF_ONE
-    acc = _coeff_accessor(a)
     m = n - 1
-    args = [acc(j).scaled(Scalar(-factorial(j))) for j in range(1, m + 1)]
+    args = [a(j).scaled(Scalar(-factorial(j))) for j in range(1, m + 1)]
     total = RF_ZERO
     for k in range(1, m + 1):
         bell = bell_partial(m, k, args[: m - k + 1])
@@ -321,11 +300,11 @@ def tree_sum_closed_form(n: int, a=symbolic_coeffs) -> RationalFunction:
     return total
 
 
-def inverse_series_tree_sum(n: int, a=symbolic_coeffs, order: int | None = None) -> RationalFunction:
-    """b_n as n! times the n-th coefficient of the inverse of the field map."""
-    acc = _coeff_accessor(a)
+def inverse_series_tree_sum(n: int, order: int | None = None) -> RationalFunction:
+    """b_n of symbolic coefficients as n! times the n-th coefficient of the
+    inverse of the field map."""
     size = order if order is not None else n
-    coeffs = [RF_ZERO] + [acc(j - 1) for j in range(1, size + 1)]
+    coeffs = [RF_ZERO] + [symbolic_coeffs(j - 1) for j in range(1, size + 1)]
     series = PowerSeries(coeffs)
     return invert(series)[n].scaled(Scalar(factorial(n)))
 
@@ -351,20 +330,17 @@ def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
     return out
 
 
-def coupling_linear_closed_form(
-    s: int, n: int, a=symbolic_coeffs, b: CoeffFn | None = None
-) -> RationalFunction:
-    """Bell-sum form of the coupling-linear onshell tree sum S^(s)_n.
+def coupling_linear_closed_form(s: int, n: int) -> RationalFunction:
+    """Bell-sum form of the coupling-linear onshell tree sum S^(s)_n of
+    symbolic coefficients.
 
     With b_k the one-offshell tree sums of the same coefficients this equals
     -i lambda_s * delta_{n,s}.
     """
     if n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
-    acc = _coeff_accessor(a)
-    b_acc: CoeffFn = b if b is not None else (lambda k: tree_sum_closed_form(k, acc))
-    tangent = _tangent_args(acc, n)
-    b_args = [b_acc(j) for j in range(1, n + 1)]
+    tangent = _tangent_args(symbolic_coeffs, n)
+    b_args = [tree_sum_closed_form(j) for j in range(1, n + 1)]
     total = RF_ZERO
     for k in range(s, n + 1):
         left = bell_partial(k, s, tangent[: k - s + 1])

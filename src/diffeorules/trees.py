@@ -361,23 +361,14 @@ def _bag_total(bag: Bag) -> RationalFunction:
     acc: dict = {}
     for den, num in bag.items():
         shift = lcm.try_div(den)
-        if shift.is_one():
-            for m, c in num.terms.items():
-                prev = acc.get(m)
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    acc.pop(m, None)
-                else:
-                    acc[m] = total
-        else:
-            for m, c in num.terms.items():
-                mm = m * shift
-                prev = acc.get(mm)
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    acc.pop(mm, None)
-                else:
-                    acc[mm] = total
+        for m, c in num.terms.items():
+            mm = m * shift
+            prev = acc.get(mm)
+            total = c if prev is None else prev + c
+            if total.is_zero():
+                acc.pop(mm, None)
+            else:
+                acc[mm] = total
     return RationalFunction(Polynomial(acc, _trusted=True), lcm)
 
 
@@ -659,15 +650,11 @@ def amputated_tree_sum(
     return TreeSumResult(value, topology_count(n, False), decorated, meta)
 
 
-def symmetrized_one_offshell_sum(
-    n: int,
-    theory: TheorySpec | None = None,
-    diffeo: DiffeoSpec = DiffeoSpec.symbolic(),
-) -> RationalFunction:
+def symmetrized_one_offshell_sum(n: int) -> RationalFunction:
     """Symmetric display of A^1_n: the sum over the choice of offshell leg."""
     total = RF_ZERO
     for j in range(1, n + 1):
-        total = total + amputated_tree_sum(n, {j}, theory, diffeo).value
+        total = total + amputated_tree_sum(n, {j}).value
     return total
 
 
@@ -818,17 +805,15 @@ def vertex_pair_edge_coefficient(
         generalized=True,
     )
     edge = edge_symbol(canonical_subset(left_legs, universe), True)
-    combined = v_left * propagator(edge) * v_right + merged
+    combined = v_left * propagator(left_legs, universe, generalized=True) * v_right + merged
     cleared = (combined * rf(edge)).as_polynomial()
     return rf(cleared.coefficient_of(edge, 2))
 
 
-def random_conserving_momenta(
-    n: int, dimension: int, rng, *, span: int = 6
-) -> list[tuple[Fraction, ...]]:
+def random_conserving_momenta(n: int, dimension: int, rng) -> list[tuple[Fraction, ...]]:
     """n exact rational D-vectors summing to zero componentwise."""
     momenta = [
-        tuple(Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(dimension))
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dimension))
         for _ in range(n - 1)
     ]
     last = tuple(-sum(p[d] for p in momenta) for d in range(dimension))
@@ -841,31 +826,23 @@ def evaluate_at_kinematics(
     momenta: Sequence[Sequence[Fraction]],
     mass_sq_value: Fraction,
     *,
-    metric: Sequence[int] | None = None,
     beta: Mapping[int, Fraction] | None = None,
-    bindings: Mapping[Symbol, RationalFunction] | None = None,
 ) -> Scalar:
     """Evaluate at exact momenta: every edge variable of a leg subset S maps
     to (sum_{i in S} p_i)^2 - msq (standard) or to the propagator polynomial
-    in the squared momentum (generalized, via ``beta``)."""
+    in the squared momentum (generalized, via ``beta``), with the
+    mostly-minus metric."""
     if not momenta:
         raise AlgebraError("need at least one momentum")
     dimension = len(momenta[0])
     if dimension < 2 or any(len(p) != dimension for p in momenta):
         raise AlgebraError("momenta must share a dimension >= 2")
-    if metric is None:
-        metric = (1,) + (-1,) * (dimension - 1)
     for d in range(dimension):
         if sum(p[d] for p in momenta):
             raise AlgebraError("momenta do not conserve: component sums must vanish")
 
-    def momentum_sq(q: Sequence[Fraction]) -> Fraction:
-        return sum(Fraction(g) * c * c for g, c in zip(metric, q))
-
-    table: dict[Symbol, RationalFunction] = dict(bindings or {})
+    table: dict[Symbol, RationalFunction] = {}
     for sym in sorted(r.symbols()):
-        if sym in table:
-            continue
         if sym.kind == Kind.EDGE:
             subset = sym.meta
             if max(subset) > len(momenta):
@@ -873,7 +850,7 @@ def evaluate_at_kinematics(
             q = tuple(
                 sum(momenta[i - 1][d] for i in subset) for d in range(dimension)
             )
-            q_sq = momentum_sq(q)
+            q_sq = q[0] * q[0] - sum(c * c for c in q[1:])
             generalized = sym.key[1] == 1
             if generalized:
                 if beta is None:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, config parsing, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -197,6 +198,81 @@ class TestVerifyPlan:
         assert out.returncode == 2
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1
+
+
+class TestVerifyCaps:
+    def test_max_n_above_the_cap_is_refused_at_once(self):
+        out = run_cli("verify", "--check", "bn", "--max-n", "40", timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert "max_n" in line and str(cli.VERIFY_CAPS["max_n"]) in line
+
+    @pytest.mark.parametrize("key", ["trials", "order", "dimension"])
+    def test_config_value_above_the_cap_is_refused_at_once(self, key, tmp_path):
+        cfg = {"suite": {key: 100000000}}
+        out = run_cli("verify", "--check", "kinematics", config=cfg, tmp_path=tmp_path, timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert key in line and str(cli.VERIFY_CAPS[key]) in line
+
+    def test_order_flag_above_the_cap_is_refused(self):
+        out = run_cli("verify", "--check", "adiabatic", "--order", "1001", timeout=30)
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert str(cli.VERIFY_CAPS["order"]) in line
+
+    def test_values_at_the_caps_are_accepted(self, monkeypatch, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"suite": cli.VERIFY_CAPS}))
+        specs = planned_specs(monkeypatch, "--config", str(path))
+        assert specs == verify.default_suite(**cli.VERIFY_CAPS)
+
+
+class TestStreams:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rules", "--n", "4", "--kind", "free"],
+            ["verify", "--check", "bn", "--max-n", "2", "--format", "json"],
+        ],
+    )
+    def test_closed_stdout_exits_141_without_a_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(CLI + argv, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert out.returncode == 141
+        assert out.stderr == ""
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(args, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_rules", interrupted)
+        assert cli.main(["rules", "--n", "4"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rules", "--n", "4", "--format", "csv"],
+            ["--format", "csv", "rules", "--n", "4"],
+            ["treesum", "--kind", "b", "--n", "3", "--format", "csv"],
+            ["--format", "csv", "treesum", "--kind", "b", "--n", "3"],
+        ],
+    )
+    def test_csv_is_refused_outside_verify(self, argv):
+        out = run_cli(*argv, timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert "csv" in line
 
 
 class TestConfig:
