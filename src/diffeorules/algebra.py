@@ -15,6 +15,14 @@ is deliberately narrow:
   domain comes from propagators ``i/x``, so reduction never needs a general
   multivariate GCD: a denominator factor is cancelled iff it divides every
   numerator term.
+* A rational function with a monomial denominator is the same thing as a
+  Laurent polynomial: a :class:`Polynomial` whose monomials may carry
+  negative exponents on offshell symbols.  That form is unique, so sums
+  cancel as terms merge, with no reduction step; the tree-sum engine adds
+  and multiplies in it.  :meth:`RationalFunction.laurent` and
+  :meth:`RationalFunction.from_laurent` convert, and a polynomial with a
+  negative exponent reaches a :class:`RationalFunction` only through
+  ``from_laurent``.
 """
 
 from __future__ import annotations
@@ -224,7 +232,9 @@ SC_MINUS_I = Scalar(0, -1)
 
 
 class Monomial:
-    """Product of symbol powers; ``pairs`` is sorted by the symbol order."""
+    """Product of symbol powers; ``pairs`` is sorted by the symbol order and
+    holds no zero exponent.  Exponents are positive except on the offshell
+    symbols of a Laurent polynomial (see :meth:`RationalFunction.laurent`)."""
 
     __slots__ = ("pairs", "_hash")
 
@@ -290,7 +300,8 @@ class Monomial:
             sa, ea = a[i]
             sb, eb = b[j]
             if sa is sb:
-                out.append((sa, ea + eb))
+                if e := ea + eb:  # a Laurent factor can cancel a symbol
+                    out.append((sa, e))
                 i += 1
                 j += 1
             elif sa.key < sb.key:
@@ -374,6 +385,9 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
@@ -546,6 +560,28 @@ class RationalFunction:
             {m.try_div(divisor): c for m, c in num.terms.items()}, _trusted=True
         )
         return num, Monomial(tuple(new_den))
+
+    def laurent(self) -> Polynomial:
+        """This value as a Laurent polynomial: ``num`` times ``1/den``."""
+        if self.den.is_one():
+            return self.num
+        inv = Monomial(tuple((s, -e) for s, e in self.den.pairs))
+        return Polynomial({m * inv: c for m, c in self.num.terms.items()}, _trusted=True)
+
+    @staticmethod
+    def from_laurent(poly: Polynomial) -> "RationalFunction":
+        """The value of a Laurent polynomial, over its least monomial
+        denominator."""
+        least: dict[Symbol, int] = {}
+        for mono in poly.terms:
+            for s, e in mono.pairs:
+                if e < least.get(s, 0):
+                    least[s] = e
+        if not least:
+            return RationalFunction(poly)
+        den = Monomial.from_pairs((s, -e) for s, e in least.items())
+        num = Polynomial({m * den: c for m, c in poly.terms.items()}, _trusted=True)
+        return RationalFunction(num, den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -19,7 +19,7 @@ Two evaluation paths compute every sum:
   other.
 
 Values and counts share that one walk in two coefficient domains: exact
-partial-fraction bags for values, and integers (every factor 1) for the
+Laurent polynomials for values, and integers (every factor 1) for the
 tree, decorated-tree and topology counts.  The tests pin the counts against
 :func:`enumerate_trees` and :func:`enumerate_decorations`, and the topology
 counts also against the series functional equation.
@@ -38,7 +38,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .algebra import (
     AlgebraError,
     Kind,
-    MONO_ONE,
     Monomial,
     Polynomial,
     RationalFunction,
@@ -291,101 +290,20 @@ class TreeSumResult:
 
 _NO_INT = 0  # key for "no interaction vertex yet" in the valence-tracked sums
 
-# A "bag" is a partial-fraction accumulator: denominator monomial -> numerator
-# polynomial.  Sums of many small rational functions merge by denominator
-# instead of forcing a common one, and per-entry reduction lets the edge
-# cancellations collapse entries block by block.
-Bag = dict
 
+class _Laurent:
+    """Value domain: Laurent polynomials (see ``algebra``), whose unique form
+    lets the edge cancellations happen as terms merge."""
 
-def _bag_of(value: RationalFunction) -> Bag:
-    return {} if value.is_zero() else {value.den: value.num}
+    one = Polynomial.constant(1)
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
 
+    def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> Polynomial:
+        return propagator(block, engine.universe, generalized=engine.theory.generalized).laurent()
 
-_BAG_ONE = _bag_of(RF_ONE)
-
-
-def _bag_insert(bag: Bag, den: Monomial, num: Polynomial) -> None:
-    acc = bag.get(den)
-    total = num if acc is None else acc + num
-    if total.is_zero():
-        bag.pop(den, None)
-    else:
-        bag[den] = total
-
-
-def _bag_add(bag: Bag, other: Bag) -> Bag:
-    for den, num in other.items():
-        _bag_insert(bag, den, num)
-    return bag
-
-
-def _bag_mul(b1: Bag, b2: Bag) -> Bag:
-    out: Bag = {}
-    for d1, n1 in b1.items():
-        for d2, n2 in b2.items():
-            r = RationalFunction(n1 * n2, d1 * d2)
-            if not r.is_zero():
-                _bag_insert(out, r.den, r.num)
-    return out
-
-
-def _bag_normalize(bag: Bag) -> Bag:
-    """Re-reduce every entry and re-merge until stable, so numerators that
-    became divisible by their denominator after accumulation collapse."""
-    current = bag
-    while True:
-        changed = False
-        nxt: Bag = {}
-        for den, num in current.items():
-            r = RationalFunction(num, den)
-            if r.den != den:
-                changed = True
-            _bag_insert(nxt, r.den, r.num)
-        if not changed:
-            return nxt
-        current = nxt
-
-
-def _bag_total(bag: Bag) -> RationalFunction:
-    """Combine a bag into one rational function over the common denominator
-    in a single pass (sequential pairwise addition would be quadratic)."""
-    if not bag:
-        return RF_ZERO
-    if len(bag) == 1:
-        ((den, num),) = bag.items()
-        return RationalFunction(num, den)
-    lcm = MONO_ONE
-    for den in bag:
-        lcm = lcm.lcm(den)
-    acc: dict = {}
-    for den, num in bag.items():
-        shift = lcm.try_div(den)
-        for m, c in num.terms.items():
-            mm = m * shift
-            prev = acc.get(mm)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                acc.pop(mm, None)
-            else:
-                acc[mm] = total
-    return RationalFunction(Polynomial(acc, _trusted=True), lcm)
-
-
-class _Bags:
-    """Value domain: partial-fraction bags of the edge and vertex rules; a
-    block's sum is normalized once it is complete."""
-
-    one = _BAG_ONE
-    mul = staticmethod(_bag_mul)
-    add = staticmethod(_bag_add)
-    finish = staticmethod(_bag_normalize)
-
-    def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> Bag:
-        return _bag_of(propagator(block, engine.universe, generalized=engine.theory.generalized))
-
-    def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> Bag:
-        return _bag_of(engine._vertex(tag, blocks, parent))
+    def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> Polynomial:
+        return engine._vertex(tag, blocks, parent).laurent()
 
 
 class _Counts:
@@ -396,9 +314,6 @@ class _Counts:
     mul = staticmethod(operator.mul)
     add = staticmethod(operator.add)
 
-    def finish(self, x: int) -> int:
-        return x
-
     def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> int:
         return 1
 
@@ -406,7 +321,7 @@ class _Counts:
         return 1
 
 
-_BAGS = _Bags()
+_LAURENT = _Laurent()
 _COUNTS = _Counts()
 
 
@@ -417,8 +332,9 @@ class TreeSumEngine:
     partition at the block's top vertex, because the vertex rule depends on
     the partition only.  One walk over the set partitions computes every
     quantity; the coefficient domain passed to it supplies the ring
-    operations and the edge and vertex factors (``_BAGS`` for values,
-    ``_COUNTS`` for decorated-tree counts).  Every vertex is a
+    operations and the edge and vertex factors (``_LAURENT`` for values, as
+    Laurent polynomials that :meth:`subtree_sums` maps back to rational
+    functions; ``_COUNTS`` for decorated-tree counts).  Every vertex is a
     diffeomorphism vertex or any admissible interaction of ``theory``; with
     ``single`` the trees carry exactly one interaction vertex and the sums are
     keyed by its valence (for the term-by-term cancellation check).
@@ -504,13 +420,15 @@ class TreeSumEngine:
                         key = valence
                     prod = domain.mul(x, vertex)
                     result[key] = domain.add(result[key], prod) if key in result else prod
-        result = {key: y for key, x in result.items() if (y := domain.finish(x))}
+        result = {key: x for key, x in result.items() if x}
         memo[block] = result
         return result
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums over decorated subtrees on ``block``."""
-        keyed = {k: _bag_total(bag) for k, bag in self._walk(block, _BAGS).items()}
+        keyed = {
+            k: RationalFunction.from_laurent(x) for k, x in self._walk(block, _LAURENT).items()
+        }
         return keyed or {_NO_INT: RF_ZERO}
 
 
@@ -605,7 +523,7 @@ def _reduced_bprime(
         lambda_cache[group] = value
         return value
 
-    total: Bag = {}
+    total = Polynomial()
     glued_terms = 0
     for partition in set_partitions(sorted(legs)):
         m = len(partition)
@@ -622,8 +540,8 @@ def _reduced_bprime(
                 break
         if not factor.is_zero():
             glued_terms += 1
-            _bag_insert(total, factor.den, factor.num)
-    return _bag_total(total), glued_terms
+            total = total + factor.laurent()
+    return RationalFunction.from_laurent(total), glued_terms
 
 
 def amputated_tree_sum(

@@ -11,6 +11,7 @@ from diffeorules.algebra import (
     DenominatorAnnihilationError,
     DivisionByZeroError,
     Kind,
+    MONO_ONE,
     Monomial,
     Polynomial,
     RationalFunction,
@@ -132,6 +133,17 @@ class TestPolynomial:
     def test_no_zero_coefficients_stored(self):
         p = Polynomial.symbol(A1) - Polynomial.symbol(A1)
         assert p.terms == {}
+
+    def test_truth_value_is_nonzero(self):
+        assert not Polynomial()
+        assert not Polynomial.symbol(A1) - Polynomial.symbol(A1)
+        assert Polynomial.constant(1)
+
+    def test_laurent_factor_cancels_its_symbol(self):
+        product = Monomial(((X12, -1),)) * Monomial.of(X12)
+        assert product == MONO_ONE
+        assert hash(product) == hash(MONO_ONE)
+        assert Monomial(((X12, -1),)) * Monomial.of(X12, 2) == Monomial.of(X12)
 
     def test_coefficient_of_examples(self):
         v = Polynomial.symbol(LAM3) * Polynomial.symbol(A1)

@@ -229,6 +229,29 @@ class TestVerifyCaps:
         specs = planned_specs(monkeypatch, "--config", str(path))
         assert specs == verify.default_suite(**cli.VERIFY_CAPS)
 
+    @pytest.mark.parametrize("argv", [["--s", "100000"], ["--order", "1000", "--s", "100"]])
+    def test_residual_work_above_the_cap_is_refused_at_once(self, argv):
+        out = run_cli("verify", "--check", "adiabatic", "--max-n", "2", *argv, timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert "order" in line and str(cli.VERIFY_RESIDUAL_WORK) in line
+
+    def test_long_s_values_is_refused_at_once(self, tmp_path):
+        cfg = {"suite": {"s_values": list(range(3, 4 + cli.VERIFY_MAX_S_VALUES))}}
+        out = run_cli("verify", "--max-n", "2", config=cfg, tmp_path=tmp_path, timeout=30)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert "s_values" in line and str(cli.VERIFY_MAX_S_VALUES) in line
+
+    def test_s_values_at_the_caps_are_accepted(self, monkeypatch, tmp_path):
+        s_values = list(range(3, 2 + cli.VERIFY_MAX_S_VALUES)) + [cli.VERIFY_RESIDUAL_WORK // 100 + 1]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"suite": {"s_values": s_values}}))
+        specs = planned_specs(monkeypatch, "--config", str(path))
+        assert specs == verify.default_suite(s_values=s_values)
+
 
 class TestStreams:
     @pytest.mark.parametrize(
