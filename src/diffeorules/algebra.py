@@ -139,9 +139,13 @@ def edge_symbol(subset: Iterable[int], generalized: bool = False) -> Symbol:
     legs = tuple(sorted(subset))
     if not legs:
         raise AlgebraError("edge variable needs a nonempty leg subset")
+    subkey = (1 if generalized else 0, len(legs), legs)
+    sym = _interned.get((int(Kind.EDGE),) + subkey)
+    if sym is not None:  # the name is built on first use only
+        return sym
     stem = "X" if generalized else "x"
     name = f"{stem}{legs[0]}" if len(legs) == 1 else stem + "{" + "+".join(map(str, legs)) + "}"
-    return _intern(name, Kind.EDGE, (1 if generalized else 0, len(legs), legs), legs)
+    return _intern(name, Kind.EDGE, subkey, legs)
 
 
 def _exact(x) -> int | Fraction:
@@ -357,6 +361,20 @@ class Monomial:
 MONO_ONE = Monomial(())
 
 
+def merge_terms(terms: dict, items: Iterable[tuple[Monomial, Scalar]]) -> dict:
+    """Add each ``(monomial, coefficient)`` of ``items`` into the term map
+    ``terms`` in place, dropping the terms that cancel; returns ``terms``."""
+    for m, c in items:
+        acc = terms.get(m)
+        if acc is None:
+            terms[m] = c
+        elif (new := acc + c).is_zero():
+            del terms[m]
+        else:
+            terms[m] = new
+    return terms
+
+
 class Polynomial:
     """Sparse polynomial; canonical form stores no zero coefficients."""
 
@@ -404,15 +422,7 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            new = c if acc is None else acc + c
-            if new.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = new
-        return Polynomial(out, _trusted=True)
+        return Polynomial(merge_terms(dict(self.terms), other.terms.items()), _trusted=True)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -434,15 +444,7 @@ class Polynomial:
             return other.scaled(c1)
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                acc = out.get(m)
-                new = c if acc is None else acc + c
-                if new.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = new
+            merge_terms(out, ((m1 * m2, c1 * c2) for m2, c2 in other.terms.items()))
         return Polynomial(out, _trusted=True)
 
     def scaled(self, c: Scalar) -> "Polynomial":

@@ -40,25 +40,28 @@ class ConfigError(Exception):
 
 # Largest ``treesum --n``: S_8 is the default suite's largest sum and
 # topology_count(9) the largest count the tests pin.  At 9, b takes about
-# 140 s and S about 80 s; b_40 or S_30 would not end.
+# 72 s and S about 41 s; b_40 or S_30 would not end.
 TREESUM_MAX_N = 9
 # Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
-# about 1.4 s at n = 14 and more than twice that per further leg.
+# about 0.7 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
-# defaults.  max_n: the default suite takes 49 s at 7, and at 8
-# ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 2.8 s
-# to 21.5 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
-# ``kinematics`` takes about 7 ms a trial.  dimension: ``kinematics`` takes
-# 37 s at 1024.
+# defaults.  max_n: the default suite takes 33 s at 7, and at 8
+# ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 1.8 s
+# to 12.9 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
+# ``kinematics`` takes about 9 ms a trial.  dimension: ``kinematics`` takes
+# 39 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # Largest (max(s_values) - 1) * order**2: the Fuss-Catalan residual of
 # ``adiabatic`` multiplies an order-term series s - 1 times, so its cost grows
 # as that product.  3e6 is order 1000 at s = 4 (the default s_values, 13 s)
 # and s = 30001 at order 10 (20 s).
 VERIFY_RESIDUAL_WORK = 3_000_000
+# Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
+# (39 s).  The caps above alone allow 5000 trials at 1024, about an hour.
+VERIFY_KINEMATICS_WORK = 51_200
 # Longest ``suite.s_values``: each power adds one ``interaction_cancellation``
-# and one ``adiabatic`` run, at most about 35 s together (s = 3, max_n 7).
+# and one ``adiabatic`` run, at most about 23 s together (s = 3, max_n 7).
 VERIFY_MAX_S_VALUES = 8
 
 
@@ -350,6 +353,9 @@ def _suite_params(args, cfg: dict) -> dict:
     work = (max(s_values) - 1) * params["order"] ** 2
     if work > VERIFY_RESIDUAL_WORK:
         raise ConfigError(f"verify (max s - 1) * order**2 is limited to {VERIFY_RESIDUAL_WORK}, got {work}")
+    work = params["trials"] * params["dimension"]
+    if work > VERIFY_KINEMATICS_WORK:
+        raise ConfigError(f"verify trials * dimension is limited to {VERIFY_KINEMATICS_WORK}, got {work}")
     params["s_values"] = s_values
     return params
 

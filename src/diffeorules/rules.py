@@ -16,7 +16,9 @@ Two vertex forms coexist.  ``free_vertex`` is the display form
 tree engine instead composes ``generalized_vertex``, the subset-sum form,
 which is the one whose edge-cancellation mechanism is exact at the level of
 independent subset symbols.  The two agree on every conserving kinematic
-point, which is checked by the verifier.
+point, which is checked by the verifier.  The subset-sum rule is data plus
+one loop: ``DiffeoSpec`` caches a per-valence table of subset sizes and
+their weights, and ``generalized_vertex`` reads it once over the subsets.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .algebra import (
     coupling,
     edge_symbol,
     mass_sq,
+    merge_terms,
     rf,
 )
 from . import series
@@ -88,6 +91,7 @@ class DiffeoSpec:
     """
 
     bindings: Mapping[int, RationalFunction] | None = None
+    _weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def symbolic() -> "DiffeoSpec":
@@ -111,6 +115,19 @@ class DiffeoSpec:
         if j not in self.bindings:
             raise AlgebraError(f"diffeomorphism coefficient a{j} is not bound")
         return rf(self.bindings[j])
+
+    def _vertex_weights(self, n: int) -> list[tuple[int, dict]]:
+        """The subset-sum vertex rule of valence ``n`` as data: ``(k, Laurent
+        terms of i a_{n-k-1} a_{k-1} (n-k)! k!/2)`` for every subset size
+        ``k`` whose coefficient is nonzero."""
+        if n not in self._weights:
+            coeffs = ((k, self.a(n - k - 1) * self.a(k - 1)) for k in range(1, n))
+            self._weights[n] = [
+                (k, c.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2))).laurent().terms)
+                for k, c in coeffs
+                if not c.is_zero()
+            ]
+        return self._weights[n]
 
 
 @dataclass(frozen=True)
@@ -282,24 +299,17 @@ def generalized_vertex(
     n = len(blocks)
     if n < 3:
         raise AlgebraError("vertices start at valence 3")
-    merged = frozenset().union(*blocks)
-    if merged != universe or sum(len(b) for b in blocks) != len(universe):
+    if frozenset().union(*blocks) != universe or sum(len(b) for b in blocks) != len(universe):
         raise AlgebraError("adjacent blocks must partition the universe")
-    total = RF_ZERO
-    for size in range(1, n):
-        coeff = diffeo.a(n - size - 1) * diffeo.a(size - 1)
-        if coeff.is_zero():
-            continue
-        weight = Scalar(Fraction(factorial(n - size) * factorial(size), 2))
-        subset_sum = RF_ZERO
+    out: dict[Monomial, Scalar] = {}
+    for size, terms in diffeo._vertex_weights(n):
         for choice in combinations(blocks, size):
-            union = frozenset().union(*choice)
-            subset_sum = subset_sum + edge_var(
-                union, universe, generalized=generalized, onshell=onshell
-            )
-        if not subset_sum.is_zero():
-            total = total + (coeff * subset_sum).scaled(weight)
-    return total * RF_I
+            canon = canonical_subset(frozenset().union(*choice), universe)
+            if len(canon) == 1 and next(iter(canon)) in onshell:
+                continue
+            edge = Monomial(((edge_symbol(canon, generalized), 1),))
+            merge_terms(out, ((mono * edge, c) for mono, c in terms.items()))
+    return RationalFunction.from_laurent(Polynomial(out, _trusted=True))
 
 
 def propagator(

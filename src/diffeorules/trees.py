@@ -48,6 +48,7 @@ from .algebra import (
     Symbol,
     coupling,
     edge_symbol,
+    merge_terms,
     rf,
 )
 from .rules import (
@@ -297,7 +298,13 @@ class _Laurent:
 
     one = Polynomial.constant(1)
     mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
+
+    @staticmethod
+    def add(acc: Polynomial, x: Polynomial) -> Polynomial:
+        """``acc + x`` merged into ``acc``, which must be the caller's own (a
+        fresh product or ``Polynomial()``), never a memoized sum or ``one``."""
+        merge_terms(acc.terms, x.terms.items())
+        return acc
 
     def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> Polynomial:
         return propagator(block, engine.universe, generalized=engine.theory.generalized).laurent()
@@ -540,7 +547,7 @@ def _reduced_bprime(
                 break
         if not factor.is_zero():
             glued_terms += 1
-            total = total + factor.laurent()
+            total = _LAURENT.add(total, factor.laurent())
     return RationalFunction.from_laurent(total), glued_terms
 
 

@@ -224,10 +224,35 @@ class TestVerifyCaps:
         assert str(cli.VERIFY_CAPS["order"]) in line
 
     def test_values_at_the_caps_are_accepted(self, monkeypatch, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"suite": cli.VERIFY_CAPS}))
-        specs = planned_specs(monkeypatch, "--config", str(path))
-        assert specs == verify.default_suite(**cli.VERIFY_CAPS)
+        # trials and dimension cannot both be at their caps: each goes to its
+        # cap with the other at the largest value the joint cap allows.
+        caps, work = cli.VERIFY_CAPS, cli.VERIFY_KINEMATICS_WORK
+        for suite in (
+            {**caps, "trials": work // caps["dimension"]},
+            {**caps, "dimension": work // caps["trials"]},
+        ):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"suite": suite}))
+            specs = planned_specs(monkeypatch, "--config", str(path))
+            assert specs == verify.default_suite(**suite)
+
+    @pytest.mark.parametrize(
+        "suite,argv",
+        [
+            ({"trials": 5000, "dimension": 1024}, []),
+            ({"trials": 51, "dimension": 1024}, []),
+            ({"trials": 5000, "dimension": 11}, ["--max-n", "2", "--order", "5", "--seed", "3"]),
+        ],
+    )
+    def test_kinematics_work_above_the_cap_is_refused_at_once(self, suite, argv, tmp_path):
+        # trials and dimension have no flags; the other flags do not lift the cap.
+        out = run_cli(
+            "verify", "--check", "kinematics", *argv, config={"suite": suite}, tmp_path=tmp_path, timeout=30
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert "trials * dimension" in line and str(cli.VERIFY_KINEMATICS_WORK) in line
 
     @pytest.mark.parametrize("argv", [["--s", "100000"], ["--order", "1000", "--s", "100"]])
     def test_residual_work_above_the_cap_is_refused_at_once(self, argv):

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from diffeorules.algebra import (
+    MONO_ONE,
     AlgebraError,
     Kind,
     RF_MINUS_I,
@@ -21,9 +22,11 @@ from diffeorules.algebra import (
     mass_sq,
     rf,
 )
-from diffeorules.rules import DiffeoSpec, TheorySpec, edge_var
+from diffeorules.rules import ROOT, DiffeoSpec, TheorySpec, edge_var
 from diffeorules.series import PowerSeries, compose, tree_sum_closed_form
 from diffeorules.trees import (
+    _LAURENT,
+    TreeSumEngine,
     amplitude,
     amputated_tree_sum,
     coupling_linear_tree_sum,
@@ -344,6 +347,27 @@ class TestInteractingSums:
         root = rf(edge_symbol(frozenset((1, 2, 3))))
         expect = tree_sum_closed_form(3) + rf(coupling(4)) * root.inverse()
         assert interacting_rooted_tree_sum(3, 4).value == expect
+
+
+class TestEngineMemo:
+    @pytest.mark.parametrize("single", (False, True))
+    @pytest.mark.parametrize("diffeo", (SYMBOLIC, DiffeoSpec.tuned(3, 5)), ids=("symbolic", "tuned"))
+    def test_parent_walk_leaves_memoized_sums_unchanged(self, single, diffeo):
+        # The walk accumulates in place; a sum it has memoized must never be
+        # an accumulator of a later walk.
+        legs = frozenset(range(1, 6))
+        engine = TreeSumEngine(
+            legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.standard(3), single=single
+        )
+        for size in range(2, 5):
+            for sub in combinations(sorted(legs), size):
+                engine._walk(frozenset(sub), _LAURENT)
+        memo = engine._memo[_LAURENT]
+        snapshot = {b: {k: dict(x.terms) for k, x in sums.items()} for b, sums in memo.items()}
+        assert len(snapshot) == 25 and any(snapshot.values())
+        engine._walk(legs, _LAURENT)
+        assert {b: {k: x.terms for k, x in memo[b].items()} for b in snapshot} == snapshot
+        assert _LAURENT.one.terms == {MONO_ONE: Scalar(1)}
 
 
 class TestCouplingLinearSums:
