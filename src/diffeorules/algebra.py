@@ -11,18 +11,15 @@ is deliberately narrow:
 * Polynomials are sparse maps ``Monomial -> Scalar`` over an interned symbol
   table with a global graded-lexicographic term order.
 * Denominators are restricted to monomials in offshell-variable symbols
-  (edge variables and the fixed offshell symbol ``xp``).  All division in the
-  domain comes from propagators ``i/x``, so reduction never needs a general
-  multivariate GCD: a denominator factor is cancelled iff it divides every
-  numerator term.
-* A rational function with a monomial denominator is the same thing as a
-  Laurent polynomial: a :class:`Polynomial` whose monomials may carry
-  negative exponents on offshell symbols.  That form is unique, so sums
-  cancel as terms merge, with no reduction step; the tree-sum engine adds
-  and multiplies in it.  :meth:`RationalFunction.laurent` and
-  :meth:`RationalFunction.from_laurent` convert, and a polynomial with a
-  negative exponent reaches a :class:`RationalFunction` only through
-  ``from_laurent``.
+  (edge variables and the fixed offshell symbol ``xp``), since all division
+  in the domain comes from propagators ``i/x``.  A rational function with a
+  monomial denominator is therefore a Laurent polynomial: a
+  :class:`Polynomial` whose monomials may carry negative exponents on
+  offshell symbols.  That form is unique, so a :class:`RationalFunction`
+  stores only it (``poly``), sums cancel as terms merge, and no reduction
+  step or multivariate GCD exists.  The numerator and the least monomial
+  denominator (``num``, ``den``) are computed when read, for printing and
+  for the checks of :meth:`RationalFunction.substitute`.
 """
 
 from __future__ import annotations
@@ -238,7 +235,7 @@ SC_MINUS_I = Scalar(0, -1)
 class Monomial:
     """Product of symbol powers; ``pairs`` is sorted by the symbol order and
     holds no zero exponent.  Exponents are positive except on the offshell
-    symbols of a Laurent polynomial (see :meth:`RationalFunction.laurent`)."""
+    symbols of a Laurent polynomial (see :class:`RationalFunction`)."""
 
     __slots__ = ("pairs", "_hash")
 
@@ -323,25 +320,6 @@ class Monomial:
             if s is symbol:
                 return e
         return 0
-
-    def try_div(self, other: "Monomial") -> "Monomial | None":
-        """Exact quotient ``self / other`` or None if not divisible."""
-        if not other.pairs:
-            return self
-        quota = dict(self.pairs)
-        for s, e in other.pairs:
-            have = quota.get(s, 0)
-            if have < e:
-                return None
-            quota[s] = have - e
-        return Monomial.from_pairs(quota.items())
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.pairs)
-        for s, e in other.pairs:
-            if merged.get(s, 0) < e:
-                merged[s] = e
-        return Monomial.from_pairs(merged.items())
 
     def symbols(self) -> Iterator[Symbol]:
         return (s for s, _ in self.pairs)
@@ -510,130 +488,75 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _check_denominator_monomial(mono: Monomial) -> None:
-    for s in mono.symbols():
-        if s.kind not in _OFFSHELL_KINDS:
-            raise AlgebraError(f"denominator factor {s.name} is not an offshell variable")
-
-
 class RationalFunction:
-    """Polynomial numerator over a monomial denominator in offshell symbols."""
+    """Exact value ``num / den``, stored as one Laurent polynomial ``poly``
+    whose negative exponents sit on offshell symbols only.  ``den`` must be
+    a monomial in offshell symbols; ``num``/``den`` read back the numerator
+    over the least such denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("poly",)
 
     def __init__(self, num: Polynomial, den: Monomial = MONO_ONE):
-        if not den.is_one():
-            _check_denominator_monomial(den)
-        num, den = self._reduce(num, den)
-        self.num = num
-        self.den = den
+        if den.pairs:
+            for s in den.symbols():
+                if s.kind not in _OFFSHELL_KINDS:
+                    raise AlgebraError(f"denominator factor {s.name} is not an offshell variable")
+            inv = Monomial(tuple((s, -e) for s, e in den.pairs))
+            num = Polynomial({m * inv: c for m, c in num.terms.items()}, _trusted=True)
+        self.poly = num
 
-    @staticmethod
-    def _reduce(num: Polynomial, den: Monomial) -> tuple[Polynomial, Monomial]:
-        if num.is_zero():
-            return num, MONO_ONE
-        if den.is_one():
-            return num, den
-        # One pass over the numerator, dropping a denominator symbol from the
-        # scan as soon as some term lacks it (the common case).
-        mins = {sym: e for sym, e in den.pairs}
-        active = set(mins)
-        for mono in num.terms:
-            if not active:
-                break
-            for sym in tuple(active):
-                e = mono.exponent(sym)
-                if e < mins[sym]:
-                    mins[sym] = e
-                    if not e:
-                        active.discard(sym)
-        if not any(mins.values()):
-            return num, den
-        new_den: list[tuple[Symbol, int]] = []
-        cancel: list[tuple[Symbol, int]] = []
-        for sym, e in den.pairs:
-            k = mins[sym]
-            if k:
-                cancel.append((sym, k))
-            if e - k:
-                new_den.append((sym, e - k))
-        divisor = Monomial.from_pairs(cancel)
-        num = Polynomial(
-            {m.try_div(divisor): c for m, c in num.terms.items()}, _trusted=True
-        )
-        return num, Monomial(tuple(new_den))
-
-    def laurent(self) -> Polynomial:
-        """This value as a Laurent polynomial: ``num`` times ``1/den``."""
-        if self.den.is_one():
-            return self.num
-        inv = Monomial(tuple((s, -e) for s, e in self.den.pairs))
-        return Polynomial({m * inv: c for m, c in self.num.terms.items()}, _trusted=True)
-
-    @staticmethod
-    def from_laurent(poly: Polynomial) -> "RationalFunction":
-        """The value of a Laurent polynomial, over its least monomial
-        denominator."""
+    @property
+    def den(self) -> Monomial:
+        """The least monomial denominator: each symbol at its most negative
+        exponent in the Laurent polynomial."""
         least: dict[Symbol, int] = {}
-        for mono in poly.terms:
+        for mono in self.poly.terms:
             for s, e in mono.pairs:
                 if e < least.get(s, 0):
                     least[s] = e
-        if not least:
-            return RationalFunction(poly)
-        den = Monomial.from_pairs((s, -e) for s, e in least.items())
-        num = Polynomial({m * den: c for m, c in poly.terms.items()}, _trusted=True)
-        return RationalFunction(num, den)
+        return Monomial.from_pairs((s, -e) for s, e in least.items()) if least else MONO_ONE
+
+    @property
+    def num(self) -> Polynomial:
+        """The numerator over :attr:`den`."""
+        den = self.den
+        return Polynomial({m * den: c for m, c in self.poly.terms.items()}, _trusted=True)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.poly.terms
 
     def is_constant(self) -> bool:
-        return self.den.is_one() and self.num.is_constant()
+        return self.poly.is_constant()
 
     def constant_value(self) -> Scalar:
         if not self.den.is_one():
             raise AlgebraError("rational function has a nontrivial denominator")
-        return self.num.constant_value()
+        return self.poly.constant_value()
 
     def as_polynomial(self) -> Polynomial:
-        if not self.den.is_one():
-            raise AlgebraError(f"not a polynomial: denominator {self.den}")
-        return self.num
+        den = self.den
+        if not den.is_one():
+            raise AlgebraError(f"not a polynomial: denominator {den}")
+        return self.poly
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        lcm = self.den.lcm(other.den)
-        left = lcm.try_div(self.den)
-        right = lcm.try_div(other.den)
-        num = self.num * _mono_poly(left) + other.num * _mono_poly(right)
-        return RationalFunction(num, lcm)
+        return RationalFunction(self.poly + other.poly)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __neg__(self) -> "RationalFunction":
-        out = object.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction(-self.poly)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero() or other.is_zero():
-            return RF_ZERO
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(self.poly * other.poly)
 
     def scaled(self, c: Scalar) -> "RationalFunction":
-        return RationalFunction(self.num.scaled(c), self.den)
+        return RationalFunction(self.poly.scaled(c))
 
     def over(self, mono: Monomial) -> "RationalFunction":
         """Divide by a monomial in offshell symbols."""
-        return RationalFunction(self.num, self.den * mono)
+        return RationalFunction(self.poly, mono)
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -646,19 +569,16 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * _mono_poly(other.den) == other.num * _mono_poly(self.den)
+        return self.poly == other.poly
 
     def inverse(self) -> "RationalFunction":
-        """Invert a single-term value whose numerator monomial is offshell-only."""
+        """Invert a single-term value whose monomial is offshell-only."""
         if self.is_zero():
             raise DivisionByZeroError("cannot invert zero")
-        if len(self.num.terms) != 1:
+        if len(self.poly.terms) != 1:
             raise AlgebraError("cannot invert a multi-term rational function exactly")
-        ((mono, coeff),) = self.num.terms.items()
-        _check_denominator_monomial(mono)
-        return RationalFunction(_mono_poly(self.den).scaled(coeff.inverse()), mono)
+        ((mono, coeff),) = self.poly.terms.items()
+        return RationalFunction(Polynomial({MONO_ONE: coeff.inverse()}, _trusted=True), mono)
 
     def substitute(self, bindings: Mapping[Symbol, "RationalFunction"]) -> "RationalFunction":
         """Exact simultaneous substitution.
@@ -669,68 +589,52 @@ class RationalFunction:
         """
         if not bindings:
             return self
-        result = _poly_substitute(self.num, bindings)
-        for sym, e in self.den.pairs:
+        inverses: dict[Symbol, RationalFunction] = {}
+        for sym, _ in self.den.pairs:
             bound = bindings.get(sym)
             if bound is None:
-                result = result.over(Monomial.of(sym, e))
-            else:
-                if bound.is_zero():
-                    raise DenominatorAnnihilationError(sym)
-                try:
-                    inv = bound.inverse()
-                except AlgebraError as exc:
-                    raise AlgebraError(
-                        f"binding for denominator factor {sym.name} is not invertible: {exc}"
-                    ) from exc
-                result = result * inv**e
-        return result
+                continue
+            if bound.is_zero():
+                raise DenominatorAnnihilationError(sym)
+            try:
+                inverses[sym] = bound.inverse()
+            except AlgebraError as exc:
+                raise AlgebraError(
+                    f"binding for denominator factor {sym.name} is not invertible: {exc}"
+                ) from exc
+        powers: dict[tuple[Symbol, int], Polynomial] = {}
+        out: dict[Monomial, Scalar] = {}
+        for mono, coeff in self.poly.terms.items():
+            rest = Monomial(tuple(p for p in mono.pairs if p[0] not in bindings))
+            term = Polynomial({rest: coeff}, _trusted=True)
+            for sym, e in mono.pairs:
+                if sym in bindings:
+                    power = powers.get((sym, e))
+                    if power is None:
+                        base = bindings[sym] if e > 0 else inverses[sym]
+                        power = powers[sym, e] = base.poly ** abs(e)
+                    term = term * power
+            merge_terms(out, term.terms.items())
+        return RationalFunction(Polynomial(out, _trusted=True))
 
     def symbols(self) -> set[Symbol]:
-        seen = self.num.symbols()
-        seen.update(self.den.symbols())
-        return seen
+        return self.poly.symbols()
 
     def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        num_str = str(self.num)
-        if len(self.num.terms) > 1:
+        den = self.den
+        if den.is_one():
+            return str(self.poly)
+        num = self.num
+        num_str = str(num)
+        if len(num.terms) > 1:
             num_str = f"({num_str})"
-        den_str = str(self.den)
-        if len(self.den.pairs) > 1:
+        den_str = str(den)
+        if len(den.pairs) > 1:
             den_str = f"({den_str})"
         return f"{num_str}/{den_str}"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
-
-
-def _mono_poly(mono: Monomial) -> Polynomial:
-    return Polynomial({mono: SC_ONE}, _trusted=True)
-
-
-def _poly_substitute(
-    poly: Polynomial, bindings: Mapping[Symbol, RationalFunction]
-) -> RationalFunction:
-    touched = [s for s in poly.symbols() if s in bindings]
-    if not touched:
-        return RationalFunction(poly)
-    out = RF_ZERO
-    for mono, coeff in poly.terms.items():
-        untouched: list[tuple[Symbol, int]] = []
-        factor = RF_ONE
-        for sym, e in mono.pairs:
-            bound = bindings.get(sym)
-            if bound is None:
-                untouched.append((sym, e))
-            else:
-                factor = factor * bound**e
-        term = RationalFunction(
-            Polynomial({Monomial.from_pairs(untouched): coeff}, _trusted=True)
-        )
-        out = out + term * factor
-    return out
 
 
 RF_ZERO = RationalFunction(Polynomial.zero())

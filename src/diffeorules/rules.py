@@ -123,7 +123,7 @@ class DiffeoSpec:
         if n not in self._weights:
             coeffs = ((k, self.a(n - k - 1) * self.a(k - 1)) for k in range(1, n))
             self._weights[n] = [
-                (k, c.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2))).laurent().terms)
+                (k, c.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2))).poly.terms)
                 for k, c in coeffs
                 if not c.is_zero()
             ]
@@ -309,7 +309,7 @@ def generalized_vertex(
                 continue
             edge = Monomial(((edge_symbol(canon, generalized), 1),))
             merge_terms(out, ((mono * edge, c) for mono, c in terms.items()))
-    return RationalFunction.from_laurent(Polynomial(out, _trusted=True))
+    return RationalFunction(Polynomial(out, _trusted=True))
 
 
 def propagator(

@@ -293,8 +293,9 @@ _NO_INT = 0  # key for "no interaction vertex yet" in the valence-tracked sums
 
 
 class _Laurent:
-    """Value domain: Laurent polynomials (see ``algebra``), whose unique form
-    lets the edge cancellations happen as terms merge."""
+    """Value domain: the Laurent polynomial that each ``RationalFunction``
+    stores (see ``algebra``), whose unique form lets the edge cancellations
+    happen as terms merge."""
 
     one = Polynomial.constant(1)
     mul = staticmethod(operator.mul)
@@ -307,10 +308,10 @@ class _Laurent:
         return acc
 
     def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> Polynomial:
-        return propagator(block, engine.universe, generalized=engine.theory.generalized).laurent()
+        return propagator(block, engine.universe, generalized=engine.theory.generalized).poly
 
     def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> Polynomial:
-        return engine._vertex(tag, blocks, parent).laurent()
+        return engine._vertex(tag, blocks, parent).poly
 
 
 class _Counts:
@@ -339,8 +340,8 @@ class TreeSumEngine:
     partition at the block's top vertex, because the vertex rule depends on
     the partition only.  One walk over the set partitions computes every
     quantity; the coefficient domain passed to it supplies the ring
-    operations and the edge and vertex factors (``_LAURENT`` for values, as
-    Laurent polynomials that :meth:`subtree_sums` maps back to rational
+    operations and the edge and vertex factors (``_LAURENT`` for values, on
+    the Laurent polynomials that :meth:`subtree_sums` wraps as rational
     functions; ``_COUNTS`` for decorated-tree counts).  Every vertex is a
     diffeomorphism vertex or any admissible interaction of ``theory``; with
     ``single`` the trees carry exactly one interaction vertex and the sums are
@@ -433,9 +434,7 @@ class TreeSumEngine:
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums over decorated subtrees on ``block``."""
-        keyed = {
-            k: RationalFunction.from_laurent(x) for k, x in self._walk(block, _LAURENT).items()
-        }
+        keyed = {k: RationalFunction(x) for k, x in self._walk(block, _LAURENT).items()}
         return keyed or {_NO_INT: RF_ZERO}
 
 
@@ -547,8 +546,8 @@ def _reduced_bprime(
                 break
         if not factor.is_zero():
             glued_terms += 1
-            total = _LAURENT.add(total, factor.laurent())
-    return RationalFunction.from_laurent(total), glued_terms
+            total = _LAURENT.add(total, factor.poly)
+    return RationalFunction(total), glued_terms
 
 
 def amputated_tree_sum(
@@ -767,6 +766,7 @@ def evaluate_at_kinematics(
             raise AlgebraError("momenta do not conserve: component sums must vanish")
 
     table: dict[Symbol, RationalFunction] = {}
+    den = r.den
     for sym in sorted(r.symbols()):
         if sym.kind == Kind.EDGE:
             subset = sym.meta
@@ -783,7 +783,7 @@ def evaluate_at_kinematics(
                 value = sum((Fraction(beta[k]) * q_sq**k for k in sorted(beta)), Fraction(0))
             else:
                 value = q_sq - mass_sq_value
-            if not value and r.den.exponent(sym):
+            if not value and den.exponent(sym):
                 raise AlgebraError(f"kinematic point annihilates the edge denominator {sym.name}")
             table[sym] = rf(value)
         elif sym.kind == Kind.MASS_SQ:

@@ -195,6 +195,14 @@ class TestRationalFunction:
         assert r.den == Monomial.of(X12)
         assert r.num == Polynomial.symbol(A1) + Polynomial.symbol(A2)
 
+    def test_symbol_at_both_signs(self):
+        r = rf(X12) + rf(X12).inverse()
+        assert str(r) == "(x{1+2}^2+1)/x{1+2}"
+        assert r.den == Monomial.of(X12)
+        with pytest.raises(DenominatorAnnihilationError):
+            r.substitute({X12: RF_ZERO})
+        assert str(r.substitute({X12: rf(XP)})) == "(xp^2+1)/xp"
+
     def test_equality_cross_multiplies(self):
         a = RationalFunction(Polynomial.symbol(X1) * Polynomial.symbol(X2), Monomial.of(X1))
         b = rf(X2)

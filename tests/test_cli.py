@@ -359,12 +359,22 @@ class TestConfig:
         (line,) = out.stderr.splitlines()
         assert next(iter(cfg)) in line
 
-    def test_malformed_config_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"{not json", "not valid JSON"),
+            (b"[" * 100000 + b"]" * 100000, "nests too deeply"),
+            (b'{"suite": "\xff\xfe"}', "not valid UTF-8"),
+        ],
+        ids=["not-json", "deep-nesting", "not-utf8"],
+    )
+    def test_malformed_config_is_usage_error(self, raw, reason, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_bytes(raw)
         out = run_cli("--config", str(path), "treesum", "--kind", "b", "--n", "2")
         assert out.returncode == 2
-        assert "not valid JSON" in out.stderr
+        (line,) = out.stderr.splitlines()
+        assert reason in line and str(path) in line
 
     def test_rejects_a0_binding(self, tmp_path):
         cfg = {"diffeo": {"a": {"0": "1"}}}
