@@ -9,7 +9,11 @@ is deliberately narrow:
   Each component is an ``int`` when integral and a ``fractions.Fraction``
   otherwise (see :class:`Scalar`).
 * Polynomials are sparse maps ``Monomial -> Scalar`` over an interned symbol
-  table with a global graded-lexicographic term order.
+  table with a global graded-lexicographic term order.  A monomial is one
+  packed ``int`` with a signed 8-bit field per symbol it has used, so a
+  product is an integer addition plus one mask test, and hashing and
+  equality are the ``int``'s own.  Each exponent lies in -64..63; an
+  operation that would leave that range raises :class:`AlgebraError`.
 * Denominators are restricted to monomials in offshell-variable symbols
   (edge variables and the fixed offshell symbol ``xp``), since all division
   in the domain comes from propagators ``i/x``.  A rational function with a
@@ -69,13 +73,14 @@ class Symbol:
     integer index for indexed families).
     """
 
-    __slots__ = ("name", "kind", "key", "meta")
+    __slots__ = ("name", "kind", "key", "meta", "unit")
 
     def __init__(self, name: str, kind: Kind, key: tuple, meta):
         self.name = name
         self.kind = kind
         self.key = key
         self.meta = meta
+        self.unit = None  # the monomial of this symbol once it has a field
 
     def __repr__(self) -> str:
         return f"Symbol({self.name})"
@@ -232,103 +237,159 @@ SC_I = Scalar(0, 1)
 SC_MINUS_I = Scalar(0, -1)
 
 
-class Monomial:
-    """Product of symbol powers; ``pairs`` is sorted by the symbol order and
-    holds no zero exponent.  Exponents are positive except on the offshell
-    symbols of a Laurent polynomial (see :class:`RationalFunction`)."""
+# Packed exponents (Monagan & Pearce, CASC 2007): a monomial is one int in
+# which every symbol that a monomial has used owns a fixed-width field,
+# assigned on first use.  A field holds its exponent as a signed digit, so a
+# missing symbol is a zero field, ``MONO_ONE`` is 0 and a product is one
+# integer addition.  With ``W = _WIDTH``, adding ``_BIAS`` lifts every digit
+# into [0, 2^(W-1)); ``_TOP`` holds bit W-1 of every field, which an exponent
+# out of range sets in the lowest field it leaves (a borrow or carry into the
+# next field starts only from there), so one ``&`` tells whether a sum is a
+# monomial.
+# The masks only grow, under ``_intern_lock``; code that reads ``_BIAS``
+# twice takes one snapshot, since a field added meanwhile is zero in every
+# monomial it already holds.
+_WIDTH = 8
+_FIELD = (1 << _WIDTH) - 1
+_HALF = 1 << (_WIDTH - 2)
+EXPONENT_MIN, EXPONENT_MAX = -_HALF, _HALF - 1
+_OUT_OF_RANGE = f"monomial exponent out of range [{EXPONENT_MIN}, {EXPONENT_MAX}]"
+_fields: list[Symbol] = []  # field i sits at bit offset i * _WIDTH
+_BIAS = 0
+_TOP = 0
+_PLAIN = 0  # the fields of symbols that may not divide (not offshell)
+_new = int.__new__
 
-    __slots__ = ("pairs", "_hash")
 
-    def __init__(self, pairs: tuple[tuple[Symbol, int], ...]):
-        self.pairs = pairs
-        self._hash = hash(pairs)
+def _unit(symbol: Symbol) -> "Monomial":
+    """The monomial ``symbol**1``, giving ``symbol`` its field on first use."""
+    unit = symbol.unit
+    if unit is None:
+        global _BIAS, _TOP, _PLAIN
+        with _intern_lock:
+            if symbol.unit is None:
+                shift = len(_fields) * _WIDTH
+                _fields.append(symbol)
+                _TOP |= 1 << (shift + _WIDTH - 1)
+                _BIAS |= _HALF << shift
+                if symbol.kind not in _OFFSHELL_KINDS:
+                    _PLAIN |= _FIELD << shift
+                symbol.unit = _new(Monomial, 1 << shift)
+            unit = symbol.unit
+    return unit
+
+
+def _checked(c: int) -> "Monomial":
+    if (c + _BIAS) & _TOP:
+        raise AlgebraError(_OUT_OF_RANGE)
+    return _new(Monomial, c)
+
+
+def _offsets(x: int) -> Iterator[int]:
+    """Bit offsets of the nonzero fields of ``x``, lowest first."""
+    while x:
+        shift = (x & -x).bit_length() - 1
+        shift -= shift % _WIDTH
+        yield shift
+        x &= ~(_FIELD << shift)
+
+
+# A sort element after every ``(symbol key, -exponent)`` (kind keys are < 8).
+_KEY_END = ((8,), 0)
+
+
+class Monomial(int):
+    """Product of symbol powers, packed into one ``int`` (see ``_WIDTH``).
+
+    ``Monomial(pairs)`` takes ``(Symbol, exponent)`` pairs in any order;
+    ``pairs`` reads them back sorted by the symbol order, without zero
+    exponents.  Exponents are positive except on the offshell symbols of a
+    Laurent polynomial (see :class:`RationalFunction`).  Every exponent lies
+    in ``[EXPONENT_MIN, EXPONENT_MAX]`` (-64 to 63); a product or
+    constructor that would leave that range raises :class:`AlgebraError`
+    and never wraps.  Hashing and equality are those of the ``int``; the
+    comparison operators give the graded-lexicographic term order."""
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: Iterable[tuple[Symbol, int]] = ()) -> "Monomial":
+        c = 0
+        for s, e in pairs:
+            if e:
+                if not EXPONENT_MIN <= e <= EXPONENT_MAX:
+                    raise AlgebraError(
+                        f"monomial exponent {e} of {s.name} is out of range "
+                        f"[{EXPONENT_MIN}, {EXPONENT_MAX}]"
+                    )
+                c += e * _unit(s)
+        return _checked(c)
 
     @staticmethod
     def of(symbol: Symbol, exponent: int = 1) -> "Monomial":
+        if exponent == 1:
+            return symbol.unit or _unit(symbol)
         if exponent < 0:
             raise AlgebraError("monomial exponents must be nonnegative")
-        if exponent == 0:
-            return MONO_ONE
         return Monomial(((symbol, exponent),))
 
-    @staticmethod
-    def from_pairs(items: Iterable[tuple[Symbol, int]]) -> "Monomial":
-        filtered = [(s, e) for s, e in items if e]
-        filtered.sort(key=lambda p: p[0].key)
-        return Monomial(tuple(filtered))
+    @property
+    def pairs(self) -> tuple[tuple[Symbol, int], ...]:
+        bias = _BIAS
+        y = self + bias
+        out = [
+            (_fields[shift // _WIDTH], (y >> shift & _FIELD) - _HALF)
+            for shift in _offsets(y ^ bias)
+        ]
+        out.sort(key=lambda p: p[0].key)
+        return tuple(out)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.pairs == other.pairs
-
-    def __lt__(self, other: "Monomial") -> bool:
+    def _order_key(self) -> tuple:
         # Graded lexicographic: higher total degree wins; at equal degree the
         # monomial with the higher exponent on the earliest differing symbol
-        # is the larger one.
-        sp, op = self.pairs, other.pairs
-        degree, other_degree = sum(e for _, e in sp), sum(e for _, e in op)
-        if degree != other_degree:
-            return degree < other_degree
-        i = j = 0
-        while i < len(sp) and j < len(op):
-            s1, e1 = sp[i]
-            s2, e2 = op[j]
-            if s1.key == s2.key:
-                if e1 != e2:
-                    return e1 < e2
-                i += 1
-                j += 1
-            elif s1.key < s2.key:
-                return False
-            else:
-                return True
-        if i < len(sp):
-            return False
-        return j < len(op)
+        # is the larger one.  The key runs the other way (a larger monomial
+        # has the smaller key), so it sorts terms leading term first.
+        pairs = self.pairs
+        return (
+            -sum(e for _, e in pairs),
+            tuple((s.key, -e) for s, e in pairs) + (_KEY_END,),
+        )
+
+    def __lt__(self, other: "Monomial") -> bool:
+        return self._order_key() > other._order_key()
+
+    def __le__(self, other: "Monomial") -> bool:
+        return self._order_key() >= other._order_key()
+
+    def __gt__(self, other: "Monomial") -> bool:
+        return self._order_key() < other._order_key()
+
+    def __ge__(self, other: "Monomial") -> bool:
+        return self._order_key() <= other._order_key()
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.pairs, other.pairs
-        if not a:
-            return other
-        if not b:
+        if not other:
             return self
-        out: list[tuple[Symbol, int]] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            sa, ea = a[i]
-            sb, eb = b[j]
-            if sa is sb:
-                if e := ea + eb:  # a Laurent factor can cancel a symbol
-                    out.append((sa, e))
-                i += 1
-                j += 1
-            elif sa.key < sb.key:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial(tuple(out))
+        if not self:
+            return other
+        c = self + other
+        if (c + _BIAS) & _TOP:
+            raise AlgebraError(_OUT_OF_RANGE)
+        return _new(Monomial, c)
 
     def exponent(self, symbol: Symbol) -> int:
-        for s, e in self.pairs:
-            if s is symbol:
-                return e
-        return 0
+        if symbol.unit is None:
+            return 0
+        shift = symbol.unit.bit_length() - 1
+        return ((self + _BIAS) >> shift & _FIELD) - _HALF
 
     def symbols(self) -> Iterator[Symbol]:
         return (s for s, _ in self.pairs)
 
     def is_one(self) -> bool:
-        return not self.pairs
+        return not self
 
     def __str__(self) -> str:
-        if not self.pairs:
+        if not self:
             return "1"
         return "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in self.pairs)
 
@@ -336,7 +397,7 @@ class Monomial:
         return f"Monomial({self})"
 
 
-MONO_ONE = Monomial(())
+MONO_ONE = Monomial()
 
 
 def merge_terms(terms: dict, items: Iterable[tuple[Monomial, Scalar]]) -> dict:
@@ -415,7 +476,7 @@ class Polynomial:
             self, other = other, self
         if len(self.terms) == 1:
             ((m1, c1),) = self.terms.items()
-            if m1.pairs:
+            if m1:
                 return Polynomial(
                     {m1 * m2: c1 * c2 for m2, c2 in other.terms.items()}, _trusted=True
                 )
@@ -448,18 +509,19 @@ class Polynomial:
         out: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
             if m.exponent(sym) == k:
-                reduced = Monomial.from_pairs((s, e) for s, e in m.pairs if s != sym)
+                reduced = _new(Monomial, m - k * sym.unit) if k else m
                 out[reduced] = out.get(reduced, SC_ZERO) + c
         return Polynomial(out)
 
     def symbols(self) -> set[Symbol]:
-        seen: set[Symbol] = set()
+        bias, used = _BIAS, 0
         for m in self.terms:
-            seen.update(m.symbols())
-        return seen
+            used |= (m + bias) ^ bias
+        return {_fields[shift // _WIDTH] for shift in _offsets(used)}
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        """The terms, leading term first in the graded-lexicographic order."""
+        return sorted(self.terms.items(), key=lambda t: t[0]._order_key())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -497,29 +559,38 @@ class RationalFunction:
     __slots__ = ("poly",)
 
     def __init__(self, num: Polynomial, den: Monomial = MONO_ONE):
-        if den.pairs:
-            for s in den.symbols():
-                if s.kind not in _OFFSHELL_KINDS:
-                    raise AlgebraError(f"denominator factor {s.name} is not an offshell variable")
-            inv = Monomial(tuple((s, -e) for s, e in den.pairs))
+        if den:
+            bias = _BIAS
+            if ((den + bias) ^ bias) & _PLAIN:
+                s = next(s for s in den.symbols() if s.kind not in _OFFSHELL_KINDS)
+                raise AlgebraError(f"denominator factor {s.name} is not an offshell variable")
+            inv = _checked(-den)
             num = Polynomial({m * inv: c for m, c in num.terms.items()}, _trusted=True)
         self.poly = num
 
     @property
     def den(self) -> Monomial:
         """The least monomial denominator: each symbol at its most negative
-        exponent in the Laurent polynomial."""
-        least: dict[Symbol, int] = {}
+        exponent in the Laurent polynomial.  The field-wise minimum of the
+        biased terms is taken with masks: a term with a negative exponent
+        has a biased field below ``_HALF`` (a clear bit of ``_BIAS``), ``ge``
+        keeps the guard bit of each field where ``low`` is not below the
+        term, and ``ge - (ge >> (_WIDTH - 1))`` widens it to the field."""
+        bias, top = _BIAS, _TOP
+        low = bias  # every exponent at 0
         for mono in self.poly.terms:
-            for s, e in mono.pairs:
-                if e < least.get(s, 0):
-                    least[s] = e
-        return Monomial.from_pairs((s, -e) for s, e in least.items()) if least else MONO_ONE
+            y = mono + bias
+            if y & bias != bias:
+                ge = ((low | top) - y) & top
+                low ^= (low ^ y) & (ge - (ge >> (_WIDTH - 1)))
+        return _checked(bias - low)
 
     @property
     def num(self) -> Polynomial:
         """The numerator over :attr:`den`."""
         den = self.den
+        if not den:
+            return Polynomial(self.poly.terms, _trusted=True)
         return Polynomial({m * den: c for m, c in self.poly.terms.items()}, _trusted=True)
 
     def is_zero(self) -> bool:
@@ -602,13 +673,21 @@ class RationalFunction:
                 raise AlgebraError(
                     f"binding for denominator factor {sym.name} is not invertible: {exc}"
                 ) from exc
+        # Bound symbols in the symbol order, the order their powers multiply
+        # in, each with its field's offset (a symbol without a field occurs
+        # in no term); ``rest`` is a term with the bound fields cleared.
+        shifts = [(s, s.unit.bit_length() - 1) for s in sorted(bindings) if s.unit is not None]
+        mask = sum(_FIELD << shift for _, shift in shifts)
+        bias = _BIAS
+        bias_bound = bias & mask
         powers: dict[tuple[Symbol, int], Polynomial] = {}
         out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.poly.terms.items():
-            rest = Monomial(tuple(p for p in mono.pairs if p[0] not in bindings))
+            y = mono + bias
+            rest = _new(Monomial, mono - ((y & mask) - bias_bound))
             term = Polynomial({rest: coeff}, _trusted=True)
-            for sym, e in mono.pairs:
-                if sym in bindings:
+            for sym, shift in shifts:
+                if e := (y >> shift & _FIELD) - _HALF:
                     power = powers.get((sym, e))
                     if power is None:
                         base = bindings[sym] if e > 0 else inverses[sym]

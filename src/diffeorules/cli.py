@@ -46,7 +46,7 @@ TREESUM_MAX_N = 9
 # about 0.7 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
-# defaults.  max_n: the default suite takes 28 s at 7, and at 8
+# defaults.  max_n: the default suite takes 9 s at 7, and at 8
 # ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 1.8 s
 # to 12.9 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
 # ``kinematics`` takes about 9 ms a trial.  dimension: ``kinematics`` takes

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     AlgebraError,
+    Kind,
     Monomial,
     Polynomial,
     RationalFunction,
@@ -307,7 +308,7 @@ def generalized_vertex(
             canon = canonical_subset(frozenset().union(*choice), universe)
             if len(canon) == 1 and next(iter(canon)) in onshell:
                 continue
-            edge = Monomial(((edge_symbol(canon, generalized), 1),))
+            edge = Monomial.of(edge_symbol(canon, generalized))
             merge_terms(out, ((mono * edge, c) for mono, c in terms.items()))
     return RationalFunction(Polynomial(out, _trusted=True))
 
@@ -329,10 +330,10 @@ def vertex_terms(value: RationalFunction) -> list[dict]:
         edges: list[list[int]] = []
         rest: list[tuple[Symbol, int]] = []
         for sym, e in mono.pairs:
-            if sym.kind.name == "EDGE":
+            if sym.kind is Kind.EDGE:
                 edges.extend([list(sym.meta)] * e)
             else:
                 rest.append((sym, e))
-        coeff_str = str(Polynomial({Monomial.from_pairs(rest): coeff}))
+        coeff_str = str(Polynomial({Monomial(rest): coeff}))
         records.append({"coefficient": coeff_str, "edges": edges})
     return records

@@ -1,12 +1,16 @@
 """Exact scalar, polynomial and rational-function arithmetic."""
 
 import random
+import threading
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffeorules.algebra import (
+    EXPONENT_MAX,
+    EXPONENT_MIN,
     AlgebraError,
     DenominatorAnnihilationError,
     DivisionByZeroError,
@@ -26,6 +30,8 @@ from diffeorules.algebra import (
     parse_rational,
     rf,
 )
+from diffeorules.rules import DiffeoSpec, generalized_vertex
+from diffeorules.trees import coupling_linear_tree_sum, interacting_rooted_tree_sum, rooted_tree_sum
 
 A1, A2, A3 = diffeo_coeff(1), diffeo_coeff(2), diffeo_coeff(3)
 X1 = edge_symbol({1})
@@ -100,7 +106,7 @@ class TestScalar:
 def _rand_poly(rng, symbols, max_terms=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        mono = Monomial.from_pairs(
+        mono = Monomial(
             (s, rng.randint(1, 2)) for s in rng.sample(symbols, rng.randint(0, len(symbols)))
         )
         terms[mono] = Scalar(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-2, 2)))
@@ -141,8 +147,10 @@ class TestPolynomial:
 
     def test_laurent_factor_cancels_its_symbol(self):
         product = Monomial(((X12, -1),)) * Monomial.of(X12)
+        assert type(product) is Monomial
         assert product == MONO_ONE
         assert hash(product) == hash(MONO_ONE)
+        assert product.is_one() and product.pairs == () and str(product) == "1"
         assert Monomial(((X12, -1),)) * Monomial.of(X12, 2) == Monomial.of(X12)
 
     def test_coefficient_of_examples(self):
@@ -155,13 +163,92 @@ class TestPolynomial:
         assert sq.coefficient_of(LAM3, 2) == Polynomial.symbol(A1) ** 2
 
     def test_term_order_is_graded_lexicographic(self):
-        a1sq = Monomial.from_pairs([(A1, 2)])
-        a1a2 = Monomial.from_pairs([(A1, 1), (A2, 1)])
-        a2sq = Monomial.from_pairs([(A2, 2)])
+        a1sq = Monomial([(A1, 2)])
+        a1a2 = Monomial([(A1, 1), (A2, 1)])
+        a2sq = Monomial([(A2, 2)])
         assert a1a2 < a1sq
         assert a2sq < a1a2
         assert a2sq < a1sq
-        assert Monomial.from_pairs([(A1, 1)]) < a2sq  # lower degree first
+        assert Monomial([(A1, 1)]) < a2sq  # lower degree first
+
+
+class TestMonomial:
+    """The packed form: range guards, carries between fields, identity and
+    the term order."""
+
+    def test_every_constructor_raises_one_step_past_each_field_edge(self):
+        top, bottom = EXPONENT_MAX, EXPONENT_MIN
+        assert Monomial.of(X1, top).exponent(X1) == top
+        assert Monomial([(X1, bottom)]).exponent(X1) == bottom
+        for pairs in ([(X1, top + 1)], [(X1, bottom - 1)], [(X1, top), (X1, 1)], [(X1, bottom), (X1, -1)]):
+            with pytest.raises(AlgebraError):
+                Monomial(pairs)
+        with pytest.raises(AlgebraError):
+            Monomial.of(X1, top + 1)
+        with pytest.raises(AlgebraError):
+            Monomial.of(X1, top) * Monomial.of(X1)
+        with pytest.raises(AlgebraError):
+            Monomial([(X1, bottom)]) * Monomial([(X1, -1)])
+        assert (Monomial.of(X1, top) * Monomial([(X1, bottom)])).pairs == ((X1, -1),)
+        pole = RationalFunction(Polynomial.constant(1), Monomial.of(X1))
+        assert (rf(X1) ** top).poly.terms == {Monomial.of(X1, top): Scalar(1)}
+        assert (pole ** -bottom).poly.terms == {Monomial([(X1, bottom)]): Scalar(1)}
+        with pytest.raises(AlgebraError):
+            rf(X1) ** (top + 1)
+        with pytest.raises(AlgebraError):
+            pole ** (1 - bottom)
+
+    def test_carries_and_borrows_between_adjacent_fields(self):
+        low, high = generic_symbol("carry_a"), generic_symbol("carry_b")
+        low_unit, high_unit = Monomial.of(low), Monomial.of(high)
+        assert high_unit.bit_length() - low_unit.bit_length() == 8  # adjacent fields
+        borrow = Monomial([(low, -1)]) * high_unit  # the low field borrows from the high one
+        assert borrow.pairs == ((low, -1), (high, 1))
+        assert (borrow.exponent(low), borrow.exponent(high)) == (-1, 1)
+        inverse = Monomial([(low, 1), (high, -1)])
+        assert inverse.pairs == ((low, 1), (high, -1))
+        assert borrow * inverse == MONO_ONE
+        for e_low in (EXPONENT_MIN, -1, 1, EXPONENT_MAX):
+            for e_high in (EXPONENT_MIN, -1, 1, EXPONENT_MAX):
+                m = Monomial([(low, e_low), (high, e_high)])
+                assert m.pairs == ((low, e_low), (high, e_high))
+                if e_low < EXPONENT_MAX:
+                    assert (m * low_unit).pairs == tuple(
+                        p for p in ((low, e_low + 1), (high, e_high)) if p[1]
+                    )
+                else:
+                    with pytest.raises(AlgebraError):
+                        m * low_unit
+
+    def test_exponent_of_a_symbol_without_a_field_is_zero(self):
+        fresh = generic_symbol("never_in_a_monomial")
+        assert Monomial.of(X1, 3).exponent(fresh) == 0
+        assert MONO_ONE.exponent(fresh) == 0
+        assert fresh.unit is None  # reading an exponent assigns no field
+
+    def test_comparisons_agree_with_sorted_graded_lex_order(self):
+        a1, x1 = Monomial.of(A1), Monomial.of(X1)
+        expected = [  # ascending
+            Monomial([(A1, -1), (X1, -1)]),
+            Monomial([(X1, -1)]),
+            MONO_ONE,
+            Monomial([(A1, 1), (X1, -1)]),  # equal degree: the longer pairs win
+            x1,
+            Monomial([(A2, 1)]),
+            a1,
+            Monomial([(A2, 2)]),
+            a1 * Monomial.of(A2),
+            Monomial([(A1, 2)]),
+            Monomial([(A1, 2), (X1, -1), (X2, 1)]),
+            Monomial([(A1, 3), (X1, -1)]),
+        ]
+        assert sorted(reversed(expected)) == expected
+        assert sorted(expected, reverse=True) == expected[::-1]
+        for i, j in combinations(range(len(expected)), 2):
+            lo, hi = expected[i], expected[j]
+            assert lo < hi and lo <= hi and hi > lo and hi >= lo
+            assert not (hi < lo or hi <= lo or lo > hi or lo >= hi)
+        assert a1 <= a1 and a1 >= a1 and not a1 < a1 and not a1 > a1
 
 
 class TestRationalFunction:
@@ -273,3 +360,53 @@ def test_symbol_interning_is_injective():
     assert generic_symbol("u") is generic_symbol("u")
     order = sorted([X12, A1, mass_sq(), LAM3, XP])
     assert order == [A1, LAM3, mass_sq(), XP, X12]
+
+
+def test_fields_assigned_from_concurrent_threads():
+    families = [[generic_symbol(f"thread{t}_{i}") for i in range(24)] for t in range(4)]
+    start = threading.Barrier(len(families))
+    products: list[list[tuple[Monomial, dict]]] = [[] for _ in families]
+    errors: list[BaseException] = []
+
+    def work(t: int) -> None:
+        syms = families[t]
+        try:
+            start.wait()
+            for i, sym in enumerate(syms):
+                exps = {sym: 1 + i % 5, syms[i - 1]: -(1 + i % 3)}
+                products[t].append((Monomial.of(sym, 1 + i % 5) * Monomial([(syms[i - 1], -(1 + i % 3))]), exps))
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(families))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    units = [sym.unit for syms in families for sym in syms]
+    assert all(u is not None and u & (u - 1) == 0 for u in units)  # one field each
+    assert len(set(units)) == len(units)
+    for family in products:
+        for product, exps in family:
+            assert dict(product.pairs) == exps
+            (a, ea), (b, eb) = exps.items()
+            assert product == Monomial.of(a, ea) * Monomial([(b, eb)])
+
+
+def test_term_keys_are_monomials():
+    """Integer arithmetic on monomials gives plain ints; none may reach a
+    term map, where ``pairs`` would be missing."""
+    values = [
+        rooted_tree_sum(5).value,
+        coupling_linear_tree_sum(5, 3).value,
+        interacting_rooted_tree_sum(5, 3).value,
+        interacting_rooted_tree_sum(5, 3, DiffeoSpec.tuned(3, 5)).value,
+        generalized_vertex([frozenset((j,)) for j in range(1, 7)], frozenset(range(1, 7))),
+    ]
+    for value in values:
+        for poly in (value.poly, value.num):
+            assert all(type(m) is Monomial for m in poly.terms)
+        assert type(value.den) is Monomial
+    assert sum(len(value.poly.terms) for value in values) > 500
+    assert any(value.den.pairs for value in values)

@@ -4,7 +4,10 @@ code with ``diffeorules.algebra``.
 Each case draws exact Gaussian-rational polynomials and rational functions
 over monomial offshell denominators, computes with the package, and checks
 the result (and, for rational functions, its reduced denominator) against
-sympy's own arithmetic on the same expressions.
+sympy's own arithmetic on the same expressions.  Offshell symbols draw
+negative exponents too, and the ranges reach close to the packed field's
+limit (``EXPONENT_MIN``/``EXPONENT_MAX``): products and denominators of
+the drawn values stay inside it, monomial products also cross it.
 """
 
 from fractions import Fraction
@@ -15,6 +18,9 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from diffeorules.algebra import (  # noqa: E402
+    EXPONENT_MAX,
+    EXPONENT_MIN,
+    AlgebraError,
     DenominatorAnnihilationError,
     Monomial,
     Polynomial,
@@ -66,21 +72,57 @@ scalars = st.builds(Scalar, components, components)
 nonzero_scalars = scalars.filter(lambda c: not c.is_zero())
 
 
-def monomials(symbols, max_exponent=2):
-    return st.lists(st.integers(0, max_exponent), min_size=len(symbols), max_size=len(symbols)).map(
-        lambda exps: Monomial.from_pairs(zip(symbols, exps))
+def monomials(symbols, low, high):
+    """Exponents in ``[low, high]``, mostly small, with the ends drawn often."""
+    exponents = st.one_of(
+        st.integers(max(low, -2), min(high, 2)), st.integers(low, high), st.sampled_from([low, high])
+    )
+    return st.lists(exponents, min_size=len(symbols), max_size=len(symbols)).map(
+        lambda exps: Monomial(zip(symbols, exps))
     )
 
 
-polynomials = st.dictionaries(monomials(PLAIN + OFFSHELL), scalars, max_size=4).map(Polynomial)
-rational_functions = st.builds(RationalFunction, polynomials, monomials(OFFSHELL))
+def laurent_polynomials(reach):
+    """Polynomials in PLAIN with offshell exponents in ``[-reach, reach]``."""
+    terms = st.builds(lambda p, o: p * o, monomials(PLAIN, 0, 2), monomials(OFFSHELL, -reach, reach))
+    return st.dictionaries(terms, scalars, max_size=4).map(Polynomial)
+
+
+# Values with offshell exponents in [-15, 13]: a product spans at most 56
+# in each symbol, so its numerator over its least denominator stays in range.
+polynomials = laurent_polynomials(13)
+rational_functions = st.builds(RationalFunction, polynomials, monomials(OFFSHELL, 0, 2))
+# Substitution raises bound values to the drawn powers, so it draws smaller.
+small_rational_functions = st.builds(RationalFunction, laurent_polynomials(2), monomials(OFFSHELL, 0, 2))
 # Single-term values in offshell symbols only: exactly the invertible ones.
 invertibles = st.builds(
     lambda m, c, d: RationalFunction(Polynomial({m: c}), d),
-    monomials(OFFSHELL, 1),
+    monomials(OFFSHELL, -15, 15),
     nonzero_scalars,
-    monomials(OFFSHELL, 1),
+    monomials(OFFSHELL, 0, 15),
 )
+small_invertibles = st.builds(
+    lambda m, c, d: RationalFunction(Polynomial({m: c}), d),
+    monomials(OFFSHELL, -1, 1),
+    nonzero_scalars,
+    monomials(OFFSHELL, 0, 1),
+)
+
+
+@CASES
+@given(
+    monomials(PLAIN + OFFSHELL, EXPONENT_MIN, EXPONENT_MAX),
+    monomials(PLAIN + OFFSHELL, EXPONENT_MIN, EXPONENT_MAX),
+)
+def test_monomial_product_to_the_field_limit(m, n):
+    exps = {s: m.exponent(s) + n.exponent(s) for s in PLAIN + OFFSHELL}
+    if all(EXPONENT_MIN <= e <= EXPONENT_MAX for e in exps.values()):
+        product = m * n
+        assert sympy.expand(to_sympy(product) - to_sympy(m) * to_sympy(n)) == 0
+        assert all(product.exponent(s) == e for s, e in exps.items())
+    else:
+        with pytest.raises(AlgebraError):
+            m * n
 
 
 @CASES
@@ -118,9 +160,9 @@ def test_inverse(f):
 
 @CASES
 @given(
-    rational_functions,
-    st.dictionaries(st.sampled_from(PLAIN), rational_functions, max_size=2),
-    st.dictionaries(st.sampled_from(OFFSHELL), st.one_of(st.just(RF_ZERO), invertibles), max_size=2),
+    small_rational_functions,
+    st.dictionaries(st.sampled_from(PLAIN), small_rational_functions, max_size=2),
+    st.dictionaries(st.sampled_from(OFFSHELL), st.one_of(st.just(RF_ZERO), small_invertibles), max_size=2),
 )
 def test_substitute(f, plain, offshell):
     bindings = {**plain, **offshell}
