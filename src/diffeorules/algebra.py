@@ -305,7 +305,8 @@ class Monomial(int):
     ``pairs`` reads them back sorted by the symbol order, without zero
     exponents.  Exponents are positive except on the offshell symbols of a
     Laurent polynomial (see :class:`RationalFunction`).  Every exponent lies
-    in ``[EXPONENT_MIN, EXPONENT_MAX]`` (-64 to 63); a product or
+    in ``[EXPONENT_MIN, EXPONENT_MAX]`` (-64 to 63), except in the
+    denominator that :attr:`RationalFunction.den` reads back; a product or
     constructor that would leave that range raises :class:`AlgebraError`
     and never wraps.  Hashing and equality are those of the ``int``; the
     comparison operators give the graded-lexicographic term order."""
@@ -575,7 +576,9 @@ class RationalFunction:
         biased terms is taken with masks: a term with a negative exponent
         has a biased field below ``_HALF`` (a clear bit of ``_BIAS``), ``ge``
         keeps the guard bit of each field where ``low`` is not below the
-        term, and ``ge - (ge >> (_WIDTH - 1))`` widens it to the field."""
+        term, and ``ge - (ge >> (_WIDTH - 1))`` widens it to the field.  A
+        field of ``-EXPONENT_MIN`` is kept: it decodes, and its guard bit
+        makes a product raise unless another factor brings it into range."""
         bias, top = _BIAS, _TOP
         low = bias  # every exponent at 0
         for mono in self.poly.terms:
@@ -583,7 +586,7 @@ class RationalFunction:
             if y & bias != bias:
                 ge = ((low | top) - y) & top
                 low ^= (low ^ y) & (ge - (ge >> (_WIDTH - 1)))
-        return _checked(bias - low)
+        return _new(Monomial, bias - low)
 
     @property
     def num(self) -> Polynomial:

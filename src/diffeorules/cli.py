@@ -38,9 +38,10 @@ class ConfigError(Exception):
     pass
 
 
-# Largest ``treesum --n``: S_8 is the default suite's largest sum and
-# topology_count(9) the largest count the tests pin.  At 9, b takes about
-# 72 s and S about 41 s; b_40 or S_30 would not end.
+# Largest ``treesum --n``: S_8 is the default suite's largest sum, and the
+# values bound the cap (the counts come from a size recursion in well under
+# a second).  At 9, b takes about 72 s and S about 41 s; b_40 or S_30 would
+# not end.
 TREESUM_MAX_N = 9
 # Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
 # about 0.7 s at n = 14 and more than twice that per further leg.

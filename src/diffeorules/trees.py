@@ -18,9 +18,9 @@ Two evaluation paths compute every sum:
   exact commutative ring, and the test suite pins the two paths against each
   other.
 
-Values and counts share that one walk in two coefficient domains: exact
-Laurent polynomials for values, and integers (every factor 1) for the
-tree, decorated-tree and topology counts.  The tests pin the counts against
+The engine sums values only.  Counts depend on block sizes alone, so the
+tree, decorated-tree and topology counts come from a recursion over sizes
+(:func:`_decorated_counts`).  The tests pin the counts against
 :func:`enumerate_trees` and :func:`enumerate_decorations`, and the topology
 counts also against the series functional equation.
 """
@@ -28,11 +28,10 @@ counts also against the series functional equation.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -65,10 +64,6 @@ from .rules import (
 from .series import tree_sum_closed_form
 
 FREE = ("F",)
-
-
-def interaction_tag(s: int) -> tuple:
-    return ("I", s)
 
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
@@ -105,25 +100,52 @@ def _rooted_structures(labels: frozenset) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def topology_count(n_leaves: int, rooted: bool = True) -> int:
-    """Number of topologies, counted by the engine's walk in the integer
-    domain; enumeration and the series functional equation are the test
-    oracles."""
-    if rooted:
-        if n_leaves < 1:
-            raise AlgebraError("need at least one leaf")
-        block = frozenset(range(1, n_leaves + 1))
-    else:
-        if n_leaves < 3:
-            raise AlgebraError("unrooted sums need at least three legs")
-        block = frozenset(range(1, n_leaves))
-    if len(block) == 1:
-        return 1  # a bare edge
-    engine = TreeSumEngine(
-        block, onshell=block, diffeo=DiffeoSpec.symbolic(), theory=TheorySpec.free()
-    )
-    return engine._walk(block, _COUNTS)[_NO_INT]
+    """Number of topologies, from the size recursion of
+    :func:`_decorated_counts` with no interactions; enumeration and the
+    series functional equation are the test oracles."""
+    if rooted and n_leaves < 1:
+        raise AlgebraError("need at least one leaf")
+    if not rooted and n_leaves < 3:
+        raise AlgebraError("unrooted sums need at least three legs")
+    return _decorated_counts(n_leaves if rooted else n_leaves - 1, (), False)[0]
+
+
+@lru_cache(maxsize=None)
+def _decorated_counts(m: int, powers: tuple[int, ...], single: bool) -> tuple[int, int]:
+    """Rooted decorated trees on ``m`` labelled leaves that the engine's walk
+    admits, a vertex of valence ``v`` taking ``1 + #{s in powers : s <= v}``
+    tags (see :func:`admissible_tags`): (no interaction vertex, exactly one)
+    under ``single``, else (all, 0).  The top vertex splits the leaves into
+    ``k >= 2`` subtrees by the partial-Bell recurrence (Comtet, *Advanced
+    Combinatorics*, 1974, section 3.3): the subtree of the smallest of ``r``
+    leaves takes ``j`` of them in ``C(r-1, j-1)`` ways, and the pairs
+    multiply as ``(a0 b0, a0 b1 + a1 b0)``: at most one interaction vertex."""
+    if m == 1:
+        return 1, 0
+    subtrees = [(0, 0)] + [_decorated_counts(j, powers, single) for j in range(1, m)]
+    forests = [(1, 0)] + [(0, 0)] * m  # forests[r]: r leaves in k subtrees, here k = 0
+    d0 = d1 = 0
+    for k in range(1, m + 1):
+        row = [(0, 0)]
+        for r in range(1, m + 1):
+            c0 = c1 = 0
+            for j in range(1, min(r, m - 1) + 1):  # never one subtree on all m leaves
+                (t0, t1), (f0, f1), w = subtrees[j], forests[r - j], comb(r - 1, j - 1)
+                c0 += w * t0 * f0
+                c1 += w * (t0 * f1 + t1 * f0)
+            row.append((c0, c1))
+        forests = row
+        if k < 2:
+            continue
+        f0, f1 = forests[m]
+        tags = sum(1 for s in powers if s <= k + 1)
+        if single:
+            d0 += f0
+            d1 += f1 + tags * f0
+        else:
+            d0 += (1 + tags) * f0
+    return d0, d1
 
 
 @dataclass(frozen=True)
@@ -190,7 +212,7 @@ def enumerate_trees(leaf_labels: Iterable[int], rooted: bool = True) -> list[Tre
 
 def admissible_tags(valence: int, interactions: Sequence[Interaction]) -> list[tuple]:
     tags = [FREE]
-    tags.extend(interaction_tag(it.power) for it in interactions if valence >= it.power)
+    tags.extend(("I", it.power) for it in interactions if valence >= it.power)
     return tags
 
 
@@ -290,47 +312,13 @@ class TreeSumResult:
 
 
 _NO_INT = 0  # key for "no interaction vertex yet" in the valence-tracked sums
+_ONE = Polynomial.constant(1)  # never an accumulator: products of it are fresh
 
 
-class _Laurent:
-    """Value domain: the Laurent polynomial that each ``RationalFunction``
-    stores (see ``algebra``), whose unique form lets the edge cancellations
-    happen as terms merge."""
-
-    one = Polynomial.constant(1)
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
-    def add(acc: Polynomial, x: Polynomial) -> Polynomial:
-        """``acc + x`` merged into ``acc``, which must be the caller's own (a
-        fresh product or ``Polynomial()``), never a memoized sum or ``one``."""
-        merge_terms(acc.terms, x.terms.items())
-        return acc
-
-    def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> Polynomial:
-        return propagator(block, engine.universe, generalized=engine.theory.generalized).poly
-
-    def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> Polynomial:
-        return engine._vertex(tag, blocks, parent).poly
-
-
-class _Counts:
-    """Count domain: integers with every edge and vertex factor 1, so a walk
-    counts the decorated trees the engine admits by type alone."""
-
-    one = 1
-    mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
-
-    def edge(self, engine: TreeSumEngine, block: frozenset[int]) -> int:
-        return 1
-
-    def vertex(self, engine: TreeSumEngine, tag: tuple, blocks: list, parent: frozenset) -> int:
-        return 1
-
-
-_LAURENT = _Laurent()
-_COUNTS = _Counts()
+def _accumulate(acc: Polynomial, x: Polynomial) -> Polynomial:
+    """``acc + x`` merged into ``acc``, a fresh product or ``Polynomial()``."""
+    merge_terms(acc.terms, x.terms.items())
+    return acc
 
 
 class TreeSumEngine:
@@ -338,14 +326,12 @@ class TreeSumEngine:
 
     The sum over all decorated trees on a leg block factorizes through the
     partition at the block's top vertex, because the vertex rule depends on
-    the partition only.  One walk over the set partitions computes every
-    quantity; the coefficient domain passed to it supplies the ring
-    operations and the edge and vertex factors (``_LAURENT`` for values, on
-    the Laurent polynomials that :meth:`subtree_sums` wraps as rational
-    functions; ``_COUNTS`` for decorated-tree counts).  Every vertex is a
-    diffeomorphism vertex or any admissible interaction of ``theory``; with
-    ``single`` the trees carry exactly one interaction vertex and the sums are
-    keyed by its valence (for the term-by-term cancellation check).
+    the partition only.  One walk over the set partitions sums the Laurent
+    polynomials that :meth:`subtree_sums` wraps as rational functions.  Every
+    vertex is a diffeomorphism vertex or any admissible interaction of
+    ``theory``; with ``single`` the trees carry exactly one interaction vertex
+    and the sums are keyed by its valence (for the term-by-term cancellation
+    check).
     """
 
     def __init__(
@@ -362,11 +348,10 @@ class TreeSumEngine:
         self.diffeo = diffeo
         self.theory = theory
         self.single = single
-        self._memo: dict = {}  # domain -> block -> keyed sum
+        self._memo: dict = {}  # block -> keyed sum
+        self._interactions: dict = {}  # (valence, s) -> interaction vertex
 
-    # -- vertex factors ----------------------------------------------------
-
-    def _vertex(self, tag: tuple, blocks: list[frozenset[int]], parent: frozenset[int]):
+    def _vertex(self, tag: tuple, blocks: list[frozenset[int]], parent: frozenset[int]) -> Polynomial:
         if tag == FREE:
             return generalized_vertex(
                 blocks + [parent],
@@ -374,20 +359,19 @@ class TreeSumEngine:
                 diffeo=self.diffeo,
                 generalized=self.theory.generalized,
                 onshell=self.onshell,
-            )
-        s = tag[1]
-        return interaction_vertex(len(blocks) + 1, s, self.diffeo, self.theory.coupling_of(s))
+            ).poly
+        valence, s = key = len(blocks) + 1, tag[1]
+        if key not in self._interactions:
+            vertex = interaction_vertex(valence, s, self.diffeo, self.theory.coupling_of(s))
+            self._interactions[key] = vertex.poly
+        return self._interactions[key]
 
-    # -- the walk -----------------------------------------------------------
-
-    def _walk(self, block: frozenset[int], domain) -> dict:
-        """Sum over rooted decorated subtrees on ``block`` in ``domain``,
-        keyed by the valence of the interaction vertex under ``single`` and
-        by ``_NO_INT`` otherwise (or when there is none yet); includes the top
-        vertex and the child edges, not the parent edge.  Zero sums are
-        dropped."""
-        memo = self._memo.setdefault(domain, {})
-        cached = memo.get(block)
+    def _walk(self, block: frozenset[int]) -> dict:
+        """Sum over rooted decorated subtrees on ``block``, keyed by the
+        valence of the interaction vertex under ``single`` and by ``_NO_INT``
+        otherwise (or when there is none yet); includes the top vertex and the
+        child edges, not the parent edge.  Zero sums are dropped."""
+        cached = self._memo.get(block)
         if cached is not None:
             return cached
         result: dict = {}
@@ -396,21 +380,21 @@ class TreeSumEngine:
             if len(partition) < 2:
                 continue
             blocks = [frozenset(b) for b in partition]
-            merged: dict = {_NO_INT: domain.one}
+            merged: dict = {_NO_INT: _ONE}
             for b in blocks:
                 if len(b) == 1:
                     continue  # a bare leg contributes the factor one
-                edge = domain.edge(self, b)
-                factor = {key: domain.mul(x, edge) for key, x in self._walk(b, domain).items()}
+                edge = propagator(b, self.universe, generalized=self.theory.generalized).poly
+                factor = {key: x * edge for key, x in self._walk(b).items()}
                 nxt: dict = {}
                 for k1, x1 in merged.items():
                     for k2, x2 in factor.items():
                         if self.single and k1 != _NO_INT and k2 != _NO_INT:
                             continue
                         key = k1 if k2 == _NO_INT else k2
-                        prod = domain.mul(x1, x2)
+                        prod = x1 * x2
                         if prod:
-                            nxt[key] = domain.add(nxt[key], prod) if key in nxt else prod
+                            nxt[key] = _accumulate(nxt[key], prod) if key in nxt else prod
                 merged = nxt
                 if not merged:
                     break
@@ -418,7 +402,7 @@ class TreeSumEngine:
                 continue
             valence = len(blocks) + 1
             for tag in admissible_tags(valence, self.theory.interactions):
-                vertex = domain.vertex(self, tag, blocks, parent)
+                vertex = self._vertex(tag, blocks, parent)
                 if not vertex:
                     continue
                 for key, x in merged.items():
@@ -426,15 +410,15 @@ class TreeSumEngine:
                         if key != _NO_INT:
                             continue
                         key = valence
-                    prod = domain.mul(x, vertex)
-                    result[key] = domain.add(result[key], prod) if key in result else prod
+                    prod = x * vertex
+                    result[key] = _accumulate(result[key], prod) if key in result else prod
         result = {key: x for key, x in result.items() if x}
-        memo[block] = result
+        self._memo[block] = result
         return result
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums over decorated subtrees on ``block``."""
-        keyed = {k: RationalFunction(x) for k, x in self._walk(block, _LAURENT).items()}
+        keyed = {k: RationalFunction(x) for k, x in self._walk(block).items()}
         return keyed or {_NO_INT: RF_ZERO}
 
 
@@ -487,7 +471,7 @@ def interacting_rooted_tree_sum(
     if mode == "all_vertices":
         engine = TreeSumEngine(universe, onshell=legs, diffeo=diffeo, theory=theory)
         value = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO) * propagator(legs, universe)
-        decorated = engine._walk(legs, _COUNTS)[_NO_INT]
+        decorated = _decorated_counts(n, (s,), False)[0]
         return TreeSumResult(value, count, decorated, meta)
     value, glued_terms = _reduced_bprime(legs, universe, s, lam, diffeo)
     meta["glued_terms"] = glued_terms
@@ -546,7 +530,7 @@ def _reduced_bprime(
                 break
         if not factor.is_zero():
             glued_terms += 1
-            total = _LAURENT.add(total, factor.poly)
+            total = _accumulate(total, factor.poly)
     return RationalFunction(total), glued_terms
 
 
@@ -569,7 +553,8 @@ def amputated_tree_sum(
     v = max(legs)
     engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory)
     value = sum(engine.subtree_sums(legs - {v}).values(), RF_ZERO)
-    decorated = sum(engine._walk(legs - {v}, _COUNTS).values())
+    powers = tuple(it.power for it in theory.interactions)
+    decorated = _decorated_counts(n - 1, powers, False)[0]
     meta = {"n": n, "kind": "A", "offshell": sorted(offshell), "propagator": theory.kind}
     return TreeSumResult(value, topology_count(n, False), decorated, meta)
 
@@ -601,8 +586,7 @@ def coupling_linear_tree_sum(
     keyed = engine.subtree_sums(legs - {v})
     by_valence = {k: val for k, val in keyed.items() if k != _NO_INT}
     value = sum(by_valence.values(), RF_ZERO)
-    counts = engine._walk(legs - {v}, _COUNTS)
-    decorated = sum(c for k, c in counts.items() if k != _NO_INT)
+    decorated = _decorated_counts(n - 1, (s,), True)[1]
     meta = {"n": n, "kind": "S", "s": s, "by_valence": by_valence}
     return TreeSumResult(value, topology_count(n, False), decorated, meta)
 

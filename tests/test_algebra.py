@@ -198,6 +198,19 @@ class TestMonomial:
         with pytest.raises(AlgebraError):
             pole ** (1 - bottom)
 
+    def test_a_value_at_the_lowest_exponent_reads_back(self):
+        pole = RationalFunction(Polynomial.constant(1), Monomial.of(X1)) ** -EXPONENT_MIN
+        assert pole.den.pairs == ((X1, -EXPONENT_MIN),)
+        assert pole.num == Polynomial.constant(1)
+        assert str(pole) == f"1/{X1.name}^{-EXPONENT_MIN}"
+        shifted = pole + rf(1)
+        assert str(shifted) == f"({X1.name}^{-EXPONENT_MIN}+1)/{X1.name}^{-EXPONENT_MIN}"
+        assert RationalFunction(shifted.num, shifted.den) == shifted
+        assert pole.den * Monomial([(X1, -1)]) == Monomial.of(X1, EXPONENT_MAX)
+        for other in (pole.den, Monomial.of(X1), Monomial.of(A1)):
+            with pytest.raises(AlgebraError):
+                pole.den * other
+
     def test_carries_and_borrows_between_adjacent_fields(self):
         low, high = generic_symbol("carry_a"), generic_symbol("carry_b")
         low_unit, high_unit = Monomial.of(low), Monomial.of(high)

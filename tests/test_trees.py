@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from diffeorules import trees
 from diffeorules.algebra import (
     MONO_ONE,
     AlgebraError,
@@ -25,8 +26,9 @@ from diffeorules.algebra import (
 from diffeorules.rules import ROOT, DiffeoSpec, TheorySpec, edge_var
 from diffeorules.series import PowerSeries, compose, tree_sum_closed_form
 from diffeorules.trees import (
-    _LAURENT,
+    _ONE,
     TreeSumEngine,
+    _decorated_counts,
     amplitude,
     amputated_tree_sum,
     coupling_linear_tree_sum,
@@ -128,7 +130,7 @@ DIFFEOS = [SYMBOLIC, DiffeoSpec.tuned(3, 5), DiffeoSpec.tuned(4, 5)]
 
 
 class TestDecoratedCounts:
-    """The engine's integer-domain counts against tree enumeration."""
+    """The size recursion's counts against tree enumeration."""
 
     @pytest.mark.parametrize("diffeo", DIFFEOS)
     @pytest.mark.parametrize("s", (3, 4))
@@ -159,6 +161,14 @@ class TestDecoratedCounts:
             result = coupling_linear_tree_sum(n, s, diffeo)
             expect = enumerated_decorated_count(n, interactions, rooted=False, exactly_one=True)
             assert result.decorated_count == expect, (s, n)
+
+    def test_counts_beyond_enumeration(self):
+        # Too many trees to enumerate; a count over the engine's set
+        # partitions with every factor 1 gives the same numbers.
+        assert _decorated_counts(8, (3,), False) == (41660226, 0)  # b'_8, s = 3
+        assert _decorated_counts(7, (3, 4), False) == (1835046, 0)  # A_8, powers (3, 4)
+        assert _decorated_counts(7, (3,), True)[1] == 192788  # S^(3)_8
+        assert _decorated_counts(7, (4,), True)[1] == 37024  # S^(4)_8
 
 
 class TestAmplitude:
@@ -353,21 +363,37 @@ class TestEngineMemo:
     @pytest.mark.parametrize("single", (False, True))
     @pytest.mark.parametrize("diffeo", (SYMBOLIC, DiffeoSpec.tuned(3, 5)), ids=("symbolic", "tuned"))
     def test_parent_walk_leaves_memoized_sums_unchanged(self, single, diffeo):
-        # The walk accumulates in place; a sum it has memoized must never be
-        # an accumulator of a later walk.
+        # The walk accumulates in place; a sum it has memoized, or a vertex
+        # it has kept, must never be an accumulator of a later walk.
         legs = frozenset(range(1, 6))
         engine = TreeSumEngine(
             legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.standard(3), single=single
         )
         for size in range(2, 5):
             for sub in combinations(sorted(legs), size):
-                engine._walk(frozenset(sub), _LAURENT)
-        memo = engine._memo[_LAURENT]
+                engine._walk(frozenset(sub))
+        memo = engine._memo
         snapshot = {b: {k: dict(x.terms) for k, x in sums.items()} for b, sums in memo.items()}
         assert len(snapshot) == 25 and any(snapshot.values())
-        engine._walk(legs, _LAURENT)
+        vertices = {key: dict(x.terms) for key, x in engine._interactions.items()}
+        assert vertices
+        engine._walk(legs)
         assert {b: {k: x.terms for k, x in memo[b].items()} for b in snapshot} == snapshot
-        assert _LAURENT.one.terms == {MONO_ONE: Scalar(1)}
+        assert {key: engine._interactions[key].terms for key in vertices} == vertices
+        assert _ONE.terms == {MONO_ONE: Scalar(1)}
+
+    def test_each_interaction_vertex_is_built_once(self, monkeypatch):
+        built = []
+        build = trees.interaction_vertex
+
+        def counted(n, s, *rest):
+            built.append((n, s))
+            return build(n, s, *rest)
+
+        monkeypatch.setattr(trees, "interaction_vertex", counted)
+        amputated_tree_sum(6, (), TheorySpec.standard(3, 4))
+        # valences 3..6 for s = 3 and 4..6 for s = 4
+        assert sorted(built) == [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (6, 3), (6, 4)]
 
 
 class TestCouplingLinearSums:

@@ -1,5 +1,7 @@
 """The theorem-check suite: pass behaviour, determinism, fault injection."""
 
+from fractions import Fraction
+
 import pytest
 
 from diffeorules import verify
@@ -50,8 +52,6 @@ class TestIndividualChecks:
         assert check_nonlocal(max_n=4).status == "pass"
 
     def test_nonlocal_with_rational_alpha(self):
-        from fractions import Fraction
-
         spec = NonlocalSpec(alpha={1: rf(Fraction(1, 3)), 2: rf(Fraction(2, 5))})
         assert check_nonlocal(max_n=4, spec=spec).status == "pass"
 
@@ -159,14 +159,19 @@ class TestOracleFaults:
         assert report.witness["trial"] == 0
         assert report.witness["compared"] == "display vs subset vertex"
 
-    def test_nonlocal_witness_nests_the_induced_theory_failure(self, monkeypatch):
-        monkeypatch.setattr(verify.trees, "recursive_tree_sum", plus_one_at(1)(verify.trees.recursive_tree_sum))
-        report = check_nonlocal(max_n=3)
+    def test_broken_nonlocal_beta_fails_its_generating_function(self, monkeypatch):
+        beta = verify.rules.nonlocal_beta
+
+        def faulty(n, spec):
+            value = beta(n, spec)
+            return value + RF_ONE if n == 2 and spec.max_alpha() else value
+
+        monkeypatch.setattr(verify.rules, "nonlocal_beta", faulty)
+        spec = NonlocalSpec(alpha={1: rf(Fraction(1, 3)), 2: rf(Fraction(2, 5))})
+        report = check_nonlocal(max_n=4, spec=spec)
         assert report.status == "fail"
-        assert report.witness == {
-            "compared": "generalized suite over the induced theory",
-            "inner": {"compared": "recursion vs enumeration", "n": 1, "residual": "1"},
-        }
+        assert report.witness["n"] == 2
+        assert report.witness["compared"] == "beta against (t - msq) alpha(t)^2"
 
     def test_check_stops_at_its_first_failed_comparison(self):
         steps = []
