@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class AlgebraError(Exception):
@@ -298,6 +299,43 @@ def _offsets(x: int) -> Iterator[int]:
 _KEY_END = ((8,), 0)
 
 
+def _order_key(pairs: Sequence[tuple[Symbol, int]]) -> tuple:
+    """Sort key of the monomial with these sorted ``(symbol, exponent)``
+    pairs.  Graded lexicographic: higher total degree wins; at equal degree
+    the monomial with the higher exponent on the earliest differing symbol
+    is the larger one.  The key runs the other way (a larger monomial has
+    the smaller key), so it sorts terms leading term first."""
+    return (-sum(e for _, e in pairs), tuple((s.key, -e) for s, e in pairs) + (_KEY_END,))
+
+
+def _format_terms(terms: list[tuple[Sequence[tuple[Symbol, int]], "Scalar"]]) -> str:
+    """Text of a sum of ``(sorted pairs, coefficient)`` terms, leading term
+    first.  The exponents are plain ints, so a numerator over a denominator
+    prints even where they leave the field range."""
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for pairs, coeff in sorted(terms, key=lambda t: _order_key(t[0])):
+        mono = "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in pairs)
+        if not pairs:
+            text = str(coeff)
+        elif coeff == SC_ONE:
+            text = mono
+        elif coeff == Scalar(-1):
+            text = f"-{mono}"
+        elif coeff == SC_I:
+            text = f"i*{mono}"
+        elif coeff == SC_MINUS_I:
+            text = f"-i*{mono}"
+        else:
+            text = f"{coeff}*{mono}"
+        if parts and not text.startswith("-"):
+            parts.append("+" + text)
+        else:
+            parts.append(text)
+    return "".join(parts)
+
+
 class Monomial(int):
     """Product of symbol powers, packed into one ``int`` (see ``_WIDTH``).
 
@@ -345,15 +383,7 @@ class Monomial(int):
         return tuple(out)
 
     def _order_key(self) -> tuple:
-        # Graded lexicographic: higher total degree wins; at equal degree the
-        # monomial with the higher exponent on the earliest differing symbol
-        # is the larger one.  The key runs the other way (a larger monomial
-        # has the smaller key), so it sorts terms leading term first.
-        pairs = self.pairs
-        return (
-            -sum(e for _, e in pairs),
-            tuple((s.key, -e) for s, e in pairs) + (_KEY_END,),
-        )
+        return _order_key(self.pairs)
 
     def __lt__(self, other: "Monomial") -> bool:
         return self._order_key() > other._order_key()
@@ -390,9 +420,7 @@ class Monomial(int):
         return not self
 
     def __str__(self) -> str:
-        if not self:
-            return "1"
-        return "*".join(s.name if e == 1 else f"{s.name}^{e}" for s, e in self.pairs)
+        return _format_terms([(self.pairs, SC_ONE)])
 
     def __repr__(self) -> str:
         return f"Monomial({self})"
@@ -525,27 +553,7 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: t[0]._order_key())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            if mono.is_one():
-                text = str(coeff)
-            elif coeff == SC_ONE:
-                text = str(mono)
-            elif coeff == Scalar(-1):
-                text = f"-{mono}"
-            elif coeff == SC_I:
-                text = f"i*{mono}"
-            elif coeff == SC_MINUS_I:
-                text = f"-i*{mono}"
-            else:
-                text = f"{coeff}*{mono}"
-            if parts and not text.startswith("-"):
-                parts.append("+" + text)
-            else:
-                parts.append(text)
-        return "".join(parts)
+        return _format_terms([(m.pairs, c) for m, c in self.terms.items()])
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -706,9 +714,14 @@ class RationalFunction:
         den = self.den
         if den.is_one():
             return str(self.poly)
-        num = self.num
-        num_str = str(num)
-        if len(num.terms) > 1:
+        # The numerator from decoded exponents, which ``num`` would have to
+        # pack up to 2 * EXPONENT_MAX + 1.
+        lift, terms = Counter(dict(den.pairs)), []
+        for mono, coeff in self.poly.terms.items():
+            exps = lift + Counter(dict(mono.pairs))  # drops the zero exponents
+            terms.append((sorted(exps.items(), key=lambda p: p[0].key), coeff))
+        num_str = _format_terms(terms)
+        if len(terms) > 1:
             num_str = f"({num_str})"
         den_str = str(den)
         if len(den.pairs) > 1:

@@ -12,13 +12,14 @@ canonical representative:
   ``x{1+2}``-style notation at four points).
 
 Two vertex forms coexist.  ``free_vertex`` is the display form
-``i f_n (x_1+...+x_n) + i g_n msq`` of an n-valent diffeomorphism vertex; the
-tree engine instead composes ``generalized_vertex``, the subset-sum form,
+``i f_n (x_1+...+x_n) + i g_n msq`` of an n-valent diffeomorphism vertex;
+tree amplitudes instead compose ``generalized_vertex``, the subset-sum form,
 which is the one whose edge-cancellation mechanism is exact at the level of
 independent subset symbols.  The two agree on every conserving kinematic
-point, which is checked by the verifier.  The subset-sum rule is data plus
-one loop: ``DiffeoSpec`` caches a per-valence table of subset sizes and
-their weights, and ``generalized_vertex`` reads it once over the subsets.
+point, which is checked by the verifier.  ``generalized_vertex`` computes
+its weights where it is called and is the reference for the per-tree
+amplitudes; the tree-sum engine keeps its own per-valence weight table and
+sums one subset of each complementary pair (see ``trees.TreeSumEngine``).
 """
 
 from __future__ import annotations
@@ -69,18 +70,10 @@ def canonical_subset(block: Iterable[int], universe: frozenset[int]) -> frozense
 
 
 def edge_var(
-    block: Iterable[int],
-    universe: frozenset[int],
-    *,
-    generalized: bool = False,
-    onshell: frozenset[int] = frozenset(),
+    block: Iterable[int], universe: frozenset[int], *, generalized: bool = False
 ) -> RationalFunction:
-    """Offshell variable of a leg block, canonicalized; an onshell singleton
-    evaluates to zero."""
-    canon = canonical_subset(block, universe)
-    if len(canon) == 1 and next(iter(canon)) in onshell:
-        return RF_ZERO
-    return rf(edge_symbol(canon, generalized))
+    """Offshell variable of a leg block, canonicalized."""
+    return rf(edge_symbol(canonical_subset(block, universe), generalized))
 
 
 @dataclass(frozen=True)
@@ -92,7 +85,6 @@ class DiffeoSpec:
     """
 
     bindings: Mapping[int, RationalFunction] | None = None
-    _weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def symbolic() -> "DiffeoSpec":
@@ -116,19 +108,6 @@ class DiffeoSpec:
         if j not in self.bindings:
             raise AlgebraError(f"diffeomorphism coefficient a{j} is not bound")
         return rf(self.bindings[j])
-
-    def _vertex_weights(self, n: int) -> list[tuple[int, dict]]:
-        """The subset-sum vertex rule of valence ``n`` as data: ``(k, Laurent
-        terms of i a_{n-k-1} a_{k-1} (n-k)! k!/2)`` for every subset size
-        ``k`` whose coefficient is nonzero."""
-        if n not in self._weights:
-            coeffs = ((k, self.a(n - k - 1) * self.a(k - 1)) for k in range(1, n))
-            self._weights[n] = [
-                (k, c.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2))).poly.terms)
-                for k, c in coeffs
-                if not c.is_zero()
-            ]
-        return self._weights[n]
 
 
 @dataclass(frozen=True)
@@ -287,15 +266,16 @@ def generalized_vertex(
     *,
     diffeo: DiffeoSpec = DiffeoSpec.symbolic(),
     generalized: bool = False,
-    onshell: frozenset[int] = frozenset(),
 ) -> RationalFunction:
-    """Subset-sum form of the n-valent diffeomorphism vertex.
+    """Subset-sum form of the n-valent diffeomorphism vertex, the reference
+    rule of the per-tree amplitudes and the kinematic checks.
 
     ``blocks`` are the far-side leg blocks of the n adjacent edges (they
     partition ``universe``).  The rule is
     ``(i/2) sum_k a_{n-k-1} a_{k-1} (n-k)! k! sum_{|Q|=k} X_Q`` with each
     subset variable canonicalized under conservation at the vertex; the
-    pairwise coincidence of complementary subsets cancels the 1/2.
+    pairwise coincidence of complementary subsets cancels the 1/2, which
+    the tree-sum engine uses to sum one subset per pair.
     """
     n = len(blocks)
     if n < 3:
@@ -303,11 +283,13 @@ def generalized_vertex(
     if frozenset().union(*blocks) != universe or sum(len(b) for b in blocks) != len(universe):
         raise AlgebraError("adjacent blocks must partition the universe")
     out: dict[Monomial, Scalar] = {}
-    for size, terms in diffeo._vertex_weights(n):
-        for choice in combinations(blocks, size):
+    for k in range(1, n):
+        weight = diffeo.a(n - k - 1) * diffeo.a(k - 1)
+        if weight.is_zero():
+            continue
+        terms = weight.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2))).poly.terms
+        for choice in combinations(blocks, k):
             canon = canonical_subset(frozenset().union(*choice), universe)
-            if len(canon) == 1 and next(iter(canon)) in onshell:
-                continue
             edge = Monomial.of(edge_symbol(canon, generalized))
             merge_terms(out, ((mono * edge, c) for mono, c in terms.items()))
     return RationalFunction(Polynomial(out, _trusted=True))

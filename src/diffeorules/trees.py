@@ -115,12 +115,13 @@ def topology_count(n_leaves: int, rooted: bool = True) -> int:
 def _decorated_counts(m: int, powers: tuple[int, ...], single: bool) -> tuple[int, int]:
     """Rooted decorated trees on ``m`` labelled leaves that the engine's walk
     admits, a vertex of valence ``v`` taking ``1 + #{s in powers : s <= v}``
-    tags (see :func:`admissible_tags`): (no interaction vertex, exactly one)
-    under ``single``, else (all, 0).  The top vertex splits the leaves into
-    ``k >= 2`` subtrees by the partial-Bell recurrence (Comtet, *Advanced
-    Combinatorics*, 1974, section 3.3): the subtree of the smallest of ``r``
-    leaves takes ``j`` of them in ``C(r-1, j-1)`` ways, and the pairs
-    multiply as ``(a0 b0, a0 b1 + a1 b0)``: at most one interaction vertex."""
+    tags (as in :func:`enumerate_decorations`): (no interaction vertex,
+    exactly one) under ``single``, else (all, 0).  The top vertex splits the
+    leaves into ``k >= 2`` subtrees by the partial-Bell recurrence (Comtet,
+    *Advanced Combinatorics*, 1974, section 3.3): the subtree of the
+    smallest of ``r`` leaves takes ``j`` of them in ``C(r-1, j-1)`` ways,
+    and the pairs multiply as ``(a0 b0, a0 b1 + a1 b0)``: at most one
+    interaction vertex."""
     if m == 1:
         return 1, 0
     subtrees = [(0, 0)] + [_decorated_counts(j, powers, single) for j in range(1, m)]
@@ -210,21 +211,16 @@ def enumerate_trees(leaf_labels: Iterable[int], rooted: bool = True) -> list[Tre
     ]
 
 
-def admissible_tags(valence: int, interactions: Sequence[Interaction]) -> list[tuple]:
-    tags = [FREE]
-    tags.extend(("I", it.power) for it in interactions if valence >= it.power)
-    return tags
-
-
 def enumerate_decorations(
     topology: TreeTopology,
     interactions: Sequence[Interaction],
     *,
     exactly_one: bool = False,
 ) -> list[tuple]:
-    """Decoration tuples (one tag per internal vertex, preorder)."""
+    """Decoration tuples (one tag per internal vertex, preorder): a vertex
+    of valence ``v`` is ``FREE`` or any interaction of power ``s <= v``."""
     valences = [len(node) + 1 for node in topology.internal_vertices()]
-    pools = [admissible_tags(v, interactions) for v in valences]
+    pools = [[FREE] + [("I", it.power) for it in interactions if v >= it.power] for v in valences]
     decos = []
     for combo in itertools.product(*pools):
         n_int = sum(1 for tag in combo if tag[0] == "I")
@@ -274,9 +270,7 @@ def amplitude(
         parent = universe - _leaves(node)
         valence = len(node) + 1
         if tag == FREE:
-            value = generalized_vertex(
-                blocks + [parent], universe, diffeo=diffeo, generalized=gen
-            )
+            value = generalized_vertex(blocks + [parent], universe, diffeo=diffeo, generalized=gen)
         elif tag[0] == "I":
             s = tag[1]
             if valence < s:
@@ -332,6 +326,12 @@ class TreeSumEngine:
     ``theory``; with ``single`` the trees carry exactly one interaction vertex
     and the sums are keyed by its valence (for the term-by-term cancellation
     check).
+
+    The diffeomorphism vertex is the subset-sum rule summed once per
+    complementary pair: a subset of the child blocks and its complement
+    name the same edge, so the rule's ``1/2`` cancels and the parent block
+    never enters.  ``_valences`` holds each valence's weights and
+    interaction vertices, ``_edges`` each union's edge monomial.
     """
 
     def __init__(
@@ -349,22 +349,36 @@ class TreeSumEngine:
         self.theory = theory
         self.single = single
         self._memo: dict = {}  # block -> keyed sum
-        self._interactions: dict = {}  # (valence, s) -> interaction vertex
+        self._valences: dict = {}  # valence -> (size weights, interaction vertices)
+        self._edges: dict = {}  # union of child blocks -> edge monomial or None
 
-    def _vertex(self, tag: tuple, blocks: list[frozenset[int]], parent: frozenset[int]) -> Polynomial:
-        if tag == FREE:
-            return generalized_vertex(
-                blocks + [parent],
-                self.universe,
-                diffeo=self.diffeo,
-                generalized=self.theory.generalized,
-                onshell=self.onshell,
-            ).poly
-        valence, s = key = len(blocks) + 1, tag[1]
-        if key not in self._interactions:
-            vertex = interaction_vertex(valence, s, self.diffeo, self.theory.coupling_of(s))
-            self._interactions[key] = vertex.poly
-        return self._interactions[key]
+    def _valence(self, v: int) -> tuple[list, list]:
+        """``[(k, weight terms)]`` for the subset sizes ``k`` whose weight
+        ``i a_{v-k-1} a_{k-1} (v-k)! k!`` is nonzero, and the nonzero
+        interaction vertices of valence ``v``."""
+        table = self._valences.get(v)
+        if table is None:
+            a = self.diffeo.a
+            weights = [
+                (k, c.scaled(Scalar(0, factorial(v - k) * factorial(k))).poly.terms)
+                for k in range(1, v)
+                if not (c := a(v - k - 1) * a(k - 1)).is_zero()
+            ]
+            vertices = (
+                interaction_vertex(v, it.power, self.diffeo, it.coupling_value)
+                for it in self.theory.interactions
+                if it.power <= v
+            )
+            table = self._valences[v] = (weights, [x.poly for x in vertices if not x.is_zero()])
+        return table
+
+    def _edge(self, union: frozenset[int]) -> Monomial | None:
+        if union not in self._edges:
+            canon = canonical_subset(union, self.universe)
+            onshell = len(canon) == 1 and canon <= self.onshell
+            edge = None if onshell else Monomial.of(edge_symbol(canon, self.theory.generalized))
+            self._edges[union] = edge
+        return self._edges[union]
 
     def _walk(self, block: frozenset[int]) -> dict:
         """Sum over rooted decorated subtrees on ``block``, keyed by the
@@ -375,7 +389,6 @@ class TreeSumEngine:
         if cached is not None:
             return cached
         result: dict = {}
-        parent = self.universe - block
         for partition in set_partitions(sorted(block)):
             if len(partition) < 2:
                 continue
@@ -401,15 +414,20 @@ class TreeSumEngine:
             if not merged:
                 continue
             valence = len(blocks) + 1
-            for tag in admissible_tags(valence, self.theory.interactions):
-                vertex = self._vertex(tag, blocks, parent)
-                if not vertex:
-                    continue
+            weights, interactions = self._valence(valence)
+            free: dict = {}
+            for k, terms in weights:
+                for choice in itertools.combinations(blocks, k):
+                    edge = self._edge(frozenset().union(*choice))
+                    if edge is not None:
+                        merge_terms(free, ((mono * edge, c) for mono, c in terms.items()))
+            vertices = [(Polynomial(free, _trusted=True), False)] if free else []
+            vertices += [(x, self.single) for x in interactions]
+            for vertex, keyed in vertices:
                 for key, x in merged.items():
-                    if tag[0] == "I" and self.single:
-                        if key != _NO_INT:
-                            continue
-                        key = valence
+                    if keyed and key != _NO_INT:
+                        continue
+                    key = valence if keyed else key
                     prod = x * vertex
                     result[key] = _accumulate(result[key], prod) if key in result else prod
         result = {key: x for key, x in result.items() if x}
@@ -561,10 +579,7 @@ def amputated_tree_sum(
 
 def symmetrized_one_offshell_sum(n: int) -> RationalFunction:
     """Symmetric display of A^1_n: the sum over the choice of offshell leg."""
-    total = RF_ZERO
-    for j in range(1, n + 1):
-        total = total + amputated_tree_sum(n, {j}).value
-    return total
+    return sum((amputated_tree_sum(n, {j}).value for j in range(1, n + 1)), RF_ZERO)
 
 
 def coupling_linear_tree_sum(
@@ -694,24 +709,13 @@ def vertex_pair_edge_coefficient(
     left_legs = frozenset(range(1, j))
     right_legs = frozenset(range(j, j + k - 1))
     universe = left_legs | right_legs
-    v_left = generalized_vertex(
-        [frozenset((x,)) for x in sorted(left_legs)] + [right_legs],
-        universe,
-        diffeo=diffeo,
-        generalized=True,
-    )
-    v_right = generalized_vertex(
-        [frozenset((x,)) for x in sorted(right_legs)] + [left_legs],
-        universe,
-        diffeo=diffeo,
-        generalized=True,
-    )
-    merged = generalized_vertex(
-        [frozenset((x,)) for x in sorted(universe)],
-        universe,
-        diffeo=diffeo,
-        generalized=True,
-    )
+
+    def vertex(singles: frozenset[int], *far: frozenset[int]) -> RationalFunction:
+        blocks = [frozenset((x,)) for x in sorted(singles)] + list(far)
+        return generalized_vertex(blocks, universe, diffeo=diffeo, generalized=True)
+
+    v_left, v_right = vertex(left_legs, right_legs), vertex(right_legs, left_legs)
+    merged = vertex(universe)
     edge = edge_symbol(canonical_subset(left_legs, universe), True)
     combined = v_left * propagator(left_legs, universe, generalized=True) * v_right + merged
     cleared = (combined * rf(edge)).as_polynomial()

@@ -303,6 +303,14 @@ class TestRationalFunction:
             r.substitute({X12: RF_ZERO})
         assert str(r.substitute({X12: rf(XP)})) == "(xp^2+1)/xp"
 
+    def test_prints_a_numerator_beyond_the_field_range(self):
+        # Both terms are in range, but the numerator over x{1+2} needs x^64.
+        r = rf(X12) ** EXPONENT_MAX + rf(X12).inverse()
+        assert str(r) == f"(x{{1+2}}^{EXPONENT_MAX + 1}+1)/x{{1+2}}"
+        assert repr(r) == f"RationalFunction({r})"
+        mixed = (rf(X12) ** EXPONENT_MAX) * rf(A1) + rf(X12).inverse().scaled(Scalar(-2)) + rf(X1)
+        assert str(mixed) == f"(a1*x{{1+2}}^{EXPONENT_MAX + 1}+x1*x{{1+2}}-2)/x{{1+2}}"
+
     def test_equality_cross_multiplies(self):
         a = RationalFunction(Polynomial.symbol(X1) * Polynomial.symbol(X2), Monomial.of(X1))
         b = rf(X2)

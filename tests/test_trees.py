@@ -363,8 +363,8 @@ class TestEngineMemo:
     @pytest.mark.parametrize("single", (False, True))
     @pytest.mark.parametrize("diffeo", (SYMBOLIC, DiffeoSpec.tuned(3, 5)), ids=("symbolic", "tuned"))
     def test_parent_walk_leaves_memoized_sums_unchanged(self, single, diffeo):
-        # The walk accumulates in place; a sum it has memoized, or a vertex
-        # it has kept, must never be an accumulator of a later walk.
+        # The walk accumulates in place; a sum it has memoized, or a weight
+        # or vertex it has kept, must never be an accumulator of a later walk.
         legs = frozenset(range(1, 6))
         engine = TreeSumEngine(
             legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.standard(3), single=single
@@ -375,11 +375,18 @@ class TestEngineMemo:
         memo = engine._memo
         snapshot = {b: {k: dict(x.terms) for k, x in sums.items()} for b, sums in memo.items()}
         assert len(snapshot) == 25 and any(snapshot.values())
-        vertices = {key: dict(x.terms) for key, x in engine._interactions.items()}
-        assert vertices
+
+        def kept():
+            return {
+                v: ([(k, dict(terms)) for k, terms in weights], [dict(x.terms) for x in vertices])
+                for v, (weights, vertices) in engine._valences.items()
+            }
+
+        tables = kept()
+        assert all(vertices for _, vertices in tables.values())
         engine._walk(legs)
         assert {b: {k: x.terms for k, x in memo[b].items()} for b in snapshot} == snapshot
-        assert {key: engine._interactions[key].terms for key in vertices} == vertices
+        assert {v: kept()[v] for v in tables} == tables
         assert _ONE.terms == {MONO_ONE: Scalar(1)}
 
     def test_each_interaction_vertex_is_built_once(self, monkeypatch):
@@ -394,6 +401,110 @@ class TestEngineMemo:
         amputated_tree_sum(6, (), TheorySpec.standard(3, 4))
         # valences 3..6 for s = 3 and 4..6 for s = 4
         assert sorted(built) == [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (6, 3), (6, 4)]
+
+    def test_the_engine_never_calls_the_reference_vertex(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trees, "generalized_vertex", lambda *a, **k: calls.append(a))
+        tuned = DiffeoSpec.tuned(3, 6)
+        rooted_tree_sum(6)
+        rooted_tree_sum(5, theory=TheorySpec.generalized_free())
+        interacting_rooted_tree_sum(5, 3, tuned)
+        amputated_tree_sum(5, {1}, TheorySpec.standard(3, 4), tuned)
+        coupling_linear_tree_sum(6, 3)
+        assert calls == []
+
+    def test_the_weight_table_skips_zero_weights_and_reads_no_later_coefficient(self):
+        # Valence v reads a_0..a_{v-2}; a1 = 0 zeroes the sizes 2 and v - 2.
+        for v in range(3, 9):
+            diffeo = DiffeoSpec.from_bindings({1: rf(0), **{j: rf(j) for j in range(2, v - 1)}})
+            engine = TreeSumEngine(
+                frozenset(range(1, v + 1)), onshell=frozenset(), diffeo=diffeo, theory=TheorySpec.free()
+            )
+            weights, vertices = engine._valence(v)
+            assert [k for k, _ in weights] == [k for k in range(1, v) if 2 not in (k, v - k)], v
+            for k, terms in weights:
+                weight = diffeo.a(v - k - 1) * diffeo.a(k - 1)
+                assert terms == weight.scaled(Scalar(0, factorial(v - k) * factorial(k))).poly.terms
+            assert vertices == []
+
+
+def _valence_of_interaction(topo, deco):
+    """Valence of the one interaction vertex of a decorated tree."""
+    [valence] = [len(node) + 1 for node, tag in zip(topo.internal_vertices(), deco) if tag[0] == "I"]
+    return valence
+
+
+# Symbolic, tuned and a rational binding whose a1 = 0 zeroes some weights.
+ENGINE_DIFFEOS = {
+    "symbolic": lambda n: SYMBOLIC,
+    "tuned": lambda n: DiffeoSpec.tuned(3, n),
+    "a1=0": lambda n: DiffeoSpec.from_bindings(
+        {1: rf(0), 2: rf(Fraction(3, 2)), 3: rf(-2), 4: rf(Fraction(5, 7)), 5: rf(1)}
+    ),
+}
+
+
+class TestEngineAgainstAmplitudes:
+    """Every kind of engine sum against ``amplitude`` summed over
+    ``enumerate_trees`` x ``enumerate_decorations``."""
+
+    @pytest.mark.parametrize("kind", ("standard", "generalized"))
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_rooted(self, name, kind):
+        free = TheorySpec(kind=kind)
+        for n in range(2, 6):
+            diffeo = ENGINE_DIFFEOS[name](n)
+            want = RF_ZERO
+            for topo in enumerate_trees(range(1, n + 1)):
+                want = want + amplitude(
+                    topo, None, free, diffeo, onshell=range(1, n + 1), include_root_propagator=True
+                )
+            assert rooted_tree_sum(n, diffeo, theory=free).value == want, n
+
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_rooted_interacting(self, name):
+        theory = TheorySpec.standard(3)
+        for n in range(2, 6):
+            diffeo = ENGINE_DIFFEOS[name](n)
+            want = RF_ZERO
+            for topo in enumerate_trees(range(1, n + 1)):
+                for deco in enumerate_decorations(topo, theory.interactions):
+                    want = want + amplitude(
+                        topo, deco, theory, diffeo, onshell=range(1, n + 1), include_root_propagator=True
+                    )
+            assert interacting_rooted_tree_sum(n, 3, diffeo).value == want, n
+
+    @pytest.mark.parametrize("offshell", ("none", "one", "two", "all"))
+    @pytest.mark.parametrize("kind", ("standard", "generalized"))
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_amputated(self, name, kind, offshell):
+        for n in range(3, 6):
+            theory = TheorySpec(kind=kind, interactions=TheorySpec.standard(3, 4).interactions)
+            diffeo = ENGINE_DIFFEOS[name](n)
+            legs = frozenset(range(1, n + 1))
+            off = {"none": (), "one": {1}, "two": {1, 2}, "all": legs}[offshell]
+            want = RF_ZERO
+            for topo in enumerate_trees(legs, rooted=False):
+                for deco in enumerate_decorations(topo, theory.interactions):
+                    want = want + amplitude(topo, deco, theory, diffeo, onshell=legs - frozenset(off))
+            assert amputated_tree_sum(n, off, theory, diffeo).value == want, n
+
+    @pytest.mark.parametrize("s", (3, 4))
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_coupling_linear_by_valence(self, name, s):
+        theory = TheorySpec.standard(s)
+        for n in range(3, 6):
+            diffeo = ENGINE_DIFFEOS[name](n)
+            want: dict = {}
+            for topo in enumerate_trees(range(1, n + 1), rooted=False):
+                for deco in enumerate_decorations(topo, theory.interactions, exactly_one=True):
+                    v = _valence_of_interaction(topo, deco)
+                    value = amplitude(topo, deco, theory, diffeo, onshell=range(1, n + 1))
+                    want[v] = want.get(v, RF_ZERO) + value
+            want = {v: x for v, x in want.items() if not x.is_zero()}
+            result = coupling_linear_tree_sum(n, s, diffeo)
+            assert result.metadata["by_valence"] == want, n
+            assert result.value == sum(want.values(), RF_ZERO), n
 
 
 class TestCouplingLinearSums:
