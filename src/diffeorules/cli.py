@@ -40,16 +40,16 @@ class ConfigError(Exception):
 
 # Largest ``treesum --n``: S_8 is the default suite's largest sum, and the
 # values bound the cap (the counts come from a size recursion in well under
-# a second).  At 9, b takes about 30 s and S about 12 s; b_40 or S_30 would
+# a second).  At 9, b and S each take about 1.5 s; b_40 or S_30 would
 # not end.
 TREESUM_MAX_N = 9
 # Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
-# about 0.7 s at n = 14 and more than twice that per further leg.
+# about 1.6-1.8 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
-# defaults.  max_n: the default suite takes 8-10 s at 7, and at 8
-# ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 0.4 s
-# to 3.6 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
+# defaults.  max_n: the default suite takes about 2 s at 7, and at 8
+# ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 0.07 s
+# to 0.3 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
 # ``kinematics`` takes about 9 ms a trial.  dimension: ``kinematics`` takes
 # 39 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}

@@ -18,8 +18,9 @@ which is the one whose edge-cancellation mechanism is exact at the level of
 independent subset symbols.  The two agree on every conserving kinematic
 point, which is checked by the verifier.  ``generalized_vertex`` computes
 its weights where it is called and is the reference for the per-tree
-amplitudes; the tree-sum engine keeps its own per-valence weight table and
-sums one subset of each complementary pair (see ``trees.TreeSumEngine``).
+amplitudes; the tree-sum engine never builds a vertex of this form: it splits
+each weight into a factor per side of a complementary pair and applies the
+rule as a subset convolution (see ``trees.TreeSumEngine``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ Two evaluation paths compute every sum:
 * :class:`TreeSumEngine` distributes the sum over shared subtrees.  Because
   the vertex rule at the top of a subtree depends only on the leg partition,
   the sum over shapes factorizes exactly; this is plain distributivity in an
-  exact commutative ring, and the test suite pins the two paths against each
-  other.
+  exact commutative ring.  The engine applies the diffeomorphism vertex as
+  a subset convolution, and the test suite pins it against the per-tree
+  path and against a walk that builds the vertex at every partition.
 
 The engine sums values only.  Counts depend on block sizes alone, so the
 tree, decorated-tree and topology counts come from a recursion over sizes
@@ -43,6 +44,7 @@ from .algebra import (
     RF_MINUS_I,
     RF_ONE,
     RF_ZERO,
+    SC_I,
     Scalar,
     Symbol,
     coupling,
@@ -306,32 +308,68 @@ class TreeSumResult:
 
 
 _NO_INT = 0  # key for "no interaction vertex yet" in the valence-tracked sums
-_ONE = Polynomial.constant(1)  # never an accumulator: products of it are fresh
+_ONE = Polynomial.constant(1)  # the sum of a bare leg; never an accumulator
 
 
-def _accumulate(acc: Polynomial, x: Polynomial) -> Polynomial:
-    """``acc + x`` merged into ``acc``, a fresh product or ``Polynomial()``."""
-    merge_terms(acc.terms, x.terms.items())
+def _add(acc: dict, key, x: Polynomial) -> None:
+    """``acc[key] += x`` in place.  An absent entry starts as a copy of
+    ``x``, so every accumulator is created by the step that fills it and no
+    kept sum is ever merged into."""
+    if key in acc:
+        merge_terms(acc[key].terms, x.terms.items())
+    else:
+        acc[key] = Polynomial(x.terms, _trusted=True)
+
+
+def _mul_into(acc: dict, x: dict, y: dict) -> dict:
+    """Add the keyed product ``x * y`` into ``acc`` and return ``acc``.  A
+    key is the valence of the one interaction vertex (``_NO_INT``: none), so
+    a pair whose factors both carry one is dropped."""
+    for k1, x1 in x.items():
+        for k2, x2 in y.items():
+            if not (k1 and k2):
+                _add(acc, k1 or k2, x1 * x2)
     return acc
+
+
+def _nonzero(keyed: dict) -> dict:
+    return {key: x for key, x in keyed.items() if x}
 
 
 class TreeSumEngine:
     """Distributive evaluation of decorated tree sums over shared subtrees.
 
     The sum over all decorated trees on a leg block factorizes through the
-    partition at the block's top vertex, because the vertex rule depends on
-    the partition only.  One walk over the set partitions sums the Laurent
-    polynomials that :meth:`subtree_sums` wraps as rational functions.  Every
-    vertex is a diffeomorphism vertex or any admissible interaction of
-    ``theory``; with ``single`` the trees carry exactly one interaction vertex
-    and the sums are keyed by its valence (for the term-by-term cancellation
-    check).
+    partition at the block's top vertex.  Every vertex is a diffeomorphism
+    vertex or any admissible interaction of ``theory``; with ``single`` the
+    trees carry exactly one interaction vertex and every sum is keyed by its
+    valence (for the term-by-term cancellation check).
 
-    The diffeomorphism vertex is the subset-sum rule summed once per
-    complementary pair: a subset of the child blocks and its complement
-    name the same edge, so the rule's ``1/2`` cancels and the parent block
-    never enters.  ``_valences`` holds each valence's weights and
-    interaction vertices, ``_edges`` each union's edge monomial.
+    The diffeomorphism vertex is a subset convolution (Berends & Giele,
+    Nucl. Phys. B306 (1988) 759; Bjorklund, Husfeldt, Kaski & Koivisto,
+    STOC 2007).  Summed once per complementary pair, its rule gives a subset
+    of ``k`` child blocks, with ``l`` on the parent's side, the weight
+    ``i c_{k-1} c_l`` with ``c_j = (j+1)! a_j``: one factor per side.  So,
+    for a block ``T``:
+
+    * ``F_k(T)`` sums ``prod G(B)`` over the partitions of ``T`` into ``k``
+      blocks, in one pass of :func:`set_partitions`;
+    * ``G(B) = J(B) i/X_B`` (1 for a leg), ``P(U) = i X_U sum_k c_{k-1}
+      F_k(U)`` and ``Q(W) = sum_l c_l F_l(W)``, with ``F_1 = G``;
+    * ``J(T) = sum_U P(U) Q(T-U) + i X_T sum_{k>=2} c_{k-1} F_k(T) +
+      sum_{m>=2} v(m+1) F_m(T)`` over the proper nonempty ``U``, with ``v``
+      the interaction vertex of each valence, is the sum below ``T``'s
+      parent edge.
+
+    ``X_U`` is ``U``'s canonical edge symbol, absent for an onshell
+    singleton: a leg, or the complement of an unrooted sum's top block.
+    ``G``, ``P`` and ``Q`` are kept per proper block (``_blocks``) and
+    ``F_k`` only during its block's step, so the vertex costs one product
+    per split of a block, about ``3^n`` for ``n`` legs.  ``Q(W)`` is built
+    only where a split can read it: never for the block
+    :meth:`subtree_sums` asks for, so an ``n``-leg sum reads no ``a_j``
+    beyond ``a_{n-1}``, and not for its largest sub-blocks when every leg
+    is onshell.  A block never holds the root of a rooted sum.
     """
 
     def __init__(
@@ -348,95 +386,109 @@ class TreeSumEngine:
         self.diffeo = diffeo
         self.theory = theory
         self.single = single
-        self._memo: dict = {}  # block -> keyed sum
-        self._valences: dict = {}  # valence -> (size weights, interaction vertices)
-        self._edges: dict = {}  # union of child blocks -> edge monomial or None
+        self._blocks: dict = {}  # proper block -> (G, P, Q), each keyed
+        self._coefficients: list = []  # j -> c_j = (j+1)! a_j
+        self._vertices: dict = {}  # valence -> sum of its interaction vertices
+        self._edges: dict = {}  # leg subset -> i X_U as a polynomial, or None
 
-    def _valence(self, v: int) -> tuple[list, list]:
-        """``[(k, weight terms)]`` for the subset sizes ``k`` whose weight
-        ``i a_{v-k-1} a_{k-1} (v-k)! k!`` is nonzero, and the nonzero
-        interaction vertices of valence ``v``."""
-        table = self._valences.get(v)
-        if table is None:
-            a = self.diffeo.a
-            weights = [
-                (k, c.scaled(Scalar(0, factorial(v - k) * factorial(k))).poly.terms)
-                for k in range(1, v)
-                if not (c := a(v - k - 1) * a(k - 1)).is_zero()
-            ]
-            vertices = (
-                interaction_vertex(v, it.power, self.diffeo, it.coupling_value)
-                for it in self.theory.interactions
-                if it.power <= v
-            )
-            table = self._valences[v] = (weights, [x.poly for x in vertices if not x.is_zero()])
-        return table
+    def _coefficient(self, j: int) -> Polynomial:
+        """``c_j = (j+1)! a_j``, read on first use; empty when ``a_j = 0``."""
+        while len(self._coefficients) <= j:
+            i = len(self._coefficients)
+            self._coefficients.append(self.diffeo.a(i).scaled(Scalar(factorial(i + 1))).poly)
+        return self._coefficients[j]
 
-    def _edge(self, union: frozenset[int]) -> Monomial | None:
-        if union not in self._edges:
-            canon = canonical_subset(union, self.universe)
+    def _vertex(self, v: int) -> Polynomial:
+        """Sum of the interaction vertices of valence ``v``."""
+        vertex = self._vertices.get(v)
+        if vertex is None:
+            its = [it for it in self.theory.interactions if it.power <= v]
+            vertices = (interaction_vertex(v, it.power, self.diffeo, it.coupling_value) for it in its)
+            vertex = self._vertices[v] = sum(vertices, RF_ZERO).poly
+        return vertex
+
+    def _edge(self, subset: frozenset[int]) -> Polynomial | None:
+        """``i X_U``, or ``None`` when ``U``'s canonical subset is an onshell leg."""
+        if subset not in self._edges:
+            canon = canonical_subset(subset, self.universe)
             onshell = len(canon) == 1 and canon <= self.onshell
-            edge = None if onshell else Monomial.of(edge_symbol(canon, self.theory.generalized))
-            self._edges[union] = edge
-        return self._edges[union]
+            edge = Monomial.of(edge_symbol(canon, self.theory.generalized))
+            self._edges[subset] = None if onshell else Polynomial({edge: SC_I}, _trusted=True)
+        return self._edges[subset]
 
-    def _walk(self, block: frozenset[int]) -> dict:
-        """Sum over rooted decorated subtrees on ``block``, keyed by the
-        valence of the interaction vertex under ``single`` and by ``_NO_INT``
-        otherwise (or when there is none yet); includes the top vertex and the
-        child edges, not the parent edge.  Zero sums are dropped."""
-        cached = self._memo.get(block)
-        if cached is not None:
-            return cached
-        result: dict = {}
-        for partition in set_partitions(sorted(block)):
+    def _q_is_read(self, block: frozenset[int]) -> bool:
+        """Whether a larger block ``T = W + U`` can read ``Q(W)``, which it
+        does when ``P(U)`` has an edge.  ``T`` leaves the root outside, or
+        one leg in an unrooted sum; a ``U`` of two or more legs always has
+        an edge, a single leg only when it is offshell."""
+        spare = self.universe - block - {ROOT}
+        room = len(spare) - (ROOT not in self.universe)
+        return room >= 2 or (room == 1 and not spare <= self.onshell)
+
+    def _tables(self, block: frozenset[int]) -> tuple[dict, dict, dict]:
+        """``(G, P, Q)`` of a proper block, built on first use and kept."""
+        tables = self._blocks.get(block)
+        if tables is None:
+            if len(block) == 1:
+                g, forests, p = {_NO_INT: _ONE}, {}, {}
+            else:
+                sums, forests, p = self._walk(block)
+                edge = propagator(block, self.universe, generalized=self.theory.generalized).poly
+                g = {key: x * edge for key, x in sums.items()}
+            forests[1] = g
+            edge = self._edge(block)
+            if edge is not None:
+                _mul_into(p, g, {_NO_INT: edge})  # c_0 = a_0 = 1
+            q: dict = {}
+            if self._q_is_read(block):
+                for l, forest in forests.items():
+                    if c := self._coefficient(l):
+                        _mul_into(q, forest, {_NO_INT: c})
+            tables = self._blocks[block] = (g, _nonzero(p), _nonzero(q))
+        return tables
+
+    def _walk(self, block: frozenset[int]) -> tuple[dict, dict, dict]:
+        """``J(T)``, ``{k: F_k(T)}`` for ``k >= 2``, and the part
+        ``i X_T sum_{k>=2} c_{k-1} F_k(T)`` of ``P(T)``; each keyed, without
+        zero entries, and owned by the caller."""
+        legs = sorted(block)
+        forests: dict = {}
+        for partition in set_partitions(legs):
             if len(partition) < 2:
                 continue
-            blocks = [frozenset(b) for b in partition]
-            merged: dict = {_NO_INT: _ONE}
-            for b in blocks:
-                if len(b) == 1:
-                    continue  # a bare leg contributes the factor one
-                edge = propagator(b, self.universe, generalized=self.theory.generalized).poly
-                factor = {key: x * edge for key, x in self._walk(b).items()}
-                nxt: dict = {}
-                for k1, x1 in merged.items():
-                    for k2, x2 in factor.items():
-                        if self.single and k1 != _NO_INT and k2 != _NO_INT:
-                            continue
-                        key = k1 if k2 == _NO_INT else k2
-                        prod = x1 * x2
-                        if prod:
-                            nxt[key] = _accumulate(nxt[key], prod) if key in nxt else prod
-                merged = nxt
-                if not merged:
-                    break
-            if not merged:
-                continue
-            valence = len(blocks) + 1
-            weights, interactions = self._valence(valence)
-            free: dict = {}
-            for k, terms in weights:
-                for choice in itertools.combinations(blocks, k):
-                    edge = self._edge(frozenset().union(*choice))
-                    if edge is not None:
-                        merge_terms(free, ((mono * edge, c) for mono, c in terms.items()))
-            vertices = [(Polynomial(free, _trusted=True), False)] if free else []
-            vertices += [(x, self.single) for x in interactions]
-            for vertex, keyed in vertices:
-                for key, x in merged.items():
-                    if keyed and key != _NO_INT:
-                        continue
-                    key = valence if keyed else key
-                    prod = x * vertex
-                    result[key] = _accumulate(result[key], prod) if key in result else prod
-        result = {key: x for key, x in result.items() if x}
-        self._memo[block] = result
-        return result
+            merged = None
+            for b in partition:
+                if len(b) > 1:  # a bare leg contributes the factor one
+                    g = self._tables(frozenset(b))[0]
+                    merged = g if merged is None else _mul_into({}, merged, g)
+            forest = forests.setdefault(len(partition), {})
+            for key, x in (merged if merged is not None else {_NO_INT: _ONE}).items():
+                _add(forest, key, x)
+        forests = {k: nonzero for k, f in forests.items() if (nonzero := _nonzero(f))}
+        edge = self._edge(block)
+        p: dict = {}
+        sums: dict = {}
+        for k, forest in forests.items():
+            c = self._coefficient(k - 1)
+            if edge is not None and c:
+                _mul_into(p, forest, {_NO_INT: c * edge})
+            vertex = self._vertex(k + 1)
+            if vertex and _NO_INT in forest:
+                _add(sums, k + 1 if self.single else _NO_INT, forest[_NO_INT] * vertex)
+        for size in range(1, len(legs)):
+            for subset in itertools.combinations(legs, size):
+                u = frozenset(subset)
+                _mul_into(sums, self._tables(u)[1], self._tables(block - u)[2])
+        for key, x in p.items():
+            _add(sums, key, x)
+        return _nonzero(sums), forests, _nonzero(p)
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
-        """Keyed rational-function sums over decorated subtrees on ``block``."""
-        keyed = {k: RationalFunction(x) for k, x in self._walk(block).items()}
+        """Keyed rational-function sums ``J`` over decorated subtrees on
+        ``block``: the top vertex and the child edges, not the parent edge."""
+        if ROOT in block:
+            raise AlgebraError("a subtree block holds legs below the root, never the root")
+        keyed = {k: RationalFunction(x) for k, x in self._walk(block)[0].items()}
         return keyed or {_NO_INT: RF_ZERO}
 
 
@@ -548,7 +600,7 @@ def _reduced_bprime(
                 break
         if not factor.is_zero():
             glued_terms += 1
-            total = _accumulate(total, factor.poly)
+            merge_terms(total.terms, factor.poly.terms.items())
     return RationalFunction(total), glued_terms
 
 

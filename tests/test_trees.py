@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
+import partition_walk
 import pytest
 
 from diffeorules import trees
@@ -12,6 +13,7 @@ from diffeorules.algebra import (
     MONO_ONE,
     AlgebraError,
     Kind,
+    Polynomial,
     RF_MINUS_I,
     RF_ONE,
     RF_ZERO,
@@ -360,34 +362,52 @@ class TestInteractingSums:
 
 
 class TestEngineMemo:
+    @pytest.mark.parametrize("order", ("ascending", "descending", "shuffled"))
     @pytest.mark.parametrize("single", (False, True))
     @pytest.mark.parametrize("diffeo", (SYMBOLIC, DiffeoSpec.tuned(3, 5)), ids=("symbolic", "tuned"))
-    def test_parent_walk_leaves_memoized_sums_unchanged(self, single, diffeo):
-        # The walk accumulates in place; a sum it has memoized, or a weight
-        # or vertex it has kept, must never be an accumulator of a later walk.
+    def test_any_walk_order_keeps_tables(self, diffeo, single, order):
+        # Sums accumulate in place; a kept G/P/Q entry, interaction vertex or
+        # coefficient must never be an accumulator of a later walk, and the
+        # order in which blocks are asked for must not change any value.
         legs = frozenset(range(1, 6))
-        engine = TreeSumEngine(
-            legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.standard(3), single=single
-        )
-        for size in range(2, 5):
-            for sub in combinations(sorted(legs), size):
-                engine._walk(frozenset(sub))
-        memo = engine._memo
-        snapshot = {b: {k: dict(x.terms) for k, x in sums.items()} for b, sums in memo.items()}
-        assert len(snapshot) == 25 and any(snapshot.values())
 
-        def kept():
-            return {
-                v: ([(k, dict(terms)) for k, terms in weights], [dict(x.terms) for x in vertices])
-                for v, (weights, vertices) in engine._valences.items()
-            }
+        def engine():
+            return TreeSumEngine(
+                legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.standard(3), single=single
+            )
 
-        tables = kept()
-        assert all(vertices for _, vertices in tables.values())
-        engine._walk(legs)
-        assert {b: {k: x.terms for k, x in memo[b].items()} for b in snapshot} == snapshot
-        assert {v: kept()[v] for v in tables} == tables
-        assert _ONE.terms == {MONO_ONE: Scalar(1)}
+        subs = [frozenset(c) for size in range(2, 5) for c in combinations(sorted(legs), size)]
+        if order == "descending":
+            subs.reverse()
+        elif order == "shuffled":
+            random.Random(7).shuffle(subs)
+        walked = engine()
+        seen: dict = {}
+
+        def unchanged():
+            kept = {("block", b): tables for b, tables in walked._blocks.items()}
+            kept.update({("vertex", v): ({0: x},) for v, x in walked._vertices.items()})
+            kept.update({("c", j): ({0: x},) for j, x in enumerate(walked._coefficients)})
+            for name, tables in kept.items():
+                now = tuple({k: dict(x.terms) for k, x in t.items()} for t in tables)
+                assert seen.setdefault(name, now) == now, name
+            assert _ONE.terms == {MONO_ONE: Scalar(1)}
+
+        for sub in subs:
+            walked.subtree_sums(sub)
+            unchanged()
+            walked._tables(sub)
+            unchanged()
+        assert len(walked._blocks) == 2 ** len(legs) - 2 and walked._vertices
+        assert walked.subtree_sums(legs) == engine().subtree_sums(legs)
+        unchanged()
+        assert legs not in walked._blocks
+
+    def test_a_block_never_holds_the_root(self):
+        legs = frozenset(range(1, 4))
+        engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
+        with pytest.raises(AlgebraError, match="never the root"):
+            engine.subtree_sums(frozenset({ROOT, 1}))
 
     def test_each_interaction_vertex_is_built_once(self, monkeypatch):
         built = []
@@ -413,19 +433,29 @@ class TestEngineMemo:
         coupling_linear_tree_sum(6, 3)
         assert calls == []
 
-    def test_the_weight_table_skips_zero_weights_and_reads_no_later_coefficient(self):
-        # Valence v reads a_0..a_{v-2}; a1 = 0 zeroes the sizes 2 and v - 2.
-        for v in range(3, 9):
-            diffeo = DiffeoSpec.from_bindings({1: rf(0), **{j: rf(j) for j in range(2, v - 1)}})
-            engine = TreeSumEngine(
-                frozenset(range(1, v + 1)), onshell=frozenset(), diffeo=diffeo, theory=TheorySpec.free()
-            )
-            weights, vertices = engine._valence(v)
-            assert [k for k, _ in weights] == [k for k in range(1, v) if 2 not in (k, v - k)], v
-            for k, terms in weights:
-                weight = diffeo.a(v - k - 1) * diffeo.a(k - 1)
-                assert terms == weight.scaled(Scalar(0, factorial(v - k) * factorial(k))).poly.terms
-            assert vertices == []
+    def test_coefficients_skip_zero_a_j_and_stop_at_a_n_minus_1(self, monkeypatch):
+        # An n-leg sum reads c_j = (j+1)! a_j for j <= n - 1 (a_n is unbound
+        # here, so reading it raises), never builds Q for its top block, and
+        # multiplies by no zero coefficient (a1 = 0).
+        empty_operands = []
+        mul = Polynomial.__mul__
+
+        def counted(x, y):
+            if not x.terms or not y.terms:
+                empty_operands.append((x, y))
+            return mul(x, y)
+
+        for n in range(2, 8):
+            diffeo = DiffeoSpec.from_bindings({1: rf(0), **{j: rf(j) for j in range(2, n)}})
+            legs = frozenset(range(1, n + 1))
+            engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.free())
+            with monkeypatch.context() as m:
+                m.setattr(Polynomial, "__mul__", counted)
+                engine.subtree_sums(legs)
+            want = [diffeo.a(j).scaled(Scalar(factorial(j + 1))).poly for j in range(n)]
+            assert engine._coefficients == want and not want[1], n
+            assert empty_operands == [], n
+            assert legs not in engine._blocks and len(engine._blocks) == 2**n - 2, n
 
 
 def _valence_of_interaction(topo, deco):
@@ -505,6 +535,56 @@ class TestEngineAgainstAmplitudes:
             result = coupling_linear_tree_sum(n, s, diffeo)
             assert result.metadata["by_valence"] == want, n
             assert result.value == sum(want.values(), RF_ZERO), n
+
+
+class TestEngineAgainstPartitionWalk:
+    """Every kind of engine sum against the per-partition walk of
+    ``partition_walk`` up to n = 7, where ``amplitude`` enumeration is too
+    slow.  Values and ``by_valence`` must be equal term for term, so they
+    print alike (printing b'_7 alone would take about 10 s)."""
+
+    @staticmethod
+    def _both(monkeypatch, build):
+        got = build()
+        with monkeypatch.context() as m:
+            partition_walk.install(m)
+            want = build()
+        return got, want
+
+    @pytest.mark.parametrize("kind", ("b", "generalized b", "bprime", "tuned bprime"))
+    def test_rooted(self, monkeypatch, kind):
+        for n in range(2, 8):
+            build = {
+                "b": lambda: rooted_tree_sum(n),
+                "generalized b": lambda: rooted_tree_sum(n, theory=TheorySpec.generalized_free()),
+                "bprime": lambda: interacting_rooted_tree_sum(n, 3),
+                "tuned bprime": lambda: interacting_rooted_tree_sum(n, 3, DiffeoSpec.tuned(3, n)),
+            }[kind]
+            got, want = self._both(monkeypatch, build)
+            assert got.value == want.value, n
+
+    @pytest.mark.parametrize("offshell", ("none", "one", "top", "all"))
+    @pytest.mark.parametrize(
+        "theory",
+        (TheorySpec.free(), TheorySpec.generalized_free(), TheorySpec.standard(3, 4)),
+        ids=("free", "generalized", "phi3+phi4"),
+    )
+    def test_amputated(self, monkeypatch, theory, offshell):
+        # "top" sets offshell the virtual root, the complement of the top
+        # block, so the top block's own edge enters the vertex.
+        for n in range(3, 7):
+            off = {"none": (), "one": {1}, "top": {n}, "all": range(1, n + 1)}[offshell]
+            got, want = self._both(monkeypatch, lambda: amputated_tree_sum(n, off, theory))
+            assert got.value == want.value, n
+
+    @pytest.mark.parametrize("s", (3, 4))
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_coupling_linear_by_valence(self, monkeypatch, name, s):
+        for n in range(3, 8):
+            diffeo = ENGINE_DIFFEOS[name](n)
+            got, want = self._both(monkeypatch, lambda: coupling_linear_tree_sum(n, s, diffeo))
+            assert got.value == want.value, n
+            assert got.metadata["by_valence"] == want.metadata["by_valence"], n
 
 
 class TestCouplingLinearSums:
