@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import enum
 import threading
-from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -295,8 +295,8 @@ def _offsets(x: int) -> Iterator[int]:
         x &= ~(_FIELD << shift)
 
 
-# A sort element after every ``(symbol key, -exponent)`` (kind keys are < 8).
-_KEY_END = ((8,), 0)
+# A sort element after every symbol key (kind keys are < 8).
+_KEY_END = (8,)
 
 
 def _order_key(pairs: Sequence[tuple[Symbol, int]]) -> tuple:
@@ -305,7 +305,11 @@ def _order_key(pairs: Sequence[tuple[Symbol, int]]) -> tuple:
     the monomial with the higher exponent on the earliest differing symbol
     is the larger one.  The key runs the other way (a larger monomial has
     the smaller key), so it sorts terms leading term first."""
-    return (-sum(e for _, e in pairs), tuple((s.key, -e) for s, e in pairs) + (_KEY_END,))
+    flat = []  # symbol key, -exponent, ...: one tuple, not one per pair
+    for s, e in pairs:
+        flat += (s.key, -e)
+    flat.append(_KEY_END)
+    return (-sum(e for _, e in pairs), tuple(flat))
 
 
 def _format_terms(terms: list[tuple[Sequence[tuple[Symbol, int]], "Scalar"]]) -> str:
@@ -707,6 +711,76 @@ class RationalFunction:
             merge_terms(out, term.terms.items())
         return RationalFunction(Polynomial(out, _trusted=True))
 
+    def evaluate(self, values: Mapping[Symbol, int | Fraction]) -> Scalar:
+        """Exact value at a point that binds every symbol of the value to an
+        ``int`` or ``Fraction``; agrees with ``substitute`` followed by
+        ``constant_value``.
+
+        The values are put over their least common denominator ``L``, so
+        ``v_s = n_s / L`` and a term ``c * prod v_s^e_s`` is
+        ``c * prod n_s^e_s / L^(sum e_s)``.  The terms are summed as integers
+        over one common denominator: ``L`` to the highest degree (at least 0),
+        times each ``n_s`` to its most negative exponent, negated, times the
+        coefficients' denominators.  One ``Fraction`` per component is built
+        at the end.  A zero value of a symbol with a negative exponent raises
+        :class:`DenominatorAnnihilationError`.
+        """
+        lcd = 1
+        for sym, v in values.items():
+            if type(v) is not int and not isinstance(v, Fraction):
+                raise AlgebraError(f"value of {sym.name} must be an int or Fraction, got {v!r}")
+            lcd = lcm(lcd, v.denominator)
+        # Field offset -> (symbol, numerator over ``lcd``).
+        scaled = {
+            sym.unit.bit_length() - 1: (sym, v.numerator * (lcd // v.denominator))
+            for sym, v in values.items()
+            if sym.unit is not None
+        }
+        bias, coeff_den, top = _BIAS, 1, 0
+        inverted: dict[int, int] = {}  # field offset -> most negative exponent, negated
+        decoded = []  # degree, prod n_s^e_s over e_s > 0, prod n_s^-e_s over e_s < 0, coefficient
+        for mono, coeff in self.poly.terms.items():
+            y = mono + bias
+            x, degree, num, den = y ^ bias, 0, 1, 1
+            while x:
+                shift = (x & -x).bit_length() - 1
+                shift -= shift % _WIDTH
+                x &= ~(_FIELD << shift)
+                bound = scaled.get(shift)
+                if bound is None:
+                    raise AlgebraError(f"no value bound for symbol {_fields[shift // _WIDTH].name}")
+                e = (y >> shift & _FIELD) - _HALF
+                degree += e
+                if e > 0:
+                    num *= bound[1] ** e
+                else:
+                    den *= bound[1] ** -e
+                    if inverted.get(shift, 0) < -e:
+                        inverted[shift] = -e
+            coeff_den = lcm(coeff_den, coeff.re.denominator, coeff.im.denominator)
+            top = max(top, degree)
+            decoded.append((degree, num, den, coeff))
+        zeros = [scaled[shift][0] for shift in inverted if not scaled[shift][1]]
+        if zeros:
+            raise DenominatorAnnihilationError(min(zeros))
+        inv = 1
+        for shift, e in inverted.items():
+            inv *= scaled[shift][1] ** e
+        lifts = {top: 1}  # degree -> lcd^(top - degree)
+        re_sum = im_sum = 0
+        for degree, num, den, coeff in decoded:
+            lift = lifts.get(degree)
+            if lift is None:
+                lift = lifts[degree] = lcd ** (top - degree)
+            num *= lift * (inv // den)
+            re, im = coeff.re, coeff.im
+            if re:
+                re_sum += num * re.numerator * (coeff_den // re.denominator)
+            if im:
+                im_sum += num * im.numerator * (coeff_den // im.denominator)
+        den = lcd**top * inv * coeff_den
+        return Scalar(Fraction(re_sum, den), Fraction(im_sum, den))
+
     def symbols(self) -> set[Symbol]:
         return self.poly.symbols()
 
@@ -715,11 +789,25 @@ class RationalFunction:
         if den.is_one():
             return str(self.poly)
         # The numerator from decoded exponents, which ``num`` would have to
-        # pack up to 2 * EXPONENT_MAX + 1.
-        lift, terms = Counter(dict(den.pairs)), []
+        # pack up to 2 * EXPONENT_MAX + 1: each term's pairs merged into the
+        # denominator's, which are sorted by symbol and stay so in a dict.
+        # A symbol outside the denominator is either not offshell, and then
+        # sorts before all of it, or forces a sort.
+        lift, terms = dict(den.pairs), []
         for mono, coeff in self.poly.terms.items():
-            exps = lift + Counter(dict(mono.pairs))  # drops the zero exponents
-            terms.append((sorted(exps.items(), key=lambda p: p[0].key), coeff))
+            exps, head, unsorted = lift.copy(), [], False
+            for s, e in mono.pairs:
+                if s in exps:
+                    if e := e + exps[s]:
+                        exps[s] = e
+                    else:
+                        del exps[s]
+                elif s.kind in _OFFSHELL_KINDS:
+                    exps[s], unsorted = e, True
+                else:
+                    head.append((s, e))
+            pairs = exps.items()
+            terms.append((head + (sorted(pairs, key=lambda p: p[0].key) if unsorted else list(pairs)), coeff))
         num_str = _format_terms(terms)
         if len(terms) > 1:
             num_str = f"({num_str})"

@@ -50,8 +50,8 @@ RULES_MAX_N = 14
 # defaults.  max_n: the default suite takes about 2 s at 7, and at 8
 # ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 0.07 s
 # to 0.3 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
-# ``kinematics`` takes about 9 ms a trial.  dimension: ``kinematics`` takes
-# 39 s at 1024.
+# ``kinematics`` takes 2-3 ms a trial.  dimension: ``kinematics`` takes 5-6 s
+# at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # Largest (max(s_values) - 1) * order**2: the Fuss-Catalan residual of
 # ``adiabatic`` multiplies an order-term series s - 1 times, so its cost grows
@@ -59,7 +59,7 @@ VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # and s = 30001 at order 10 (20 s).
 VERIFY_RESIDUAL_WORK = 3_000_000
 # Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
-# (39 s).  The caps above alone allow 5000 trials at 1024, about an hour.
+# (5-6 s).  The caps above alone allow 5000 trials at 1024, about 10 minutes.
 VERIFY_KINEMATICS_WORK = 51_200
 # Longest ``suite.s_values``: each power adds one ``interaction_cancellation``
 # and one ``adiabatic`` run, at most about 23 s together (s = 3, max_n 7).

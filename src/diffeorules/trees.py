@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (
@@ -785,49 +785,72 @@ def random_conserving_momenta(n: int, dimension: int, rng) -> list[tuple[Fractio
     return momenta
 
 
-def evaluate_at_kinematics(
+def kinematic_values(
     r: RationalFunction,
-    momenta: Sequence[Sequence[Fraction]],
-    mass_sq_value: Fraction,
+    momenta: Sequence[Sequence[int | Fraction]],
+    mass_sq_value: int | Fraction,
     *,
     beta: Mapping[int, Fraction] | None = None,
-) -> Scalar:
-    """Evaluate at exact momenta: every edge variable of a leg subset S maps
-    to (sum_{i in S} p_i)^2 - msq (standard) or to the propagator polynomial
-    in the squared momentum (generalized, via ``beta``), with the
-    mostly-minus metric."""
+) -> dict[Symbol, int | Fraction]:
+    """The value of every symbol of ``r`` at exact momenta: the edge variable
+    of a leg subset S is (sum_{i in S} p_i)^2 - msq (standard) or the
+    propagator polynomial in the squared momentum (generalized, via
+    ``beta``), with the mostly-minus metric, and ``msq`` is
+    ``mass_sq_value``.
+
+    The momenta are scaled once to integers over the least common
+    denominator ``L`` of their components, so a subset's momentum is a sum
+    of integers and its square is ``Fraction(Q_0^2 - sum_d Q_d^2, L^2)``."""
     if not momenta:
         raise AlgebraError("need at least one momentum")
     dimension = len(momenta[0])
     if dimension < 2 or any(len(p) != dimension for p in momenta):
         raise AlgebraError("momenta must share a dimension >= 2")
-    for d in range(dimension):
-        if sum(p[d] for p in momenta):
-            raise AlgebraError("momenta do not conserve: component sums must vanish")
+    exact = (int, Fraction)
+    if not all(isinstance(c, exact) for p in momenta for c in p):
+        raise AlgebraError("momentum components must be int or Fraction")
+    if not isinstance(mass_sq_value, exact):
+        raise AlgebraError("the squared mass must be an int or Fraction")
+    lcd = lcm(*(c.denominator for p in momenta for c in p))
+    scaled = [[c.numerator * (lcd // c.denominator) for c in p] for p in momenta]
+    if any(map(sum, zip(*scaled))):
+        raise AlgebraError("momenta do not conserve: component sums must vanish")
 
-    table: dict[Symbol, RationalFunction] = {}
+    table: dict[Symbol, int | Fraction] = {}
     den = r.den
     for sym in sorted(r.symbols()):
         if sym.kind == Kind.EDGE:
             subset = sym.meta
-            if max(subset) > len(momenta):
+            if subset[0] < 1 or subset[-1] > len(momenta):
                 raise AlgebraError(f"no momentum supplied for edge variable {sym.name}")
-            q = tuple(
-                sum(momenta[i - 1][d] for i in subset) for d in range(dimension)
-            )
-            q_sq = q[0] * q[0] - sum(c * c for c in q[1:])
+            q = [sum(c) for c in zip(*(scaled[i - 1] for i in subset))]
+            q_sq = q[0] * q[0] - sum(c * c for c in q[1:])  # times lcd^2
             generalized = sym.key[1] == 1
             if generalized:
                 if beta is None:
                     raise AlgebraError("generalized edge variables need beta coefficients")
+                q_sq = Fraction(q_sq, lcd * lcd)
                 value = sum((Fraction(beta[k]) * q_sq**k for k in sorted(beta)), Fraction(0))
             else:
-                value = q_sq - mass_sq_value
+                m = mass_sq_value
+                value = Fraction(q_sq * m.denominator - m.numerator * lcd * lcd, lcd * lcd * m.denominator)
             if not value and den.exponent(sym):
                 raise AlgebraError(f"kinematic point annihilates the edge denominator {sym.name}")
-            table[sym] = rf(value)
+            table[sym] = value
         elif sym.kind == Kind.MASS_SQ:
-            table[sym] = rf(mass_sq_value)
+            table[sym] = mass_sq_value
         else:
             raise AlgebraError(f"unbound non-kinematic symbol {sym.name}")
-    return r.substitute(table).constant_value()
+    return table
+
+
+def evaluate_at_kinematics(
+    r: RationalFunction,
+    momenta: Sequence[Sequence[int | Fraction]],
+    mass_sq_value: int | Fraction,
+    *,
+    beta: Mapping[int, Fraction] | None = None,
+) -> Scalar:
+    """Exact value of ``r`` at the point that :func:`kinematic_values`
+    gives for these momenta."""
+    return r.evaluate(kinematic_values(r, momenta, mass_sq_value, beta=beta))

@@ -294,7 +294,8 @@ def check_kinematics(
     dimension: int = 4,
 ) -> Report:
     """Exact kinematic agreement of the two vertex forms, the four-point
-    conservation identity, and determinism of the evaluator."""
+    conservation identity, and determinism of the evaluator; at each n's
+    first trial the evaluator is also compared with exact substitution."""
     params = {"n_values": list(n_values), "trials": trials, "seed": seed, "dimension": dimension}
     with _Checker("kinematics", params) as chk:
         rng = random.Random(seed)
@@ -323,6 +324,17 @@ def check_kinematics(
                 subset = rules.generalized_vertex([frozenset((j,)) for j in range(1, n + 1)], legs, diffeo=diffeo)
                 left = trees.evaluate_at_kinematics(display, momenta, mass_value)
                 right = trees.evaluate_at_kinematics(subset, momenta, mass_value)
+                if trial == 0:
+                    point = trees.kinematic_values(display, momenta, mass_value)
+                    oracle = display.substitute({s: rf(v) for s, v in point.items()}).constant_value()
+                    chk.expect(
+                        left == oracle,
+                        n=n,
+                        trial=trial,
+                        compared="evaluator vs substitution",
+                        left=str(left),
+                        right=str(oracle),
+                    )
                 chk.expect(
                     left == right,
                     n=n,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffeorules import verify
-from diffeorules.algebra import RF_ONE, Scalar, rf, generic_symbol
+from diffeorules.algebra import RF_ONE, Polynomial, RationalFunction, Scalar, rf, generic_symbol
 from diffeorules.rules import NonlocalSpec
 from diffeorules.verify import (
     CheckSpec,
@@ -113,6 +113,14 @@ def plus_one_at(step):
     return wrap
 
 
+def drop_first_imaginary_term(r):
+    terms = dict(r.poly.terms)
+    first = next((m for m, c in terms.items() if c.im), None)
+    if first is not None:
+        del terms[first]
+    return RationalFunction(Polynomial(terms))
+
+
 class TestOracleFaults:
     """Every check fails when the oracle it compares against is broken; the
     five checks without a ``tamper`` hook are broken from outside."""
@@ -158,6 +166,27 @@ class TestOracleFaults:
         assert report.witness["n"] == 4
         assert report.witness["trial"] == 0
         assert report.witness["compared"] == "display vs subset vertex"
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda evaluate, r, values: Scalar(0),
+            lambda evaluate, r, values: evaluate(drop_first_imaginary_term(r), values),
+        ],
+        ids=["zero", "drops a term"],
+    )
+    def test_broken_evaluator_fails_kinematics(self, fault, monkeypatch):
+        # Both faults pass the conservation identity (zero, all terms real),
+        # the display vs subset comparison and determinism.
+        evaluate = RationalFunction.evaluate
+        monkeypatch.setattr(RationalFunction, "evaluate", lambda r, values: fault(evaluate, r, values))
+        report = check_kinematics(n_values=(3, 4), trials=2)
+        assert report.status == "fail"
+        assert {key: report.witness[key] for key in ("n", "trial", "compared")} == {
+            "n": 3,
+            "trial": 0,
+            "compared": "evaluator vs substitution",
+        }
 
     def test_broken_nonlocal_beta_fails_its_generating_function(self, monkeypatch):
         beta = verify.rules.nonlocal_beta
