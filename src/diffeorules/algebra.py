@@ -152,9 +152,11 @@ def edge_symbol(subset: Iterable[int], generalized: bool = False) -> Symbol:
 
 
 def _exact(x) -> int | Fraction:
-    """Exact ``Fraction(x)``, returned as an ``int`` when it is integral."""
-    q = x if isinstance(x, Fraction) else Fraction(x)
-    return q.numerator if q.denominator == 1 else q
+    """``x``, an ``int`` or ``Fraction``, returned as an ``int`` when it is
+    integral; any other value (a float has no exact value) is refused."""
+    if not isinstance(x, (int, Fraction)):
+        raise AlgebraError(f"exact values are int or Fraction, got {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 def _fmt_fraction(q: int | Fraction) -> str:
@@ -836,7 +838,7 @@ def rf(value) -> RationalFunction:
         return RationalFunction(Polynomial.symbol(value))
     if isinstance(value, Scalar):
         return RationalFunction(Polynomial.constant(value))
-    return RationalFunction(Polynomial.constant(Fraction(value)))
+    return RationalFunction(Polynomial.constant(value))
 
 
 def parse_rational(text: str) -> Fraction:

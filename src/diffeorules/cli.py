@@ -50,8 +50,8 @@ RULES_MAX_N = 14
 # defaults.  max_n: the default suite takes about 2 s at 7, and at 8
 # ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 0.07 s
 # to 0.3 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
-# ``kinematics`` takes 2-3 ms a trial.  dimension: ``kinematics`` takes 5-6 s
-# at 1024.
+# ``kinematics`` takes about 1 ms a trial.  dimension: ``kinematics`` takes
+# 3-4 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # Largest (max(s_values) - 1) * order**2: the Fuss-Catalan residual of
 # ``adiabatic`` multiplies an order-term series s - 1 times, so its cost grows
@@ -59,7 +59,7 @@ VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # and s = 30001 at order 10 (20 s).
 VERIFY_RESIDUAL_WORK = 3_000_000
 # Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
-# (5-6 s).  The caps above alone allow 5000 trials at 1024, about 10 minutes.
+# (3-4 s).  The caps above alone allow 5000 trials at 1024, about 6 minutes.
 VERIFY_KINEMATICS_WORK = 51_200
 # Longest ``suite.s_values``: each power adds one ``interaction_cancellation``
 # and one ``adiabatic`` run, at most about 23 s together (s = 3, max_n 7).
@@ -341,7 +341,7 @@ def _suite_params(args, cfg: dict) -> dict:
         ("order", args.order, 10, 1),
         ("seed", args.seed, 1, None),
         ("trials", None, 50, 1),
-        ("dimension", None, 4, 1),
+        ("dimension", None, 4, 2),
     ):
         value = flag if flag is not None else section.get(key, default)
         if not _is_int(value) or (least is not None and value < least):

@@ -330,6 +330,26 @@ def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
     return out
 
 
+def coupling_linear_terms(s: int, n: int) -> dict[int, RationalFunction]:
+    """Nonzero per-valence terms of :func:`coupling_linear_closed_form`:
+    ``-i lambda_s B_{k,s}(1! a_0, 2! a_1, ...) B_{n,k}(b_1, b_2, ...)`` by
+    the valence k of the interaction vertex."""
+    if n < s:
+        raise AlgebraError("the coupling-linear sum needs n >= s")
+    tangent = _tangent_args(symbolic_coeffs, n)
+    b_args = [tree_sum_closed_form(j) for j in range(1, n + 1)]
+    scale = RF_MINUS_I * rf(coupling(s))
+    terms = {}
+    for k in range(s, n + 1):
+        left = bell_partial(k, s, tangent[: k - s + 1])
+        if left.is_zero():
+            continue
+        right = bell_partial(n, k, b_args[: n - k + 1])
+        if not right.is_zero():
+            terms[k] = left * right * scale
+    return terms
+
+
 def coupling_linear_closed_form(s: int, n: int) -> RationalFunction:
     """Bell-sum form of the coupling-linear onshell tree sum S^(s)_n of
     symbolic coefficients.
@@ -337,17 +357,4 @@ def coupling_linear_closed_form(s: int, n: int) -> RationalFunction:
     With b_k the one-offshell tree sums of the same coefficients this equals
     -i lambda_s * delta_{n,s}.
     """
-    if n < s:
-        raise AlgebraError("the coupling-linear sum needs n >= s")
-    tangent = _tangent_args(symbolic_coeffs, n)
-    b_args = [tree_sum_closed_form(j) for j in range(1, n + 1)]
-    total = RF_ZERO
-    for k in range(s, n + 1):
-        left = bell_partial(k, s, tangent[: k - s + 1])
-        if left.is_zero():
-            continue
-        right = bell_partial(n, k, b_args[: n - k + 1])
-        if right.is_zero():
-            continue
-        total = total + left * right
-    return total * RF_MINUS_I * rf(coupling(s))
+    return sum(coupling_linear_terms(s, n).values(), RF_ZERO)

@@ -21,6 +21,7 @@ from .algebra import (
     RF_ZERO,
     Scalar,
     coupling,
+    diffeo_coeff,
     edge_symbol,
     fixed_offshell,
     generic_symbol,
@@ -137,23 +138,29 @@ def check_bn(max_n: int = 7, tamper: Tamper | None = None) -> Report:
     return chk.report()
 
 
+def _expect_one_offshell_shape(chk: _Checker, n: int, theory: TheorySpec, compared: tuple[str, str]) -> tuple:
+    """Compare A^0_n with zero and each A^1_n with -i b_{n-1} x_j under the
+    labels ``compared``; return b_{n-1} and the sum of the A^1_n."""
+    onshell = trees.amputated_tree_sum(n, (), theory, _SYMBOLIC).value
+    chk.expect_zero(onshell, n=n, compared=compared[0])
+    b = series.tree_sum_closed_form(n - 1, _SYMBOLIC.a)
+    symmetric = RF_ZERO
+    for j in range(1, n + 1):
+        single = trees.amputated_tree_sum(n, {j}, theory, _SYMBOLIC).value
+        expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,)), theory.generalized))
+        chk.expect_equal(single, expect, n=n, offshell_leg=j, compared=compared[1])
+        symmetric = symmetric + single
+    return b, symmetric
+
+
 def check_smatrix_free(max_n: int = 7) -> Report:
     """Vanishing onshell amplitude and the one-offshell shape
     A^1_n = -i b_{n-1} (x_1 + ... + x_n) for the free diffeomorphism."""
+    theory = TheorySpec.free()
     with _Checker("smatrix_free", {"max_n": max_n}) as chk:
         for n in range(3, max_n + 1):
-            onshell = trees.amputated_tree_sum(n, (), diffeo=_SYMBOLIC).value
-            chk.expect_zero(onshell, n=n, compared="A0")
-            b = series.tree_sum_closed_form(n - 1, _SYMBOLIC.a)
-            symmetric = RF_ZERO
-            for j in range(1, n + 1):
-                single = trees.amputated_tree_sum(n, {j}, diffeo=_SYMBOLIC).value
-                expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,))))
-                chk.expect_equal(single, expect, n=n, offshell_leg=j, compared="A1 single leg")
-                symmetric = symmetric + single
-            total = RF_ZERO
-            for j in range(1, n + 1):
-                total = total + rf(edge_symbol(frozenset((j,))))
+            b, symmetric = _expect_one_offshell_shape(chk, n, theory, ("A0", "A1 single leg"))
+            total = sum((rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)), RF_ZERO)
             chk.expect_equal(symmetric, RF_MINUS_I * b * total, n=n, compared="A1 symmetrized")
     return chk.report()
 
@@ -166,20 +173,16 @@ def check_interaction_cancellation(s: int = 3, max_n: int = 8, tamper: Tamper | 
         for n in range(s, max_n + 1):
             result = trees.coupling_linear_tree_sum(n, s, _SYMBOLIC)
             expect = RF_MINUS_I * lam if n == s else RF_ZERO
-            formula = series.coupling_linear_closed_form(s, n)
+            terms = series.coupling_linear_terms(s, n)
+            formula = sum(terms.values(), RF_ZERO)
             if tamper is not None:
                 formula = tamper(n, formula)
             chk.expect_equal(result.value, expect, n=n, compared="enumeration vs delta")
             chk.expect_equal(formula, expect, n=n, compared="Bell formula vs delta")
             by_valence = result.metadata["by_valence"]
             for k in range(s, n + 1):
-                args1 = [_SYMBOLIC.a(m - 1).scaled(Scalar(series.factorial(m))) for m in range(1, k - s + 2)]
-                left = series.bell_partial(k, s, args1)
-                b_args = [series.tree_sum_closed_form(j, _SYMBOLIC.a) for j in range(1, n - k + 2)]
-                right = series.bell_partial(n, k, b_args)
-                term = left * right * lam * RF_MINUS_I
-                enum_term = by_valence.get(k, RF_ZERO)
-                chk.expect_equal(enum_term, term, n=n, valence=k, compared="per-valence term")
+                term = terms.get(k, RF_ZERO)
+                chk.expect_equal(by_valence.get(k, RF_ZERO), term, n=n, valence=k, compared="per-valence term")
     return chk.report()
 
 
@@ -238,13 +241,7 @@ def check_generalized(max_n: int = 6) -> Report:
     theory = TheorySpec.generalized_free()
     with _Checker("generalized", {"max_n": max_n}) as chk:
         for n in range(3, max_n + 1):
-            onshell = trees.amputated_tree_sum(n, (), theory, _SYMBOLIC).value
-            chk.expect_zero(onshell, n=n, compared="A0 generalized")
-            b = series.tree_sum_closed_form(n - 1, _SYMBOLIC.a)
-            for j in range(1, n + 1):
-                single = trees.amputated_tree_sum(n, {j}, theory, _SYMBOLIC).value
-                expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,)), True))
-                chk.expect_equal(single, expect, n=n, offshell_leg=j, compared="A1 generalized")
+            _expect_one_offshell_shape(chk, n, theory, ("A0 generalized", "A1 generalized"))
         for j in range(3, 6):
             for k in range(3, 6):
                 resid = trees.vertex_pair_edge_coefficient(j, k, _SYMBOLIC)
@@ -314,18 +311,19 @@ def check_kinematics(
             value = trees.evaluate_at_kinematics(identity4, momenta, mass_value)
             chk.expect(value.is_zero(), trial=trial, compared="four-point conservation identity", value=str(value))
         for n in n_values:
+            display = rules.free_vertex(n, [rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)], _SYMBOLIC)
             legs = frozenset(range(1, n + 1))
+            subset = rules.generalized_vertex([frozenset((j,)) for j in legs], legs, diffeo=_SYMBOLIC)
+            # Every symbol of the two forms but the a_j, for kinematic_values.
+            kinematic = sum((rf(s) for s in display.symbols() | subset.symbols() if s.kind != Kind.DIFFEO), RF_ZERO)
             for trial in range(trials):
-                bindings = {j: rf(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for j in range(1, n - 1)}
-                diffeo = DiffeoSpec.from_bindings(bindings) if bindings else DiffeoSpec.symbolic()
+                point = {diffeo_coeff(j): Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for j in range(1, n - 1)}
                 momenta = trees.random_conserving_momenta(n, dimension, rng)
                 mass_value = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-                display = rules.free_vertex(n, [rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)], diffeo)
-                subset = rules.generalized_vertex([frozenset((j,)) for j in range(1, n + 1)], legs, diffeo=diffeo)
-                left = trees.evaluate_at_kinematics(display, momenta, mass_value)
-                right = trees.evaluate_at_kinematics(subset, momenta, mass_value)
+                point.update(trees.kinematic_values(kinematic, momenta, mass_value))
+                left = display.evaluate(point)
+                right = subset.evaluate(point)
                 if trial == 0:
-                    point = trees.kinematic_values(display, momenta, mass_value)
                     oracle = display.substitute({s: rf(v) for s, v in point.items()}).constant_value()
                     chk.expect(
                         left == oracle,
@@ -343,8 +341,7 @@ def check_kinematics(
                     left=str(left),
                     right=str(right),
                 )
-                again = trees.evaluate_at_kinematics(display, momenta, mass_value)
-                chk.expect(left == again, n=n, trial=trial, compared="determinism")
+                chk.expect(left == display.evaluate(point), n=n, trial=trial, compared="determinism")
     return chk.report()
 
 

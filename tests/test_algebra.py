@@ -102,6 +102,23 @@ class TestScalar:
         assert s.re.denominator == 2 and s.re.numerator == 1
         assert s.im.numerator == -2 and s.im.denominator == 3
 
+    @pytest.mark.parametrize(
+        "build, shown",
+        [
+            (lambda: rf(0.1), "0.1"),
+            (lambda: Scalar(0.5), "0.5"),
+            (lambda: Scalar(1, 0.5), "0.5"),
+            (lambda: Polynomial.constant(0.25), "0.25"),
+            (lambda: DiffeoSpec.from_bindings({1: rf(1), 2: 0.2}).a(2), "0.2"),
+        ],
+        ids=["rf", "Scalar", "Scalar imaginary", "Polynomial.constant", "DiffeoSpec.a"],
+    )
+    def test_inexact_component_is_refused(self, build, shown):
+        # A float would enter as its binary fraction: rf(0.1) was
+        # 3602879701896397/36028797018963968.
+        with pytest.raises(AlgebraError, match=shown):
+            build()
+
 
 def _rand_poly(rng, symbols, max_terms=4):
     terms = {}

@@ -223,6 +223,17 @@ class TestVerifyCaps:
         (line,) = out.stderr.splitlines()
         assert str(cli.VERIFY_CAPS["order"]) in line
 
+    def test_dimension_below_two_is_refused_before_any_check(self, monkeypatch, tmp_path, capsys):
+        # A kinematic point needs momenta of dimension 2 or more.
+        runs = []
+        monkeypatch.setattr(verify, "run_suite", runs.append)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"suite": {"dimension": 1}}))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert runs == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "dimension" in line and "at least 2" in line
+
     def test_values_at_the_caps_are_accepted(self, monkeypatch, tmp_path):
         # trials and dimension cannot both be at their caps: each goes to its
         # cap with the other at the largest value the joint cap allows.

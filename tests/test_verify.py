@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diffeorules import verify
-from diffeorules.algebra import RF_ONE, Polynomial, RationalFunction, Scalar, rf, generic_symbol
+from diffeorules.algebra import RF_ONE, RF_ZERO, Polynomial, RationalFunction, Scalar, rf, generic_symbol
 from diffeorules.rules import NonlocalSpec
 from diffeorules.verify import (
     CheckSpec,
@@ -58,6 +58,19 @@ class TestIndividualChecks:
     def test_kinematics_passes(self):
         assert check_kinematics(n_values=(3, 4), trials=10, seed=1).status == "pass"
 
+    def test_kinematics_builds_each_vertex_form_once_per_valence(self, monkeypatch):
+        calls = []
+        for name in ("free_vertex", "generalized_vertex"):
+            rule = getattr(verify.rules, name)
+
+            def counted(*args, _rule=rule, _name=name, **kwargs):
+                calls.append(_name)
+                return _rule(*args, **kwargs)
+
+            monkeypatch.setattr(verify.rules, name, counted)
+        assert check_kinematics(n_values=(3, 4, 5), trials=7).status == "pass"
+        assert sorted(calls) == ["free_vertex"] * 3 + ["generalized_vertex"] * 3
+
 
 class TestFaultInjection:
     def test_perturbed_coefficient_fails_with_witness(self):
@@ -78,6 +91,24 @@ class TestFaultInjection:
         report = check_interaction_cancellation(s=3, max_n=4, tamper=tamper)
         assert report.status == "fail"
         assert report.witness["n"] == 4
+
+    def test_per_valence_term_moved_to_the_next_valence_fails(self, monkeypatch):
+        # The sum of the terms, and so "Bell formula vs delta", is unchanged.
+        terms_of = verify.series.coupling_linear_terms
+
+        def shifted(s, n):
+            terms = terms_of(s, n)
+            terms[s + 1] = terms.get(s + 1, RF_ZERO) + terms.pop(s)
+            return terms
+
+        monkeypatch.setattr(verify.series, "coupling_linear_terms", shifted)
+        report = check_interaction_cancellation(s=3, max_n=5)
+        assert report.status == "fail"
+        assert {key: report.witness[key] for key in ("n", "valence", "compared")} == {
+            "n": 3,
+            "valence": 3,
+            "compared": "per-valence term",
+        }
 
     def test_perturbed_bprime_fails(self):
         def tamper(n, value):
@@ -133,6 +164,10 @@ class TestOracleFaults:
                 {"n": 4, "offshell_leg": 1, "compared": "A1 single leg"},
             ),
             (
+                verify.series, "tree_sum_closed_form", 3, lambda: check_generalized(max_n=5),
+                {"n": 4, "offshell_leg": 1, "compared": "A1 generalized"},
+            ),
+            (
                 verify.series, "tree_sum_closed_form", 3, lambda: check_adiabatic(s=3, max_n=4),
                 {"k": 3, "compared": "closed-form b_k"},
             ),
@@ -145,7 +180,7 @@ class TestOracleFaults:
                 {"n": 2, "compared": "identity transform beta"},
             ),
         ],
-        ids=["smatrix_free", "adiabatic", "generalized", "nonlocal"],
+        ids=["smatrix_free", "generalized one offshell", "adiabatic", "generalized", "nonlocal"],
     )
     def test_broken_oracle_fails_at_its_step(self, module, name, step, run, witness, monkeypatch):
         monkeypatch.setattr(module, name, plus_one_at(step)(getattr(module, name)))
@@ -166,6 +201,22 @@ class TestOracleFaults:
         assert report.witness["n"] == 4
         assert report.witness["trial"] == 0
         assert report.witness["compared"] == "display vs subset vertex"
+
+    def test_broken_display_vertex_fails_kinematics(self, monkeypatch):
+        vertex = verify.rules.free_vertex
+
+        def faulty(n, *args, **kwargs):
+            value = vertex(n, *args, **kwargs)
+            return value + RF_ONE if n == 5 else value
+
+        monkeypatch.setattr(verify.rules, "free_vertex", faulty)
+        report = check_kinematics(n_values=(3, 4, 5), trials=2)
+        assert report.status == "fail"
+        assert {key: report.witness[key] for key in ("n", "trial", "compared")} == {
+            "n": 5,
+            "trial": 0,
+            "compared": "display vs subset vertex",
+        }
 
     @pytest.mark.parametrize(
         "fault",
