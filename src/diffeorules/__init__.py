@@ -39,6 +39,7 @@ from .series import (
     fuss_catalan,
     gn_explicit,
     inverse_series_tree_sum,
+    inverse_series_tree_sums,
     invert,
     tree_sum_closed_form,
     tuned_diffeo_coeffs,

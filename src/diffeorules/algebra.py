@@ -262,6 +262,7 @@ _BIAS = 0
 _TOP = 0
 _PLAIN = 0  # the fields of symbols that may not divide (not offshell)
 _new = int.__new__
+_alloc = object.__new__
 
 
 def _unit(symbol: Symbol) -> "Monomial":
@@ -442,11 +443,59 @@ def merge_terms(terms: dict, items: Iterable[tuple[Monomial, Scalar]]) -> dict:
         acc = terms.get(m)
         if acc is None:
             terms[m] = c
-        elif (new := acc + c).is_zero():
-            del terms[m]
+            continue
+        re, im = acc.re + c.re, acc.im + c.im
+        if re or im:
+            terms[m] = Scalar(re, im)
         else:
-            terms[m] = new
+            del terms[m]
     return terms
+
+
+def mul_into(out: dict, x: Mapping[Monomial, Scalar], y: Mapping[Monomial, Scalar]) -> dict:
+    """Add the product of the term maps ``x`` and ``y`` into the term map
+    ``out`` in place, dropping the terms that cancel; returns ``out``.
+
+    This is the one multiply-accumulate kernel of the package: every
+    product of two polynomials, and every product the tree-sum engine adds
+    into a sum, comes here.  Each term pair lands in ``out`` as it is
+    formed (Monagan & Pearce, CASC 2007), with no product dict and no
+    second merging pass: the packed monomials add as ints under the mask
+    test of :meth:`Monomial.__mul__`, and the Gaussian components multiply
+    and add inline.  ``out`` keeps the invariants of a term map: every key
+    is a :class:`Monomial`, and every component an ``int`` when it is
+    integral and a ``Fraction`` otherwise.  ``out`` must not be ``x`` or
+    ``y``, and must not be a map that a kept value still holds.
+    """
+    if len(x) > len(y):
+        x, y = y, x
+    bias, top = _BIAS, _TOP
+    get, scalar, exact = out.get, _alloc, _exact
+    for m1, c1 in x.items():
+        a, b = c1.re, c1.im
+        for m2, c2 in y.items():
+            m = m1 + m2
+            if (m + bias) & top:
+                raise AlgebraError(_OUT_OF_RANGE)
+            c, d = c2.re, c2.im
+            if b:
+                re, im = a * c - b * d, a * d + b * c
+            else:
+                re, im = a * c, a * d
+            acc = get(m)
+            if acc is None:  # a stored key keeps its Monomial; a new one needs it
+                m = _new(Monomial, m)
+            else:
+                re += acc.re
+                im += acc.im
+                if not (re or im):
+                    del out[m]
+                    continue
+            # Scalar.__init__ without its call frame.
+            out[m] = s = scalar(Scalar)
+            s.re = re if type(re) is int else exact(re)
+            s.im = im if type(im) is int else exact(im)
+    return out
 
 
 class Polynomial:
@@ -505,21 +554,7 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()}, _trusted=True)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.terms or not other.terms:
-            return Polynomial()
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        if len(self.terms) == 1:
-            ((m1, c1),) = self.terms.items()
-            if m1:
-                return Polynomial(
-                    {m1 * m2: c1 * c2 for m2, c2 in other.terms.items()}, _trusted=True
-                )
-            return other.scaled(c1)
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            merge_terms(out, ((m1 * m2, c1 * c2) for m2, c2 in other.terms.items()))
-        return Polynomial(out, _trusted=True)
+        return Polynomial(mul_into({}, self.terms, other.terms), _trusted=True)
 
     def scaled(self, c: Scalar) -> "Polynomial":
         if c.is_zero():

@@ -40,26 +40,26 @@ class ConfigError(Exception):
 
 # Largest ``treesum --n``: S_8 is the default suite's largest sum, and the
 # values bound the cap (the counts come from a size recursion in well under
-# a second).  At 9, b and S each take about 1.5 s; b_40 or S_30 would
-# not end.
+# a second).  At 9, b and S each take about 1.0-1.2 s on a 2-core host;
+# b_40 or S_30 would not end.
 TREESUM_MAX_N = 9
 # Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
 # about 1.6-1.8 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
-# defaults.  max_n: the default suite takes about 2 s at 7, and at 8
-# ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes from 0.07 s
-# to 0.3 s).  order: the Fuss-Catalan residual takes 13 s at 1000.  trials:
-# ``kinematics`` takes about 1 ms a trial.  dimension: ``kinematics`` takes
-# 3-4 s at 1024.
+# defaults on a 2-core host.  max_n: the default suite takes about 1.5 s at 7,
+# and at 8 ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes
+# from 0.04-0.05 s to 0.17-0.19 s).  order: the Fuss-Catalan residual takes
+# 5-7 s at 1000.  trials: ``kinematics`` takes about 1 ms a trial.
+# dimension: ``kinematics`` takes about 3 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # Largest (max(s_values) - 1) * order**2: the Fuss-Catalan residual of
 # ``adiabatic`` multiplies an order-term series s - 1 times, so its cost grows
-# as that product.  3e6 is order 1000 at s = 4 (the default s_values, 13 s)
+# as that product.  3e6 is order 1000 at s = 4 (the default s_values, 5-7 s)
 # and s = 30001 at order 10 (20 s).
 VERIFY_RESIDUAL_WORK = 3_000_000
 # Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
-# (3-4 s).  The caps above alone allow 5000 trials at 1024, about 6 minutes.
+# (about 3 s).  The caps above alone allow 5000 trials at 1024, about 6 minutes.
 VERIFY_KINEMATICS_WORK = 51_200
 # Longest ``suite.s_values``: each power adds one ``interaction_cancellation``
 # and one ``adiabatic`` run, at most about 23 s together (s = 3, max_n 7).
@@ -258,6 +258,13 @@ def cmd_treesum(args, cfg: dict) -> int:
     if n > TREESUM_MAX_N:
         raise ConfigError(f"treesum --n is limited to {TREESUM_MAX_N}; the sums grow factorially in n")
     kind = args.kind
+    for flag, given, kinds in (
+        ("--offshell", args.offshell is not None, ("A",)),
+        ("--reduced", args.reduced, ("bprime",)),
+        ("--s", args.s is not None, ("bprime", "S")),
+    ):
+        if given and kind not in kinds:
+            raise ConfigError(f"treesum {flag} is not read by --kind {kind}")
     offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
     if kind in ("bprime", "S"):
         theory = _single_interaction(kind, args.s, theory)

@@ -300,13 +300,20 @@ def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFuncti
     return total
 
 
+def inverse_series_tree_sums(order: int) -> list[RationalFunction]:
+    """``[b_0, ..., b_order]`` of symbolic coefficients, ``b_n`` being n!
+    times the n-th coefficient of the inverse of the field map: one
+    inversion gives every ``b_n`` up to ``order``."""
+    coeffs = [RF_ZERO] + [symbolic_coeffs(j - 1) for j in range(1, order + 1)]
+    inverse = invert(PowerSeries(coeffs))
+    return [c.scaled(Scalar(factorial(n))) for n, c in enumerate(inverse.coeffs)]
+
+
 def inverse_series_tree_sum(n: int, order: int | None = None) -> RationalFunction:
-    """b_n of symbolic coefficients as n! times the n-th coefficient of the
-    inverse of the field map."""
-    size = order if order is not None else n
-    coeffs = [RF_ZERO] + [symbolic_coeffs(j - 1) for j in range(1, size + 1)]
-    series = PowerSeries(coeffs)
-    return invert(series)[n].scaled(Scalar(factorial(n)))
+    """b_n as :func:`inverse_series_tree_sums` gives it, from the inverse
+    truncated at ``order`` (by default ``n``); 0 beyond ``order``."""
+    sums = inverse_series_tree_sums(order if order is not None else n)
+    return sums[n] if 0 <= n < len(sums) else RF_ZERO
 
 
 def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:

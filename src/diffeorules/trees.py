@@ -50,6 +50,7 @@ from .algebra import (
     coupling,
     edge_symbol,
     merge_terms,
+    mul_into,
     rf,
 )
 from .rules import (
@@ -324,11 +325,16 @@ def _add(acc: dict, key, x: Polynomial) -> None:
 def _mul_into(acc: dict, x: dict, y: dict) -> dict:
     """Add the keyed product ``x * y`` into ``acc`` and return ``acc``.  A
     key is the valence of the one interaction vertex (``_NO_INT``: none), so
-    a pair whose factors both carry one is dropped."""
+    a pair whose factors both carry one is dropped.  Each product lands in
+    its accumulator through :func:`mul_into`; an absent entry starts empty,
+    so as with :func:`_add` no kept sum is ever written into."""
     for k1, x1 in x.items():
         for k2, x2 in y.items():
             if not (k1 and k2):
-                _add(acc, k1 or k2, x1 * x2)
+                target = acc.get(k1 or k2)
+                if target is None:
+                    target = acc[k1 or k2] = Polynomial()
+                mul_into(target.terms, x1.terms, x2.terms)
     return acc
 
 
@@ -456,14 +462,17 @@ class TreeSumEngine:
         for partition in set_partitions(legs):
             if len(partition) < 2:
                 continue
-            merged = None
-            for b in partition:
-                if len(b) > 1:  # a bare leg contributes the factor one
-                    g = self._tables(frozenset(b))[0]
-                    merged = g if merged is None else _mul_into({}, merged, g)
+            # A bare leg contributes the factor one.
+            factors = [self._tables(frozenset(b))[0] for b in partition if len(b) > 1]
             forest = forests.setdefault(len(partition), {})
-            for key, x in (merged if merged is not None else {_NO_INT: _ONE}).items():
-                _add(forest, key, x)
+            if len(factors) < 2:
+                for key, x in (factors[0] if factors else {_NO_INT: _ONE}).items():
+                    _add(forest, key, x)
+                continue
+            merged = factors[0]
+            for g in factors[1:-1]:
+                merged = _mul_into({}, merged, g)
+            _mul_into(forest, merged, factors[-1])  # the last factor lands in F_k
         forests = {k: nonzero for k, f in forests.items() if (nonzero := _nonzero(f))}
         edge = self._edge(block)
         p: dict = {}

@@ -27,6 +27,7 @@ from diffeorules.algebra import (
     fixed_offshell,
     generic_symbol,
     mass_sq,
+    mul_into,
     parse_rational,
     rf,
 )
@@ -448,3 +449,72 @@ def test_term_keys_are_monomials():
         assert type(value.den) is Monomial
     assert sum(len(value.poly.terms) for value in values) > 500
     assert any(value.den.pairs for value in values)
+
+
+# Terms for the kernel's property: Gaussian coefficients whose components mix
+# ints and proper Fractions, over a plain symbol and offshell symbols that
+# may carry negative exponents.
+_component = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(2, 5)),
+)
+_scalar = st.builds(Scalar, _component, _component).filter(lambda c: not c.is_zero())
+_monomial = st.builds(
+    lambda a, x1, x2, xp: Monomial([(A1, a), (X1, x1), (X12, x2), (XP, xp)]),
+    st.integers(0, 3),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+)
+_term_map = st.dictionaries(_monomial, _scalar, max_size=6)
+
+
+def _termwise_product(out: dict, x: dict, y: dict) -> dict:
+    """Oracle: each term pair through ``Monomial.__mul__`` and
+    ``Scalar.__mul__``, summed with ``Scalar.__add__``, zeros dropped."""
+    acc = dict(out)
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = m1 * m2
+            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+    return {m: c for m, c in acc.items() if not c.is_zero()}
+
+
+def _assert_term_map(terms: dict) -> None:
+    for m, c in terms.items():
+        assert type(m) is Monomial
+        for part in (c.re, c.im):
+            assert type(part) is int or (type(part) is Fraction and part.denominator != 1), (m, c)
+        assert not c.is_zero()
+
+
+class TestMulInto:
+    @settings(max_examples=300, deadline=None)
+    @given(_term_map, _term_map, _term_map, st.data())
+    def test_agrees_with_termwise_products(self, x, y, extra, data):
+        # ``out`` starts empty, or holds the negation of part of the product
+        # (so those terms cancel) plus unrelated terms.
+        product = _termwise_product({}, x, y)
+        cancel = data.draw(st.sets(st.sampled_from(sorted(product)))) if product else set()
+        out = {m: c for m, c in extra.items() if m not in product}
+        out.update({m: -product[m] for m in cancel})
+        for start in ({}, out):
+            expect = _termwise_product(start, x, y)
+            got = mul_into(dict(start), x, y)
+            assert got == expect
+            _assert_term_map(got)
+        poly = Polynomial(x) * Polynomial(y)
+        assert poly.terms == product
+        _assert_term_map(poly.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(EXPONENT_MIN, EXPONENT_MAX), st.integers(-3, 3), _scalar, _scalar)
+    def test_exponent_out_of_range_raises(self, e, f, c1, c2):
+        x, y = {Monomial([(X1, e)]): c1}, {Monomial([(X1, f)]): c2}
+        if EXPONENT_MIN <= e + f <= EXPONENT_MAX:
+            assert mul_into({}, x, y) == _termwise_product({}, x, y)
+        else:
+            with pytest.raises(AlgebraError, match="out of range"):
+                mul_into({}, x, y)
+            with pytest.raises(AlgebraError, match="out of range"):
+                Polynomial(x) * Polynomial(y)

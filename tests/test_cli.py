@@ -115,6 +115,35 @@ class TestTreesum:
         (line,) = out.stderr.splitlines()
         assert str(cli.TREESUM_MAX_N) in line
 
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [
+            ("b", ["--offshell", "1"]),
+            ("bprime", ["--offshell", "none"]),
+            ("S", ["--offshell", "all"]),
+            ("b", ["--reduced"]),
+            ("A", ["--reduced"]),
+            ("S", ["--reduced"]),
+            ("b", ["--s", "3"]),
+            ("A", ["--s", "4"]),
+        ],
+    )
+    def test_a_flag_the_kind_does_not_read_is_refused(self, kind, flag):
+        out = run_cli("treesum", "--kind", kind, "--n", "3", *flag)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert flag[0] in line and f"--kind {kind}" in line
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [("A", ["--offshell", "1"]), ("bprime", ["--reduced"]), ("bprime", ["--s", "4"]), ("S", ["--s", "4"])],
+    )
+    def test_a_flag_the_kind_reads_is_accepted(self, kind, flag):
+        out = run_cli("treesum", "--kind", kind, "--n", "3", *flag)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+
     @pytest.mark.parametrize("kind", ["bprime", "S"])
     def test_interacting_sums_refuse_generalized_theory(self, kind, tmp_path):
         cfg = {"theory": {"propagator": "generalized"}}

@@ -403,6 +403,37 @@ class TestEngineMemo:
         unchanged()
         assert legs not in walked._blocks
 
+    @pytest.mark.parametrize("kind", ("b6", "S3_6"))
+    def test_products_never_land_in_a_kept_table(self, kind):
+        # Every product adds straight into its accumulator; repeating a walk
+        # over the kept tables must leave each G, P and Q table as it was.
+        legs = frozenset(range(1, 7))
+        if kind == "b6":
+            def engine():
+                return TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
+            top = legs
+        else:
+            def engine():
+                return TreeSumEngine(
+                    legs, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.standard(3), single=True
+                )
+            top = legs - {6}
+        walked = engine()
+
+        def snapshot():
+            return {
+                block: tuple({k: dict(x.terms) for k, x in table.items()} for table in tables)
+                for block, tables in walked._blocks.items()
+            }
+
+        first = walked.subtree_sums(top)
+        kept = snapshot()
+        sub = frozenset({1, 2, 3, 4})
+        assert sub in kept and len(kept) == 2 ** len(top) - 2
+        assert walked.subtree_sums(top) == first
+        assert walked.subtree_sums(sub) == engine().subtree_sums(sub)
+        assert snapshot() == kept
+
     def test_a_block_never_holds_the_root(self):
         legs = frozenset(range(1, 4))
         engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())

@@ -71,6 +71,31 @@ class TestIndividualChecks:
         assert check_kinematics(n_values=(3, 4, 5), trials=7).status == "pass"
         assert sorted(calls) == ["free_vertex"] * 3 + ["generalized_vertex"] * 3
 
+    def test_bn_inverts_the_series_once(self, monkeypatch):
+        orders = []
+        invert = verify.series.invert
+
+        def counted(f):
+            orders.append(f.order)
+            return invert(f)
+
+        monkeypatch.setattr(verify.series, "invert", counted)
+        assert check_bn(max_n=5).status == "pass"
+        assert orders == [5]
+
+    def test_bn_fails_against_a_broken_inverse(self, monkeypatch):
+        invert = verify.series.invert
+
+        def broken(f):
+            out = invert(f)
+            out.coeffs[4] = out.coeffs[4] + RF_ONE
+            return out
+
+        monkeypatch.setattr(verify.series, "invert", broken)
+        report = check_bn(max_n=5)
+        assert report.status == "fail"
+        assert report.witness["n"] == 4 and report.witness["compared"] == "enumerated vs series inverse"
+
 
 class TestFaultInjection:
     def test_perturbed_coefficient_fails_with_witness(self):
