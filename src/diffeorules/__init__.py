@@ -33,12 +33,10 @@ from .series import (
     bell_partial,
     compose,
     compose_naive,
-    coupling_linear_closed_form,
     fc_functional_residual,
     fc_series,
     fuss_catalan,
     gn_explicit,
-    inverse_series_tree_sum,
     inverse_series_tree_sums,
     invert,
     tree_sum_closed_form,

@@ -2,11 +2,12 @@
 verification suite.
 
 Configuration is a JSON document with top-level keys ``theory``, ``diffeo``
-and ``suite``; ``verify`` reads only ``suite``.  Rational literals use the
-exact string form ``"p/q"``; symbolic coefficients use the bare names ``a1``,
-``lambda3``, ``xp``, ``msq``.  Exit codes: 0 pass, 1 check failure, 2 usage or
-configuration error, 130 interrupted, 141 stdout closed by its reader.  Data
-goes to stdout, diagnostics to stderr.
+and ``suite``; ``verify`` reads only ``suite``, and a key that nothing reads
+is refused.  Rational literals use the exact string form ``"p/q"``; symbolic
+coefficients use the bare names ``a1``, ``lambda3``, ``xp``, ``msq``.  Exit
+codes: 0 pass, 1 check failure, 2 usage or configuration error, 130
+interrupted, 141 stdout closed by its reader.  Data goes to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
 # defaults on a 2-core host.  max_n: the default suite takes about 1.5 s at 7,
 # and at 8 ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes
-# from 0.04-0.05 s to 0.17-0.19 s).  order: the Fuss-Catalan residual takes
-# 5-7 s at 1000.  trials: ``kinematics`` takes about 1 ms a trial.
+# from 0.04-0.05 s to 0.17-0.19 s).  order: ``adiabatic`` takes 1.6-3.1 s at
+# 1000, most of it the Fuss-Catalan residual.  trials: ``kinematics`` takes
+# about 1 ms a trial.
 # dimension: ``kinematics`` takes about 3 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # Largest (max(s_values) - 1) * order**2: the Fuss-Catalan residual of
 # ``adiabatic`` multiplies an order-term series s - 1 times, so its cost grows
-# as that product.  3e6 is order 1000 at s = 4 (the default s_values, 5-7 s)
-# and s = 30001 at order 10 (20 s).
+# as that product.  3e6 is order 1000 at s = 4 (the default s_values,
+# 2.7-3.1 s) and s = 30001 at order 10 (4.2-4.3 s).
 VERIFY_RESIDUAL_WORK = 3_000_000
 # Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
 # (about 3 s).  The caps above alone allow 5000 trials at 1024, about 6 minutes.
@@ -110,7 +112,35 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} nests too deeply: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(cfg, _CONFIG_KEYS, "")
     return cfg
+
+
+# The keys the program reads, level by level; a list holds the keys of each
+# of its entries.  ``load_config`` refuses any other key, so a misspelt key
+# cannot be dropped without a word.
+_CONFIG_KEYS = {
+    "theory": {"propagator": None, "mass_sq": None, "interactions": [{"s": None, "coupling": None}]},
+    "diffeo": {"a": None},
+    "suite": dict.fromkeys(("max_n", "order", "seed", "trials", "dimension", "s_values")),
+}
+
+
+def _check_keys(value, known, path: str) -> None:
+    """Refuse a key of ``value``, the config entry named ``path``, that
+    ``known`` does not list.  A value of the wrong type is left to the code
+    that reads it, whose error names it."""
+    if isinstance(known, list) and isinstance(value, list):
+        for i, entry in enumerate(value):
+            _check_keys(entry, known[0], f"{path}[{i}]")
+    elif isinstance(known, dict) and isinstance(value, dict):
+        names = {key: f"{path}.{key}" if path else key for key in value}
+        unknown = [names[key] for key in value if key not in known]
+        if unknown:
+            noun = "key" if len(unknown) == 1 else "keys"
+            raise ConfigError(f"unknown config {noun} {', '.join(unknown)}; known: {', '.join(sorted(known))}")
+        for key, entry in value.items():
+            _check_keys(entry, known[key], names[key])
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -128,20 +158,14 @@ def build_diffeo(cfg: dict) -> DiffeoSpec:
         return DiffeoSpec.symbolic()
     if not isinstance(coeffs, dict):
         raise ConfigError("diffeo.a must be \"symbolic\" or an index->value object")
-    bindings = _index_table(section, "diffeo", "a")
+    bindings = {}
+    for k, value in coeffs.items():
+        if not (k.isascii() and k.isdigit()):
+            raise ConfigError(f"diffeo.a keys must be integers >= 0, got {k!r}")
+        bindings[int(k)] = _parse_value(value)
     if 0 in bindings:
         raise ConfigError("a0 is fixed to 1; the substitution is tangent to identity")
     return DiffeoSpec.from_bindings(bindings)
-
-
-def _index_table(section: dict, name: str, key: str) -> dict[int, RationalFunction]:
-    """``<name>.<key>``: an object from indices ``k >= 0`` to values."""
-    table = {}
-    for k, value in _section(section, key).items():
-        if not (k.isascii() and k.isdigit()):
-            raise ConfigError(f"{name}.{key} keys must be integers >= 0, got {k!r}")
-        table[int(k)] = _parse_value(value)
-    return table
 
 
 def build_theory(cfg: dict) -> TheorySpec:
@@ -162,18 +186,7 @@ def build_theory(cfg: dict) -> TheorySpec:
             raise ConfigError("interaction powers start at 3")
         value = entry.get("coupling", f"lambda{s}")
         interactions.append(Interaction(s, _parse_value(value)))
-    tables = [key for key in ("beta", "alpha") if section.get(key) is not None]
-    if tables and kind == "standard":
-        raise ConfigError(f"theory.{tables[0]} needs the generalized propagator")
-    if len(tables) > 1:
-        raise ConfigError("theory.beta and theory.alpha exclude each other; give one")
-    beta = None
-    if tables == ["beta"]:
-        beta = _index_table(section, "theory", "beta")
-    elif tables == ["alpha"]:
-        alpha = _index_table(section, "theory", "alpha")
-        beta = rules.NonlocalSpec(alpha=alpha, mass_sq_value=mass).beta_table()
-    return TheorySpec(kind=kind, mass_sq_value=mass, interactions=tuple(interactions), beta=beta)
+    return TheorySpec(kind=kind, mass_sq_value=mass, interactions=tuple(interactions))
 
 
 def _emit(payload: dict, fmt: str) -> None:

@@ -132,7 +132,6 @@ class TheorySpec:
     kind: str = "standard"  # "standard" (quadratic) or "generalized"
     mass_sq_value: RationalFunction = field(default_factory=lambda: rf(mass_sq()))
     interactions: tuple[Interaction, ...] = ()
-    beta: Mapping[int, RationalFunction] | None = None
 
     def __post_init__(self):
         if self.kind not in ("standard", "generalized"):
@@ -189,12 +188,8 @@ class NonlocalSpec:
     def max_alpha(self) -> int:
         return max((k for k, v in self.alpha.items() if not v.is_zero()), default=0)
 
-    def beta_table(self) -> dict[int, RationalFunction]:
-        return {n: nonlocal_beta(n, self) for n in range(2 * self.max_alpha() + 2)}
-
     def induced_theory(self) -> TheorySpec:
-        return TheorySpec(kind="generalized", mass_sq_value=self.mass_sq_value,
-                          beta=self.beta_table())
+        return TheorySpec(kind="generalized", mass_sq_value=self.mass_sq_value)
 
 
 def nonlocal_beta(n: int, spec: NonlocalSpec) -> RationalFunction:

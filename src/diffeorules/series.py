@@ -3,9 +3,9 @@ the closed-form coefficient formulas built on them.
 
 Series coefficients are :class:`~diffeorules.algebra.RationalFunction`, so
 one code path serves numeric and symbolic diffeomorphism coefficients alike.
-Composition exists twice on purpose: the Bell-polynomial route is the
-production path and the naive truncated-substitution route is its oracle in
-the test suite.
+Composition exists twice on purpose, and only for the tests: the
+Bell-polynomial route checks the round trip of :func:`invert`, and the naive
+truncated-substitution route is its oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .algebra import (
     coupling,
     diffeo_coeff,
     fixed_offshell,
+    mul_into,
     rf,
 )
 
@@ -107,15 +108,18 @@ class PowerSeries:
         return PowerSeries([self[i] - other[i] for i in range(n + 1)])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        # Each output coefficient accumulates all its products in one term
+        # map through the package's multiply-accumulate kernel.
         n = min(self.order, other.order)
-        out = [RF_ZERO] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if ci.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                cj = other[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
+        xs = [c.poly.terms for c in self.coeffs[: n + 1]]
+        ys = [c.poly.terms for c in other.coeffs[: n + 1]]
+        out = []
+        for k in range(n + 1):
+            terms: dict = {}
+            for i in range(k + 1):
+                if xs[i] and ys[k - i]:
+                    mul_into(terms, xs[i], ys[k - i])
+            out.append(RationalFunction(Polynomial(terms, _trusted=True)))
         return PowerSeries(out)
 
     def __pow__(self, k: int) -> "PowerSeries":
@@ -309,13 +313,6 @@ def inverse_series_tree_sums(order: int) -> list[RationalFunction]:
     return [c.scaled(Scalar(factorial(n))) for n, c in enumerate(inverse.coeffs)]
 
 
-def inverse_series_tree_sum(n: int, order: int | None = None) -> RationalFunction:
-    """b_n as :func:`inverse_series_tree_sums` gives it, from the inverse
-    truncated at ``order`` (by default ``n``); 0 beyond ``order``."""
-    sums = inverse_series_tree_sums(order if order is not None else n)
-    return sums[n] if 0 <= n < len(sums) else RF_ZERO
-
-
 def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
     """Coefficients of the diffeomorphism that cancels a power-s interaction
     at the fixed offshell value xp.
@@ -338,9 +335,11 @@ def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
 
 
 def coupling_linear_terms(s: int, n: int) -> dict[int, RationalFunction]:
-    """Nonzero per-valence terms of :func:`coupling_linear_closed_form`:
+    """Nonzero per-valence terms of the Bell-sum form of the coupling-linear
+    onshell tree sum S^(s)_n of symbolic coefficients:
     ``-i lambda_s B_{k,s}(1! a_0, 2! a_1, ...) B_{n,k}(b_1, b_2, ...)`` by
-    the valence k of the interaction vertex."""
+    the valence k of the interaction vertex.  With b_k the one-offshell tree
+    sums of the same coefficients, the terms sum to -i lambda_s delta_{n,s}."""
     if n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
     tangent = _tangent_args(symbolic_coeffs, n)
@@ -355,13 +354,3 @@ def coupling_linear_terms(s: int, n: int) -> dict[int, RationalFunction]:
         if not right.is_zero():
             terms[k] = left * right * scale
     return terms
-
-
-def coupling_linear_closed_form(s: int, n: int) -> RationalFunction:
-    """Bell-sum form of the coupling-linear onshell tree sum S^(s)_n of
-    symbolic coefficients.
-
-    With b_k the one-offshell tree sums of the same coefficients this equals
-    -i lambda_s * delta_{n,s}.
-    """
-    return sum(coupling_linear_terms(s, n).values(), RF_ZERO)

@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,10 @@ def run_cli(*args, config=None, tmp_path=None, timeout=None):
     return subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
 
 
-# Index tables that treesum would not read or cannot use, each with the key
-# its one-line error must name.
+# Index tables that treesum refuses, each with the key its one-line error must
+# name: the propagator tables ``theory.beta`` and ``theory.alpha`` are not
+# config keys, since a generalized edge variable stands for the whole
+# propagator polynomial, and ``diffeo.a`` takes integer indices.
 _BAD_INDEX_TABLES = [
     ({"theory": {"beta": {"1": "5"}}}, "theory.beta"),
     ({"theory": {"alpha": {"1": "5"}}}, "theory.alpha"),
@@ -433,8 +437,8 @@ class TestConfig:
         assert out.returncode == 0
         assert "value: 0" in out.stdout  # 12 (1/2)^2 - 6 (1/2) = 0
 
-    def test_generalized_theory_from_alpha(self, tmp_path):
-        cfg = {"theory": {"propagator": "generalized", "alpha": {"1": "1/3"}}}
+    def test_generalized_theory(self, tmp_path):
+        cfg = {"theory": {"propagator": "generalized"}}
         out = run_cli(
             "treesum", "--kind", "A", "--n", "3", "--offshell", "1",
             "--format", "json", config=cfg, tmp_path=tmp_path,
@@ -442,6 +446,46 @@ class TestConfig:
         payload = json.loads(out.stdout)
         assert payload["theory"] == "generalized"
         assert "X1" in payload["value"]
+
+    @pytest.mark.parametrize(
+        "cfg, argv, key",
+        [
+            ({"suite": {"max-n": 2}}, ["verify", "--check", "bn"], "suite.max-n"),
+            ({"sutie": {}}, ["verify", "--check", "bn"], "sutie"),
+            (
+                {"theory": {"interactions": [{"s": 3, "couplng": "2"}]}},
+                ["treesum", "--kind", "S", "--n", "3"],
+                "theory.interactions[0].couplng",
+            ),
+            ({"diffeo": {"b": {}}}, ["treesum", "--kind", "b", "--n", "3"], "diffeo.b"),
+            ({"theory": {"beta": {"1": "5"}}}, ["rules", "--n", "3"], "theory.beta"),
+            (
+                {"theory": {"propagator": "generalized", "alpha": {"1": "1/3"}}},
+                _TREESUM_A,
+                "theory.alpha",
+            ),
+        ],
+    )
+    def test_unknown_key_is_refused(self, cfg, argv, key, tmp_path):
+        out = run_cli(*argv, config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        (line,) = out.stderr.splitlines()
+        assert f"unknown config key {key};" in line
+
+    def test_readme_config_example(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        cfg = json.loads(block)
+        for argv in (["rules", "--n", "3"], ["treesum", "--kind", "b", "--n", "3"]):
+            out = run_cli(*argv, config=cfg, tmp_path=tmp_path)
+            assert out.returncode == 0, out.stderr
+        # verify fixes its own theories and substitutions.
+        out = run_cli("verify", "--check", "bn", config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert "reads only the config's suite section" in line
 
     def test_data_and_diagnostics_streams_are_separate(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,17 +5,23 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffeorules.algebra import (
     AlgebraError,
     Kind,
+    Monomial,
+    Polynomial,
+    RationalFunction,
     RF_ONE,
     RF_ZERO,
     Scalar,
     coupling,
     diffeo_coeff,
+    edge_symbol,
     fixed_offshell,
     generic_symbol,
+    mass_sq,
     rf,
 )
 from diffeorules.series import (
@@ -23,12 +29,12 @@ from diffeorules.series import (
     bell_partial,
     compose,
     compose_naive,
-    coupling_linear_closed_form,
+    coupling_linear_terms,
     fc_functional_residual,
     fc_series,
     fuss_catalan,
     gn_explicit,
-    inverse_series_tree_sum,
+    inverse_series_tree_sums,
     invert,
     tree_sum_closed_form,
     tuned_diffeo_coeffs,
@@ -120,6 +126,53 @@ class TestBellPartial:
                     Scalar(Fraction(factorial(total), factorial(n)))
                 )
                 assert left == right, (n, k)
+
+
+EXACT = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+# Gaussian coefficients; negative exponents on the offshell symbols only.
+LAURENT_TERM = st.tuples(
+    st.builds(Scalar, EXACT, EXACT),
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from([diffeo_coeff(1), mass_sq()]), st.integers(0, 3)),
+            st.tuples(st.sampled_from([fixed_offshell(), edge_symbol({1, 2})]), st.integers(-3, 3)),
+        ),
+        max_size=3,
+    ),
+)
+COEFF = st.one_of(
+    st.just(RF_ZERO),
+    st.lists(LAURENT_TERM, max_size=4).map(
+        lambda terms: RationalFunction(Polynomial({Monomial(pairs): c for c, pairs in terms}))
+    ),
+)
+SERIES = st.lists(COEFF, min_size=1, max_size=6).map(PowerSeries)
+
+
+def product_by_pairs(f, g):
+    """Oracle product: the plain double loop over the coefficients."""
+    n = min(f.order, g.order)
+    out = [RF_ZERO] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + f[i] * g[j]
+    return PowerSeries(out)
+
+
+class TestPowerSeriesProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(SERIES, SERIES)
+    def test_matches_pairwise_loop(self, f, g):
+        assert f * g == product_by_pairs(f, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SERIES)
+    def test_cancelling_pairs_leave_zero(self, f):
+        # f(t) f(-t): the pairs (i, m - i) of an odd m cancel.
+        mirrored = PowerSeries([c.scaled(Scalar(-1)) if k % 2 else c for k, c in enumerate(f.coeffs)])
+        product = f * mirrored
+        assert product == product_by_pairs(f, mirrored)
+        assert all(product[m].is_zero() for m in range(1, product.order + 1, 2))
 
 
 class TestComposeInvert:
@@ -234,7 +287,7 @@ class TestTreeSumClosedForm:
 
     def test_matches_inverse_series(self):
         for n in range(1, 9):
-            assert tree_sum_closed_form(n) == inverse_series_tree_sum(n, order=8), n
+            assert tree_sum_closed_form(n) == inverse_series_tree_sums(8)[n], n
 
     def test_contains_only_diffeo_symbols(self):
         for n in range(2, 8):
@@ -262,6 +315,9 @@ class TestTunedCoefficients:
 
 class TestCouplingLinearClosedForm:
     def test_delta_structure(self):
-        assert coupling_linear_closed_form(3, 3) == rf(coupling(3)).scaled(Scalar(0, -1))
-        assert coupling_linear_closed_form(3, 4).is_zero()
-        assert coupling_linear_closed_form(4, 7).is_zero()
+        def closed_form(s, n):
+            return sum(coupling_linear_terms(s, n).values(), RF_ZERO)
+
+        assert closed_form(3, 3) == rf(coupling(3)).scaled(Scalar(0, -1))
+        assert closed_form(3, 4).is_zero()
+        assert closed_form(4, 7).is_zero()
