@@ -31,12 +31,9 @@ from .algebra import (
 from .series import (
     PowerSeries,
     bell_partial,
-    compose,
-    compose_naive,
     fc_functional_residual,
     fc_series,
     fuss_catalan,
-    gn_explicit,
     inverse_series_tree_sums,
     invert,
     tree_sum_closed_form,

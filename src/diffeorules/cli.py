@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -50,16 +51,18 @@ RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
 # defaults on a 2-core host.  max_n: the default suite takes about 1.5 s at 7,
 # and at 8 ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes
-# from 0.04-0.05 s to 0.17-0.19 s).  order: ``adiabatic`` takes 1.6-3.1 s at
+# from 0.04-0.05 s to 0.17-0.19 s).  order: ``adiabatic`` takes 1.5-2.8 s at
 # 1000, most of it the Fuss-Catalan residual.  trials: ``kinematics`` takes
 # about 1 ms a trial.
 # dimension: ``kinematics`` takes about 3 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
-# Largest (max(s_values) - 1) * order**2: the Fuss-Catalan residual of
-# ``adiabatic`` multiplies an order-term series s - 1 times, so its cost grows
-# as that product.  3e6 is order 1000 at s = 4 (the default s_values,
-# 2.7-3.1 s) and s = 30001 at order 10 (4.2-4.3 s).
-VERIFY_RESIDUAL_WORK = 3_000_000
+# Largest (max(s_values) - 1).bit_length() * order: the Fuss-Catalan residual
+# of ``adiabatic`` raises an order-term series to the power s - 1 by
+# square-and-multiply, about 2 * bit_length products of order**2 coefficient
+# pairs whose integers have up to about order * bit_length bits.  2000 keeps
+# the default s_values at the order cap: s = 4 at order 1000, 2.1-2.8 s, is
+# the slowest run it allows; s = 2**200 at order 10 takes 0.3 s.
+VERIFY_RESIDUAL_WORK = 2000
 # Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
 # (about 3 s).  The caps above alone allow 5000 trials at 1024, about 6 minutes.
 VERIFY_KINEMATICS_WORK = 51_200
@@ -161,7 +164,7 @@ def build_diffeo(cfg: dict) -> DiffeoSpec:
     bindings = {}
     for k, value in coeffs.items():
         if not (k.isascii() and k.isdigit()):
-            raise ConfigError(f"diffeo.a keys must be integers >= 0, got {k!r}")
+            raise ConfigError(f"diffeo.a keys must be integers >= 1, got {k!r}")
         bindings[int(k)] = _parse_value(value)
     if 0 in bindings:
         raise ConfigError("a0 is fixed to 1; the substitution is tangent to identity")
@@ -351,33 +354,36 @@ def _report_rows(reports, with_timing: bool) -> list[dict]:
     return rows
 
 
+_SUITE_DEFAULTS = {name: p.default for name, p in inspect.signature(verify.default_suite).parameters.items()}
+
+
 def _suite_params(args, cfg: dict) -> dict:
     """Keyword arguments of ``verify.default_suite``: each from its flag, else
-    from the config's ``suite`` section, else the built-in default."""
+    from the config's ``suite`` section, else ``default_suite``'s default."""
     section = _section(cfg, "suite")
     params = {}
-    for key, flag, default, least in (
-        ("max_n", args.max_n, 7, 1),
-        ("order", args.order, 10, 1),
-        ("seed", args.seed, 1, None),
-        ("trials", None, 50, 1),
-        ("dimension", None, 4, 2),
+    for key, flag, least in (
+        ("max_n", args.max_n, 1),
+        ("order", args.order, 1),
+        ("seed", args.seed, None),
+        ("trials", None, 1),
+        ("dimension", None, 2),
     ):
-        value = flag if flag is not None else section.get(key, default)
+        value = flag if flag is not None else section.get(key, _SUITE_DEFAULTS[key])
         if not _is_int(value) or (least is not None and value < least):
             bound = f" of at least {least}" if least is not None else ""
             raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
         if value > VERIFY_CAPS.get(key, value):
             raise ConfigError(f"verify {key} is limited to {VERIFY_CAPS[key]}, got {value}")
         params[key] = value
-    s_values = [args.s] if args.s is not None else section.get("s_values", [3, 4])
+    s_values = [args.s] if args.s is not None else section.get("s_values", list(_SUITE_DEFAULTS["s_values"]))
     if not (isinstance(s_values, list) and s_values and all(_is_int(s) and s >= 3 for s in s_values)):
         raise ConfigError(f"--s/suite.s_values must be powers of at least 3, got {s_values!r}")
     if len(s_values) > VERIFY_MAX_S_VALUES:
         raise ConfigError(f"verify s_values is limited to {VERIFY_MAX_S_VALUES} powers, got {len(s_values)}")
-    work = (max(s_values) - 1) * params["order"] ** 2
+    work = (max(s_values) - 1).bit_length() * params["order"]
     if work > VERIFY_RESIDUAL_WORK:
-        raise ConfigError(f"verify (max s - 1) * order**2 is limited to {VERIFY_RESIDUAL_WORK}, got {work}")
+        raise ConfigError(f"verify (max s - 1).bit_length() * order is limited to {VERIFY_RESIDUAL_WORK}, got {work}")
     work = params["trials"] * params["dimension"]
     if work > VERIFY_KINEMATICS_WORK:
         raise ConfigError(f"verify trials * dimension is limited to {VERIFY_KINEMATICS_WORK}, got {work}")

@@ -237,8 +237,7 @@ def interaction_vertex(
     if n < s:
         return RF_ZERO
     lam = coupling_value if coupling_value is not None else rf(coupling(s))
-    args = [diffeo.a(m - 1).scaled(Scalar(factorial(m))) for m in range(1, n - s + 2)]
-    return series.bell_partial(n, s, args) * lam * RF_MINUS_I
+    return series.bell_partial(n, s, series.tangent_args(diffeo.a, n - s + 1)) * lam * RF_MINUS_I
 
 
 def total_vertex(

@@ -3,9 +3,8 @@ the closed-form coefficient formulas built on them.
 
 Series coefficients are :class:`~diffeorules.algebra.RationalFunction`, so
 one code path serves numeric and symbolic diffeomorphism coefficients alike.
-Composition exists twice on purpose, and only for the tests: the
-Bell-polynomial route checks the round trip of :func:`invert`, and the naive
-truncated-substitution route is its oracle.
+Composition, which checks the round trip of :func:`invert`, and its naive
+oracle live with the tests.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .algebra import (
     diffeo_coeff,
     fixed_offshell,
     mul_into,
+    power,
     rf,
 )
 
@@ -123,12 +123,7 @@ class PowerSeries:
         return PowerSeries(out)
 
     def __pow__(self, k: int) -> "PowerSeries":
-        if k < 0:
-            raise AlgebraError("series power must be nonnegative")
-        out = PowerSeries([RF_ONE] + [RF_ZERO] * self.order)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, PowerSeries([RF_ONE] + [RF_ZERO] * self.order))
 
     def scaled(self, c: Scalar) -> "PowerSeries":
         return PowerSeries([x.scaled(c) for x in self.coeffs])
@@ -143,48 +138,12 @@ class PowerSeries:
         return f"PowerSeries({self})"
 
 
-def compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Coefficients of ``f(g(t))`` through the Bell-polynomial composition rule."""
-    if not g[0].is_zero():
-        raise AlgebraError("composition requires the inner series to vanish at 0")
-    n = min(f.order, g.order)
-    g_args = [g[m].scaled(Scalar(factorial(m))) for m in range(1, n + 1)]
-    out = [f[0]] + [RF_ZERO] * n
-    for m in range(1, n + 1):
-        acc = RF_ZERO
-        for k in range(1, m + 1):
-            fk = f[k]
-            if fk.is_zero():
-                continue
-            bell = bell_partial(m, k, g_args[: m - k + 1])
-            if bell.is_zero():
-                continue
-            acc = acc + (fk * bell).scaled(Scalar(factorial(k)))
-        out[m] = acc.scaled(Scalar(Fraction(1, factorial(m))))
-    return PowerSeries(out)
-
-
-def compose_naive(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Oracle composition: substitute and truncate term by term."""
-    if not g[0].is_zero():
-        raise AlgebraError("composition requires the inner series to vanish at 0")
-    n = min(f.order, g.order)
-    out = PowerSeries([f[0]] + [RF_ZERO] * n)
-    g_pow = PowerSeries([RF_ONE] + [RF_ZERO] * n)
-    for k in range(1, n + 1):
-        g_pow = g_pow * g
-        fk = f[k]
-        if not fk.is_zero():
-            out = out + PowerSeries([c * fk for c in g_pow.coeffs])
-    return out
-
-
 def invert(f: PowerSeries) -> PowerSeries:
     """Compositional inverse of a series with ``c_0 = 0`` and scalar ``c_1``.
 
     Uses the Lagrange-inversion expression of the coefficients through Bell
-    polynomials; the round trip ``compose(invert(f), f) == identity`` is the
-    acceptance property.
+    polynomials; the round trip ``f(invert(f)(t)) == t`` is the acceptance
+    property.
     """
     if not f[0].is_zero():
         raise AlgebraError("inversion requires a vanishing constant term")
@@ -208,10 +167,7 @@ def invert(f: PowerSeries) -> PowerSeries:
             bell = bell_partial(n - 1 + k, k, args[: n])
             if bell.is_zero():
                 continue
-            power = inv_c1
-            for _ in range(n + k - 1):
-                power = power * inv_c1
-            acc = acc + bell.scaled(power)
+            acc = acc + bell.scaled(power(inv_c1, n + k, Scalar(1)))
         out[n] = acc.scaled(Scalar(Fraction(1, factorial(n))))
     return PowerSeries(out)
 
@@ -252,8 +208,10 @@ def _kinetic_args(a: CoeffFn, count: int) -> list[RationalFunction]:
     return [a(m).scaled(Scalar(factorial(m + 1))) for m in range(1, count + 1)]
 
 
-def _tangent_args(a: CoeffFn, count: int) -> list[RationalFunction]:
-    # x_m = m! a_{m-1}, the argument list with the tangent-to-identity head
+def tangent_args(a: CoeffFn, count: int) -> list[RationalFunction]:
+    """``[x_1, ..., x_count]`` with ``x_m = m! a_{m-1}``: the Bell-polynomial
+    arguments of the field map ``phi = sum_m a_{m-1} rho^m``, whose head
+    ``x_1 = a_0 = 1`` makes it tangent to identity."""
     return [a(m - 1).scaled(Scalar(factorial(m))) for m in range(1, count + 1)]
 
 
@@ -267,22 +225,9 @@ def vertex_coefficients(n: int, a: CoeffFn = symbolic_coeffs):
         raise AlgebraError("vertex coefficients need n >= 2")
     kin = _kinetic_args(a, max(n - 2, 0))
     f_n = bell_partial(n - 2, 1, kin) + bell_partial(n - 2, 2, kin)
-    c_nm2 = bell_partial(n, 2, _tangent_args(a, n - 1))
+    c_nm2 = bell_partial(n, 2, tangent_args(a, n - 1))
     g_n = f_n.scaled(Scalar(n)) - c_nm2
     return f_n, c_nm2, g_n
-
-
-def gn_explicit(n: int) -> RationalFunction:
-    """Mass-term coupling of symbolic coefficients as the explicit
-    double-product sum (n >= 3)."""
-    if n < 3:
-        raise AlgebraError("explicit mass coupling form needs n >= 3")
-    total = RF_ZERO
-    for k in range(0, n - 1):
-        weight = (n - k - 2) * k
-        if weight:
-            total = total + (symbolic_coeffs(n - k - 2) * symbolic_coeffs(k)).scaled(Scalar(weight))
-    return total.scaled(Scalar(Fraction(n * factorial(n - 2), 2)))
 
 
 def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFunction:
@@ -322,15 +267,12 @@ def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
     """
     if s < 3:
         raise AlgebraError("interaction powers start at 3")
-    lam = Polynomial.symbol(coupling(s)).scaled(Scalar(Fraction(1, factorial(s - 1))))
-    base = RationalFunction(lam, Monomial.of(fixed_offshell()))
-    out: dict[int, RationalFunction] = {}
-    for k in range(1, max_j + 1):
-        if k % (s - 2) == 0:
-            j = k // (s - 2)
-            out[k] = (base**j).scaled(fuss_catalan(j, s - 1, 1))
-        else:
-            out[k] = RF_ZERO
+    out = dict.fromkeys(range(1, max_j + 1), RF_ZERO)
+    if s - 2 <= max_j:  # else every coefficient vanishes, and (s-1)! is not needed
+        lam = Polynomial.symbol(coupling(s)).scaled(Scalar(Fraction(1, factorial(s - 1))))
+        base = RationalFunction(lam, Monomial.of(fixed_offshell()))
+        for j in range(1, max_j // (s - 2) + 1):
+            out[j * (s - 2)] = (base**j).scaled(fuss_catalan(j, s - 1, 1))
     return out
 
 
@@ -342,7 +284,7 @@ def coupling_linear_terms(s: int, n: int) -> dict[int, RationalFunction]:
     sums of the same coefficients, the terms sum to -i lambda_s delta_{n,s}."""
     if n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
-    tangent = _tangent_args(symbolic_coeffs, n)
+    tangent = tangent_args(symbolic_coeffs, n)
     b_args = [tree_sum_closed_form(j) for j in range(1, n + 1)]
     scale = RF_MINUS_I * rf(coupling(s))
     terms = {}

@@ -190,14 +190,6 @@ class TreeTopology:
         walk(self.structure)
         return out
 
-    def internal_edge_count(self) -> int:
-        return sum(
-            1
-            for node in self.internal_vertices()
-            for child in node
-            if isinstance(child, tuple)
-        )
-
 
 def enumerate_trees(leaf_labels: Iterable[int], rooted: bool = True) -> list[TreeTopology]:
     """Complete duplicate-free list of tree topologies over the labels."""

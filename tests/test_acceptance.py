@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from oracles import compose, compose_naive
+
 from diffeorules.algebra import (
     Kind,
     RF_MINUS_I,
@@ -35,8 +37,6 @@ from diffeorules.rules import (
 )
 from diffeorules.series import (
     PowerSeries,
-    compose,
-    compose_naive,
     coupling_linear_terms,
     fc_functional_residual,
     inverse_series_tree_sums,

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import power_by_loop
 
 from diffeorules.algebra import (
     EXPONENT_MAX,
@@ -19,6 +20,7 @@ from diffeorules.algebra import (
     Monomial,
     Polynomial,
     RationalFunction,
+    RF_ONE,
     RF_ZERO,
     Scalar,
     coupling,
@@ -29,9 +31,11 @@ from diffeorules.algebra import (
     mass_sq,
     mul_into,
     parse_rational,
+    power,
     rf,
 )
 from diffeorules.rules import DiffeoSpec, generalized_vertex
+from diffeorules.series import PowerSeries
 from diffeorules.trees import coupling_linear_tree_sum, interacting_rooted_tree_sum, rooted_tree_sum
 
 A1, A2, A3 = diffeo_coeff(1), diffeo_coeff(2), diffeo_coeff(3)
@@ -518,3 +522,48 @@ class TestMulInto:
                 mul_into({}, x, y)
             with pytest.raises(AlgebraError, match="out of range"):
                 Polynomial(x) * Polynomial(y)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AlgebraError:
+        return AlgebraError
+
+
+class TestPower:
+    """``power`` is square-and-multiply; it must give the loop's value, and
+    raise where the loop raises, for every value type that uses it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scalar, st.integers(0, 40))
+    def test_scalar_agrees_with_the_loop(self, c, n):
+        assert power(c, n, Scalar(1)) == power_by_loop(c, n, Scalar(1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_monomial, _scalar, max_size=3), st.integers(0, 40))
+    def test_polynomial_and_laurent_value_agree_with_the_loop(self, terms, n):
+        poly = Polynomial(terms)
+        for x, one in ((poly, Polynomial.constant(1)), (RationalFunction(poly), RF_ONE)):
+            expect = _outcome(power_by_loop, x, n, one)
+            assert _outcome(power, x, n, one) == expect
+            assert _outcome(x.__pow__, n) == expect
+
+    @pytest.mark.parametrize("top, bottom", [(1, 0), (0, -1), (2, -1), (3, -2)])
+    def test_raises_only_where_the_result_leaves_the_range(self, top, bottom):
+        terms = {Monomial([(X1, top)]): Scalar(1), Monomial([(X1, bottom)]): Scalar(0, 2)}
+        x = RationalFunction(Polynomial(terms))
+        for n in range(70):
+            if top * n <= EXPONENT_MAX and bottom * n >= EXPONENT_MIN:
+                assert x**n == power_by_loop(x, n, RF_ONE), n
+            else:
+                for fn in (x.__pow__, x.poly.__pow__):
+                    with pytest.raises(AlgebraError, match="out of range"):
+                        fn(n)
+
+    def test_negative_exponent_raises(self):
+        with pytest.raises(AlgebraError, match="nonnegative"):
+            power(Scalar(2), -1, Scalar(1))
+        for x in (Polynomial.symbol(A1), rf(X1), PowerSeries.identity(3)):
+            with pytest.raises(AlgebraError, match="nonnegative"):
+                x ** -1

@@ -298,7 +298,11 @@ class TestVerifyCaps:
         (line,) = out.stderr.splitlines()
         assert "trials * dimension" in line and str(cli.VERIFY_KINEMATICS_WORK) in line
 
-    @pytest.mark.parametrize("argv", [["--s", "100000"], ["--order", "1000", "--s", "100"]])
+    @pytest.mark.parametrize(
+        "argv",
+        # One step past the cap: s - 1 gains a bit at order 10 and at order 1000.
+        [["--s", str(2 ** (cli.VERIFY_RESIDUAL_WORK // 10) + 1)], ["--order", "1000", "--s", "5"]],
+    )
     def test_residual_work_above_the_cap_is_refused_at_once(self, argv):
         out = run_cli("verify", "--check", "adiabatic", "--max-n", "2", *argv, timeout=30)
         assert out.returncode == 2
@@ -314,8 +318,16 @@ class TestVerifyCaps:
         (line,) = out.stderr.splitlines()
         assert "s_values" in line and str(cli.VERIFY_MAX_S_VALUES) in line
 
+    def test_residual_work_at_the_cap_runs(self):
+        # s - 1 = 2**200 - 1 at order 10 is exactly at the cap; its tuned
+        # coefficients all vanish, so (s - 1)! is never computed.
+        s = 2 ** (cli.VERIFY_RESIDUAL_WORK // 10)
+        out = run_cli("verify", "--check", "adiabatic", "--max-n", "2", "--s", str(s), timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("[PASS] adiabatic")
+
     def test_s_values_at_the_caps_are_accepted(self, monkeypatch, tmp_path):
-        s_values = list(range(3, 2 + cli.VERIFY_MAX_S_VALUES)) + [cli.VERIFY_RESIDUAL_WORK // 100 + 1]
+        s_values = list(range(3, 2 + cli.VERIFY_MAX_S_VALUES)) + [2 ** (cli.VERIFY_RESIDUAL_WORK // 10)]
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"suite": {"s_values": s_values}}))
         specs = planned_specs(monkeypatch, "--config", str(path))
@@ -421,10 +433,15 @@ class TestConfig:
         assert reason in line and str(path) in line
 
     def test_rejects_a0_binding(self, tmp_path):
-        cfg = {"diffeo": {"a": {"0": "1"}}}
-        out = run_cli("treesum", "--kind", "b", "--n", "2", config=cfg, tmp_path=tmp_path)
-        assert out.returncode == 2
-        assert "a0" in out.stderr
+        # The keys are integers j >= 1: 0 is refused as the fixed a0, and a
+        # negative key by its form.
+        for key, message in (("0", "a0 is fixed to 1"), ("-1", "diffeo.a keys must be integers >= 1, got '-1'")):
+            cfg = {"diffeo": {"a": {key: "1"}}}
+            out = run_cli("treesum", "--kind", "b", "--n", "2", config=cfg, tmp_path=tmp_path)
+            assert out.returncode == 2
+            assert out.stdout == ""
+            (line,) = out.stderr.splitlines()
+            assert message in line
 
     def test_rejects_low_interaction_power(self, tmp_path):
         cfg = {"theory": {"interactions": [{"s": 2}]}}

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import compose, compose_naive, gn_explicit, power_by_loop
 
 from diffeorules.algebra import (
     AlgebraError,
@@ -27,13 +28,10 @@ from diffeorules.algebra import (
 from diffeorules.series import (
     PowerSeries,
     bell_partial,
-    compose,
-    compose_naive,
     coupling_linear_terms,
     fc_functional_residual,
     fc_series,
     fuss_catalan,
-    gn_explicit,
     inverse_series_tree_sums,
     invert,
     tree_sum_closed_form,
@@ -175,6 +173,38 @@ class TestPowerSeriesProduct:
         assert all(product[m].is_zero() for m in range(1, product.order + 1, 2))
 
 
+# Smaller series for powers up to 40: two terms per coefficient at most.
+SMALL_SERIES = st.lists(
+    st.lists(LAURENT_TERM, max_size=2).map(
+        lambda terms: RationalFunction(Polynomial({Monomial(pairs): c for c, pairs in terms}))
+    ),
+    min_size=1,
+    max_size=4,
+).map(PowerSeries)
+
+
+class TestPowerSeriesPower:
+    @settings(max_examples=60, deadline=None)
+    @given(SMALL_SERIES, st.integers(0, 40))
+    def test_matches_repeated_products(self, f, n):
+        try:
+            expect = power_by_loop(f, n, PowerSeries([RF_ONE] + [RF_ZERO] * f.order))
+        except AlgebraError:
+            with pytest.raises(AlgebraError):
+                f**n
+        else:
+            assert f**n == expect
+
+    def test_residual_makes_logarithmically_many_products(self, monkeypatch):
+        # Square-and-multiply: about 2 log2(s - 1) series products, where
+        # repeated products would make s - 1 of them.
+        calls = []
+        product = PowerSeries.__mul__
+        monkeypatch.setattr(PowerSeries, "__mul__", lambda f, g: calls.append(1) or product(f, g))
+        assert fc_functional_residual(30000, 10).is_zero()
+        assert len(calls) <= 2 * (30000).bit_length()
+
+
 class TestComposeInvert:
     def test_compose_with_identity(self):
         f = PowerSeries([RF_ZERO, rf(2), rf(diffeo_coeff(1)), rf(3)])
@@ -311,6 +341,14 @@ class TestTunedCoefficients:
         base = tuned[2]
         assert tuned[4] == (base * base).scaled(Scalar(3))
         assert tuned[6] == (base * base * base).scaled(Scalar(12))
+
+    def test_powers_past_max_j_leave_every_coefficient_zero(self):
+        # Only multiples of s - 2 are nonzero; a power with s - 2 > max_j
+        # needs no (s - 1)!, which keeps huge powers cheap.
+        expect = dict.fromkeys(range(1, 8), RF_ZERO)
+        assert tuned_diffeo_coeffs(2**200, 7) == expect
+        expect[7] = rf(coupling(9)).scaled(Scalar(Fraction(1, factorial(8)))) * rf(fixed_offshell()).inverse()
+        assert tuned_diffeo_coeffs(9, 7) == expect
 
 
 class TestCouplingLinearClosedForm:
