@@ -736,25 +736,34 @@ class RationalFunction:
                 ) from exc
         # Bound symbols in the symbol order, the order their powers multiply
         # in, each with its field's offset (a symbol without a field occurs
-        # in no term); ``rest`` is a term with the bound fields cleared.
+        # in no term).  The terms are grouped by their biased bound fields,
+        # each kept with those fields cleared, so one group multiplies by
+        # each of its powers once, as one term map.
         shifts = [(s, s.unit.bit_length() - 1) for s in sorted(bindings) if s.unit is not None]
         mask = sum(_FIELD << shift for _, shift in shifts)
         bias = _BIAS
         bias_bound = bias & mask
+        groups: dict[int, dict[Monomial, Scalar]] = {}
+        for mono, coeff in self.poly.terms.items():
+            bound = (mono + bias) & mask
+            groups.setdefault(bound, {})[_new(Monomial, mono - (bound - bias_bound))] = coeff
         powers: dict[tuple[Symbol, int], Polynomial] = {}
         out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.poly.terms.items():
-            y = mono + bias
-            rest = _new(Monomial, mono - ((y & mask) - bias_bound))
-            term = Polynomial({rest: coeff}, _trusted=True)
+        for bound, terms in groups.items():
+            factors = []
             for sym, shift in shifts:
-                if e := (y >> shift & _FIELD) - _HALF:
+                if e := (bound >> shift & _FIELD) - _HALF:
                     power = powers.get((sym, e))
                     if power is None:
                         base = bindings[sym] if e > 0 else inverses[sym]
                         power = powers[sym, e] = base.poly ** abs(e)
-                    term = term * power
-            merge_terms(out, term.terms.items())
+                    factors.append(power.terms)
+            if not factors:
+                merge_terms(out, terms.items())
+                continue
+            for factor in factors[:-1]:
+                terms = mul_into({}, terms, factor)
+            mul_into(out, terms, factors[-1])
         return RationalFunction(Polynomial(out, _trusted=True))
 
     def evaluate(self, values: Mapping[Symbol, int | Fraction]) -> Scalar:

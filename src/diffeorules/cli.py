@@ -49,9 +49,9 @@ TREESUM_MAX_N = 9
 # about 1.6-1.8 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
-# defaults on a 2-core host.  max_n: the default suite takes about 1.5 s at 7,
+# defaults on a 2-core host.  max_n: the default suite takes 1.4-2.0 s at 7,
 # and at 8 ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes
-# from 0.04-0.05 s to 0.17-0.19 s).  order: ``adiabatic`` takes 1.5-2.8 s at
+# from 0.03-0.05 s to 0.14-0.15 s).  order: ``adiabatic`` takes 1.5-2.8 s at
 # 1000, most of it the Fuss-Catalan residual.  trials: ``kinematics`` takes
 # about 1 ms a trial.
 # dimension: ``kinematics`` takes about 3 s at 1024.
@@ -381,6 +381,9 @@ def _suite_params(args, cfg: dict) -> dict:
         raise ConfigError(f"--s/suite.s_values must be powers of at least 3, got {s_values!r}")
     if len(s_values) > VERIFY_MAX_S_VALUES:
         raise ConfigError(f"verify s_values is limited to {VERIFY_MAX_S_VALUES} powers, got {len(s_values)}")
+    repeated = next((s for i, s in enumerate(s_values) if s in s_values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"suite.s_values repeats the power {repeated}; each power runs once")
     work = (max(s_values) - 1).bit_length() * params["order"]
     if work > VERIFY_RESIDUAL_WORK:
         raise ConfigError(f"verify (max s - 1).bit_length() * order is limited to {VERIFY_RESIDUAL_WORK}, got {work}")

@@ -492,6 +492,20 @@ class TreeSumEngine:
         keyed = {k: RationalFunction(x) for k, x in self._walk(block)[0].items()}
         return keyed or {_NO_INT: RF_ZERO}
 
+    def block_sums(self, block: frozenset[int]) -> dict:
+        """Keyed rational-function sums ``G`` of a proper ``block``: the
+        sums over its decorated subtrees with the parent edge's propagator,
+        read from the kept table (built on first use).  After a rooted
+        sum's walk the table of every prefix block ``{1..m}`` is kept, and
+        is the rooted sum on ``m`` legs: each edge below the block names the
+        leg subset on the root's far side, whatever the universe.  The
+        values are copies that the caller owns."""
+        if ROOT in block:
+            raise AlgebraError("a subtree block holds legs below the root, never the root")
+        g = self._tables(block)[0]
+        keyed = {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in g.items()}
+        return keyed or {_NO_INT: RF_ZERO}
+
 
 def rooted_tree_sum(
     n: int,
@@ -499,20 +513,30 @@ def rooted_tree_sum(
     *,
     theory: TheorySpec | None = None,
 ) -> TreeSumResult:
-    """Tree sum b_n: n onshell legs, one offshell root edge with propagator."""
+    """Tree sum b_n: n onshell legs, one offshell root edge with propagator.
+
+    ``metadata["below"]`` is ``[b_1, ..., b_{n-1}]``, read off the same
+    walk (:meth:`TreeSumEngine.block_sums` of each prefix block ``{1..m}``),
+    so a check over every ``n`` up to some bound sums once, at the bound."""
     if n < 1:
         raise AlgebraError("tree sums are indexed from 1")
     theory = theory if theory is not None else TheorySpec.free()
     legs = frozenset(range(1, n + 1))
-    meta = {"n": n, "kind": "b", "propagator": theory.kind}
+    meta = {"n": n, "kind": "b", "propagator": theory.kind, "below": []}
     if n == 1:
         return TreeSumResult(RF_ONE, 1, 1, meta)
     free = replace(theory, interactions=())  # b_n has diffeomorphism vertices only
     engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=free)
     body = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO)
     value = body * propagator(legs, legs | {ROOT}, generalized=theory.generalized)
+    meta["below"] = _below(engine, n)
     count = topology_count(n, True)
     return TreeSumResult(value, count, count, meta)
+
+
+def _below(engine: TreeSumEngine, n: int) -> list[RationalFunction]:
+    """The rooted sums on ``1..n-1`` legs from a rooted ``n``-leg walk."""
+    return [engine.block_sums(frozenset(range(1, m + 1))).get(_NO_INT, RF_ZERO) for m in range(1, n)]
 
 
 def interacting_rooted_tree_sum(
@@ -526,7 +550,10 @@ def interacting_rooted_tree_sum(
     """Tree sum b'_n of the single-interaction theory, by decoration
     enumeration (``all_vertices``) or by the reduced gluing in which only
     s-valent interaction vertices hang below diffeomorphism tree sums
-    (``s_only``).  Both modes evaluate to the same rational function."""
+    (``s_only``).  Both modes evaluate to the same rational function.
+
+    In ``all_vertices`` mode ``metadata["below"]`` is ``[b'_1, ...,
+    b'_{n-1}]``, read off the same walk as in :func:`rooted_tree_sum`."""
     if mode not in ("all_vertices", "s_only"):
         raise AlgebraError(f"unknown b' mode {mode!r}")
     if n < 1:
@@ -536,12 +563,15 @@ def interacting_rooted_tree_sum(
     legs = frozenset(range(1, n + 1))
     universe = legs | {ROOT}
     meta = {"n": n, "kind": "bprime", "s": s, "mode": mode}
+    if mode == "all_vertices":
+        meta["below"] = []
     if n == 1:
         return TreeSumResult(RF_ONE, 1, 1, meta)
     count = topology_count(n, True)
     if mode == "all_vertices":
         engine = TreeSumEngine(universe, onshell=legs, diffeo=diffeo, theory=theory)
         value = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO) * propagator(legs, universe)
+        meta["below"] = _below(engine, n)
         decorated = _decorated_counts(n, (s,), False)[0]
         return TreeSumResult(value, count, decorated, meta)
     value, glued_terms = _reduced_bprime(legs, universe, s, lam, diffeo)

@@ -112,6 +112,15 @@ class _Checker:
 
 Tamper = Callable[[int, RationalFunction], RationalFunction]
 
+
+def _rooted_sums(tree_sum: Callable[[int], trees.TreeSumResult], max_n: int) -> list:
+    """``[None, b_1, ..., b_max_n]`` from one rooted sum on ``max_n`` legs
+    (at least one): the sums on fewer legs come off the same walk, so a
+    check sums each rooted kind once."""
+    result = tree_sum(max(max_n, 1))
+    return [None, *result.metadata["below"], result.value]
+
+
 # The substitution every check but ``adiabatic`` sums over.
 _SYMBOLIC = DiffeoSpec.symbolic()
 
@@ -121,8 +130,9 @@ def check_bn(max_n: int = 7, tamper: Tamper | None = None) -> Report:
     series, and the constancy of the result (no edge / mass symbols)."""
     with _Checker("bn", {"max_n": max_n}) as chk:
         inverses = series.inverse_series_tree_sums(max_n)
+        sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, _SYMBOLIC), max_n)
         for n in range(2, max_n + 1):
-            enum = trees.rooted_tree_sum(n, _SYMBOLIC).value
+            enum = sums[n]
             closed = series.tree_sum_closed_form(n, _SYMBOLIC.a)
             if tamper is not None:
                 closed = tamper(n, closed)
@@ -191,8 +201,9 @@ def check_bprime(s: int = 3, max_n: int = 6, tamper: Tamper | None = None) -> Re
     the small worked values of the interacting tree sums."""
     lam = rf(coupling(s))
     with _Checker("bprime", {"s": s, "max_n": max_n}) as chk:
+        sums = _rooted_sums(lambda n: trees.interacting_rooted_tree_sum(n, s, _SYMBOLIC), max_n)
         for n in range(1, max_n + 1):
-            enum = trees.interacting_rooted_tree_sum(n, s, _SYMBOLIC, mode="all_vertices").value
+            enum = sums[n]
             glued = trees.interacting_rooted_tree_sum(n, s, _SYMBOLIC, mode="s_only").value
             if tamper is not None:
                 glued = tamper(n, glued)
@@ -216,16 +227,17 @@ def check_adiabatic(s: int = 3, max_n: int = 7, order: int = 10) -> Report:
         tuned = DiffeoSpec.tuned(s, max_n)
         lam = rf(coupling(s))
         xp = rf(fixed_offshell())
+        sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, tuned), max_n)
         for k in range(2, max_n + 1):
             closed = series.tree_sum_closed_form(k, tuned.a)
-            enum = trees.rooted_tree_sum(k, tuned).value
+            enum = sums[k]
             expect = lam.scaled(Scalar(-1)) * xp.inverse() if k == s - 1 else RF_ZERO
             chk.expect_equal(closed, expect, k=k, compared="closed-form b_k")
             chk.expect_equal(enum, expect, k=k, compared="enumerated b_k")
+        bprimes = _rooted_sums(lambda n: trees.interacting_rooted_tree_sum(n, s, tuned), max_n)
         for n in range(2, max_n + 1):
-            bp = trees.interacting_rooted_tree_sum(n, s, tuned, mode="all_vertices").value
             root = edge_symbol(frozenset(range(1, n + 1)))
-            bound = bp.substitute({root: xp})
+            bound = bprimes[n].substitute({root: xp})
             chk.expect_zero(bound, n=n, compared="b'_n at the fixed offshell value")
         residual = series.fc_functional_residual(s - 1, order)
         for m, c in enumerate(residual.coeffs):
@@ -246,10 +258,10 @@ def check_generalized(max_n: int = 6) -> Report:
             for k in range(3, 6):
                 resid = trees.vertex_pair_edge_coefficient(j, k, _SYMBOLIC)
                 chk.expect_zero(resid, valences=[j, k], compared="internal-edge coefficient")
+        sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, _SYMBOLIC, theory=theory), max_n)
         for n in range(1, max_n + 1):
             rec = trees.recursive_tree_sum(n, _SYMBOLIC, generalized=theory.generalized)
-            enum = trees.rooted_tree_sum(n, _SYMBOLIC, theory=theory).value
-            chk.expect_equal(rec, enum, n=n, compared="recursion vs enumeration")
+            chk.expect_equal(rec, sums[n], n=n, compared="recursion vs enumeration")
     return chk.report()
 
 

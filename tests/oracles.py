@@ -5,14 +5,25 @@ Bell-polynomial composition rule, and ``compose_naive`` is its oracle:
 truncated substitution, term by term.  ``gn_explicit`` is the mass-term
 coupling as an explicit double-product sum, against which
 ``series.vertex_coefficients`` is checked, ``internal_edge_count`` counts
-the edges between internal vertices of a tree topology, and
-``power_by_loop`` is the repeated-product oracle of ``algebra.power``.
+the edges between internal vertices of a tree topology,
+``power_by_loop`` is the repeated-product oracle of ``algebra.power``, and
+``substitute_termwise`` is the per-term oracle of
+``RationalFunction.substitute``.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from diffeorules.algebra import AlgebraError, RF_ONE, RF_ZERO, RationalFunction, Scalar
+from diffeorules.algebra import (
+    AlgebraError,
+    DenominatorAnnihilationError,
+    Monomial,
+    Polynomial,
+    RF_ONE,
+    RF_ZERO,
+    RationalFunction,
+    Scalar,
+)
 from diffeorules.series import PowerSeries, bell_partial, symbolic_coeffs
 from diffeorules.trees import TreeTopology
 
@@ -77,3 +88,39 @@ def power_by_loop(x, n: int, one):
     for _ in range(n):
         out = out * x
     return out
+
+
+def substitute_termwise(value: RationalFunction, bindings) -> RationalFunction:
+    """Oracle substitution: each term on its own, its unbound part times one
+    ``Polynomial`` power per bound symbol, in the symbol order, the products
+    summed.  Bindings are checked as ``RationalFunction.substitute`` checks
+    them: a zero binding of a denominator symbol raises
+    ``DenominatorAnnihilationError``, a binding that cannot be inverted there
+    raises ``AlgebraError``."""
+    if not bindings:
+        return value
+    inverses = {}
+    for sym, _ in value.den.pairs:
+        bound = bindings.get(sym)
+        if bound is None:
+            continue
+        if bound.is_zero():
+            raise DenominatorAnnihilationError(sym)
+        try:
+            inverses[sym] = bound.inverse()
+        except AlgebraError as exc:
+            raise AlgebraError(f"binding for denominator factor {sym.name} is not invertible: {exc}") from exc
+    powers = {}
+    out = Polynomial()
+    for mono, coeff in value.poly.terms.items():
+        pairs = mono.pairs
+        term = Polynomial({Monomial(p for p in pairs if p[0] not in bindings): coeff})
+        for sym, e in pairs:
+            if sym in bindings:
+                power = powers.get((sym, e))
+                if power is None:
+                    base = bindings[sym] if e > 0 else inverses[sym]
+                    power = powers[sym, e] = base.poly ** abs(e)
+                term = term * power
+        out = out + term
+    return RationalFunction(out)

@@ -34,7 +34,8 @@ def _accumulate(acc: Polynomial, x: Polynomial) -> Polynomial:
 
 
 class PartitionWalkEngine:
-    """Same constructor and ``subtree_sums`` as ``trees.TreeSumEngine``."""
+    """Same constructor, ``subtree_sums`` and ``block_sums`` as
+    ``trees.TreeSumEngine``."""
 
     def __init__(self, universe, *, onshell, diffeo, theory, single=False):
         self.universe = universe
@@ -130,6 +131,14 @@ class PartitionWalkEngine:
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
         keyed = {k: RationalFunction(x) for k, x in self._walk(block).items()}
+        return keyed or {_NO_INT: RF_ZERO}
+
+    def block_sums(self, block: frozenset[int]) -> dict:
+        """The subtree sums times the block's propagator; a bare leg is one."""
+        if len(block) == 1:
+            return {_NO_INT: RationalFunction(Polynomial.constant(1))}
+        edge = propagator(block, self.universe, generalized=self.theory.generalized)
+        keyed = {k: RationalFunction(x) * edge for k, x in self._walk(block).items()}
         return keyed or {_NO_INT: RF_ZERO}
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import power_by_loop
+from oracles import power_by_loop, substitute_termwise
 
 from diffeorules.algebra import (
     EXPONENT_MAX,
@@ -471,6 +471,33 @@ _monomial = st.builds(
     st.integers(-2, 2),
 )
 _term_map = st.dictionaries(_monomial, _scalar, max_size=6)
+# Terms for the substitution property: ``x1`` exponents at the edges of the
+# range too, so that a product of a bound power can leave it; and bindings
+# that are zero, one term (an inverse when it has negative exponents) or a
+# few.  One symbol near the edge and three terms keep a bound power at a few
+# thousand terms.
+_edge = st.one_of(
+    st.integers(-3, 3),
+    st.integers(EXPONENT_MAX - 3, EXPONENT_MAX),
+    st.integers(EXPONENT_MIN, EXPONENT_MIN + 3),
+)
+_edge_term_map = st.dictionaries(
+    st.builds(
+        lambda a, x1, x2, xp: Monomial([(A1, a), (X1, x1), (X12, x2), (XP, xp)]),
+        st.integers(0, 3),
+        _edge,
+        st.integers(-3, 3),
+        st.integers(-2, 2),
+    ),
+    _scalar,
+    max_size=4,
+)
+_BINDABLE = (A1, X1, X12, XP)
+_binding = st.one_of(
+    st.just(RF_ZERO),
+    st.builds(lambda m, c: RationalFunction(Polynomial({m: c})), _monomial, _scalar),
+    st.builds(lambda t: RationalFunction(Polynomial(t)), st.dictionaries(_monomial, _scalar, max_size=3)),
+)
 
 
 def _termwise_product(out: dict, x: dict, y: dict) -> dict:
@@ -522,6 +549,36 @@ class TestMulInto:
                 mul_into({}, x, y)
             with pytest.raises(AlgebraError, match="out of range"):
                 Polynomial(x) * Polynomial(y)
+
+
+def _substituted(value: RationalFunction, bindings: dict, substitute) -> object:
+    """The value, or what the refusal names: the annihilated symbol, or the
+    message of any other ``AlgebraError``."""
+    try:
+        return substitute(value, bindings)
+    except DenominatorAnnihilationError as exc:
+        return ("annihilates", exc.symbol)
+    except AlgebraError as exc:
+        return ("refused", str(exc))
+
+
+class TestGroupedSubstitute:
+    """``substitute`` multiplies each group of terms that share their bound
+    exponents as one term map; it must give the per-term oracle's value and
+    refuse what the oracle refuses, with the same symbol or message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(_term_map, _edge_term_map),
+        st.dictionaries(st.sampled_from(_BINDABLE), _binding, min_size=1, max_size=3),
+    )
+    def test_agrees_with_the_termwise_oracle(self, terms, bindings):
+        value = RationalFunction(Polynomial(terms))
+        want = _substituted(value, bindings, substitute_termwise)
+        got = _substituted(value, bindings, RationalFunction.substitute)
+        assert got == want
+        if isinstance(got, RationalFunction):
+            _assert_term_map(got.poly.terms)
 
 
 def _outcome(fn, *args):

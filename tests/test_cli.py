@@ -388,6 +388,7 @@ class TestConfig:
             ({"suite": {"trials": "many"}}, ["verify", "--check", "kinematics"]),
             ({"theory": {"mass_sq": True}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"diffeo": {"a": {"1": True}}}, ["treesum", "--kind", "b", "--n", "2"]),
+            ({"suite": {"s_values": [4] * 8, "order": 1000}}, ["verify"]),
         ]
         + [(cfg, _TREESUM_A) for cfg, _ in _BAD_INDEX_TABLES],
     )
@@ -397,6 +398,13 @@ class TestConfig:
         assert out.stdout == ""
         assert "Traceback" not in out.stderr
         assert len(out.stderr.splitlines()) == 1
+
+    def test_repeated_power_is_named(self, tmp_path):
+        # Each copy of a power would plan the same two checks again.
+        out = run_cli("verify", config={"suite": {"s_values": [3, 5, 6, 5]}}, tmp_path=tmp_path, timeout=30)
+        assert out.returncode == 2
+        (line,) = out.stderr.splitlines()
+        assert "suite.s_values repeats the power 5" in line
 
     @pytest.mark.parametrize("cfg, key", _BAD_INDEX_TABLES)
     def test_bad_propagator_table_names_its_key(self, cfg, key, tmp_path):

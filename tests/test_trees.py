@@ -501,7 +501,7 @@ ENGINE_DIFFEOS = {
     "symbolic": lambda n: SYMBOLIC,
     "tuned": lambda n: DiffeoSpec.tuned(3, n),
     "a1=0": lambda n: DiffeoSpec.from_bindings(
-        {1: rf(0), 2: rf(Fraction(3, 2)), 3: rf(-2), 4: rf(Fraction(5, 7)), 5: rf(1)}
+        {1: rf(0), 2: rf(Fraction(3, 2)), 3: rf(-2), 4: rf(Fraction(5, 7)), 5: rf(1), 6: rf(Fraction(-4, 3))}
     ),
 }
 
@@ -583,17 +583,35 @@ class TestEngineAgainstPartitionWalk:
             want = build()
         return got, want
 
-    @pytest.mark.parametrize("kind", ("b", "generalized b", "bprime", "tuned bprime"))
-    def test_rooted(self, monkeypatch, kind):
-        for n in range(2, 8):
-            build = {
-                "b": lambda: rooted_tree_sum(n),
-                "generalized b": lambda: rooted_tree_sum(n, theory=TheorySpec.generalized_free()),
-                "bprime": lambda: interacting_rooted_tree_sum(n, 3),
-                "tuned bprime": lambda: interacting_rooted_tree_sum(n, 3, DiffeoSpec.tuned(3, n)),
-            }[kind]
-            got, want = self._both(monkeypatch, build)
-            assert got.value == want.value, n
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            pytest.param("b", "symbolic", id="b"),
+            pytest.param("generalized b", "symbolic", id="generalized b"),
+            pytest.param("b", "tuned", id="tuned b"),
+            pytest.param("b", "a1=0", id="a1=0 b"),
+            pytest.param("bprime", "symbolic", id="bprime"),
+            pytest.param("bprime", "tuned", id="tuned bprime"),
+            pytest.param("bprime", "a1=0", id="a1=0 bprime"),
+        ],
+    )
+    def test_rooted(self, monkeypatch, kind, name):
+        # One walk on 7 legs gives every sum on fewer legs too: ``below``
+        # must match the oracle's term for term, and each entry the sum of a
+        # fresh walk.  The symbolic b_m are constants, which a block other
+        # than {1..m} would give alike; the b'_m carry their root's pole.
+        diffeo = ENGINE_DIFFEOS[name](7)
+        build = {
+            "b": lambda n: rooted_tree_sum(n, diffeo),
+            "generalized b": lambda n: rooted_tree_sum(n, diffeo, theory=TheorySpec.generalized_free()),
+            "bprime": lambda n: interacting_rooted_tree_sum(n, 3, diffeo),
+        }[kind]
+        got, want = self._both(monkeypatch, lambda: build(7))
+        assert got.value == want.value
+        assert len(got.metadata["below"]) == 6
+        assert got.metadata["below"] == want.metadata["below"]
+        for m, value in enumerate(got.metadata["below"], 1):
+            assert value == build(m).value, m
 
     @pytest.mark.parametrize("offshell", ("none", "one", "top", "all"))
     @pytest.mark.parametrize(

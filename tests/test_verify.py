@@ -6,7 +6,7 @@ import pytest
 
 from diffeorules import verify
 from diffeorules.algebra import RF_ONE, RF_ZERO, Polynomial, RationalFunction, Scalar, rf, generic_symbol
-from diffeorules.rules import NonlocalSpec
+from diffeorules.rules import ROOT, NonlocalSpec
 from diffeorules.verify import (
     CheckSpec,
     Report,
@@ -70,6 +70,41 @@ class TestIndividualChecks:
             monkeypatch.setattr(verify.rules, name, counted)
         assert check_kinematics(n_values=(3, 4, 5), trials=7).status == "pass"
         assert sorted(calls) == ["free_vertex"] * 3 + ["generalized_vertex"] * 3
+
+    @pytest.mark.parametrize(
+        "check, walks",
+        [(check_bn, 1), (check_adiabatic, 2), (check_bprime, 1), (check_generalized, 1)],
+        ids=["bn", "adiabatic", "bprime", "generalized"],
+    )
+    def test_each_rooted_kind_is_walked_once(self, monkeypatch, check, walks):
+        # Every sum on fewer legs is read off the walk on max_n legs.
+        rooted = []
+
+        class Counted(verify.trees.TreeSumEngine):
+            def __init__(self, universe, **kwargs):
+                super().__init__(universe, **kwargs)
+                if ROOT in universe:
+                    rooted.append(universe)
+
+        monkeypatch.setattr(verify.trees, "TreeSumEngine", Counted)
+        assert check(max_n=5).status == "pass"
+        assert len(rooted) == walks
+
+    @pytest.mark.parametrize("max_n", (1, 2))
+    @pytest.mark.parametrize(
+        "check, params",
+        [
+            (check_bn, {}),
+            (check_adiabatic, {"s": 3, "order": 10}),
+            (check_bprime, {"s": 3}),
+            (check_generalized, {}),
+        ],
+        ids=["bn", "adiabatic", "bprime", "generalized"],
+    )
+    def test_rooted_checks_pass_at_the_smallest_sizes(self, check, params, max_n):
+        report = check(max_n=max_n)
+        assert report.status == "pass"
+        assert report.params == {**params, "max_n": max_n}
 
     def test_bn_inverts_the_series_once(self, monkeypatch):
         orders = []
