@@ -204,7 +204,7 @@ def cmd_rules(args, cfg: dict) -> int:
     theory = build_theory(cfg)
     diffeo = build_diffeo(cfg)
     n = args.n
-    if n is None or n < 3:
+    if n < 3:
         raise ConfigError("rules needs a valence --n of at least 3")
     if n > RULES_MAX_N:
         raise ConfigError(f"rules --n is limited to {RULES_MAX_N}; vertex rules grow quickly with the valence")
@@ -222,12 +222,10 @@ def cmd_rules(args, cfg: dict) -> int:
         value = rules.interaction_vertex(n, s, diffeo, theory.coupling_of(s))
     elif kind == "total":
         value = rules.total_vertex(n, singles, theory, diffeo)
-    elif kind == "generalized":
+    else:  # generalized
         value = rules.generalized_vertex(
             [frozenset((j,)) for j in legs], legs, diffeo=diffeo, generalized=theory.generalized
         )
-    else:
-        raise ConfigError(f"unknown rule kind {kind!r}")
     payload = {
         "valence": n,
         "kind": kind,
@@ -269,7 +267,7 @@ def cmd_treesum(args, cfg: dict) -> int:
     theory = build_theory(cfg)
     diffeo = build_diffeo(cfg)
     n = args.n
-    if n is None or n < 1:
+    if n < 1:
         raise ConfigError("treesum needs --n >= 1")
     if n > TREESUM_MAX_N:
         raise ConfigError(f"treesum --n is limited to {TREESUM_MAX_N}; the sums grow factorially in n")
@@ -282,28 +280,26 @@ def cmd_treesum(args, cfg: dict) -> int:
         if given and kind not in kinds:
             raise ConfigError(f"treesum {flag} is not read by --kind {kind}")
     offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
+    mode = ("s_only" if args.reduced else "all_vertices") if kind == "bprime" else None
     if kind in ("bprime", "S"):
         theory = _single_interaction(kind, args.s, theory)
         (it,) = theory.interactions
     if kind == "b":
         result = trees.rooted_tree_sum(n, diffeo, theory=theory)
     elif kind == "bprime":
-        mode = "s_only" if args.reduced else "all_vertices"
         result = trees.interacting_rooted_tree_sum(
             n, it.power, diffeo, mode=mode, coupling_value=it.coupling_value
         )
     elif kind == "A":
         result = trees.amputated_tree_sum(n, offshell, theory, diffeo)
-    elif kind == "S":
+    else:  # S
         result = trees.coupling_linear_tree_sum(n, it.power, diffeo, coupling_value=it.coupling_value)
-    else:
-        raise ConfigError(f"unknown tree-sum kind {kind!r}")
     payload = {
         "kind": kind,
         "n": n,
-        "offshell_set": sorted(result.metadata.get("offshell", [])) if kind == "A" else None,
+        "offshell_set": sorted(offshell) if kind == "A" else None,
         "theory": theory.kind,
-        "mode": result.metadata.get("mode"),
+        "mode": mode,
         "tree_count": result.tree_count,
         "decorated_count": result.decorated_count,
         "value": str(result.value),
@@ -495,9 +491,7 @@ def _run(argv: list[str] | None) -> int:
             return cmd_rules(args, cfg)
         if args.command == "treesum":
             return cmd_treesum(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_verify(args, cfg)
     except (ConfigError, AlgebraError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

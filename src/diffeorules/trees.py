@@ -19,6 +19,12 @@ Two evaluation paths compute every sum:
   a subset convolution, and the test suite pins it against the per-tree
   path and against a walk that builds the vertex at every partition.
 
+The engine has two front ends.  A rooted sum (``b_n``, ``b'_n``) walks its
+``n`` legs below the root once and reads the sum on ``m`` legs, for every
+``m <= n``, as the kept table of the prefix block ``{1..m}``.  An amputated
+sum (``A^j_n``, ``S^(s)_n``) takes leg ``n`` as its virtual root and reads
+the subtree sums of the other legs.
+
 The engine sums values only.  Counts depend on block sizes alone, so the
 tree, decorated-tree and topology counts come from a recursion over sizes
 (:func:`_decorated_counts`).  The tests pin the counts against
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -47,7 +53,6 @@ from .algebra import (
     SC_I,
     Scalar,
     Symbol,
-    coupling,
     edge_symbol,
     merge_terms,
     mul_into,
@@ -61,6 +66,7 @@ from .rules import (
     canonical_subset,
     edge_var,
     generalized_vertex,
+    interaction,
     interaction_vertex,
     propagator,
 )
@@ -294,6 +300,10 @@ def amplitude(
 
 @dataclass
 class TreeSumResult:
+    """A tree sum and its counts.  ``metadata`` holds ``below`` for
+    :func:`rooted_tree_sum` and the ``all_vertices`` b'_n, ``by_valence``
+    for S^(s)_n, and nothing for the other sums."""
+
     value: RationalFunction
     tree_count: int
     decorated_count: int
@@ -363,11 +373,12 @@ class TreeSumEngine:
     singleton: a leg, or the complement of an unrooted sum's top block.
     ``G``, ``P`` and ``Q`` are kept per proper block (``_blocks``) and
     ``F_k`` only during its block's step, so the vertex costs one product
-    per split of a block, about ``3^n`` for ``n`` legs.  ``Q(W)`` is built
-    only where a split can read it: never for the block
-    :meth:`subtree_sums` asks for, so an ``n``-leg sum reads no ``a_j``
-    beyond ``a_{n-1}``, and not for its largest sub-blocks when every leg
-    is onshell.  A block never holds the root of a rooted sum.
+    per split of a block, about ``3^n`` for ``n`` legs.  ``P`` and ``Q``
+    are built only where a split can read them.  Neither is built for a
+    sum's top block, whose ``F_k`` are dropped before its ``G`` is built,
+    so an ``n``-leg sum reads no ``a_j`` beyond ``a_{n-1}``; and ``Q`` is
+    not built for the top block's largest sub-blocks when every leg is
+    onshell.  A block never holds the root of a rooted sum.
     """
 
     def __init__(
@@ -427,15 +438,16 @@ class TreeSumEngine:
         """``(G, P, Q)`` of a proper block, built on first use and kept."""
         tables = self._blocks.get(block)
         if tables is None:
+            top = len(block) == len(self.universe) - 1  # a sum's top block: no larger block reads its P or Q
             if len(block) == 1:
                 g, forests, p = {_NO_INT: _ONE}, {}, {}
             else:
-                sums, forests, p = self._walk(block)
+                sums, forests, p = (self._walk(block)[0], {}, {}) if top else self._walk(block)
                 edge = propagator(block, self.universe, generalized=self.theory.generalized).poly
                 g = {key: x * edge for key, x in sums.items()}
             forests[1] = g
             edge = self._edge(block)
-            if edge is not None:
+            if edge is not None and not top:
                 _mul_into(p, g, {_NO_INT: edge})  # c_0 = a_0 = 1
             q: dict = {}
             if self._q_is_read(block):
@@ -495,9 +507,9 @@ class TreeSumEngine:
     def block_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums ``G`` of a proper ``block``: the
         sums over its decorated subtrees with the parent edge's propagator,
-        read from the kept table (built on first use).  After a rooted
-        sum's walk the table of every prefix block ``{1..m}`` is kept, and
-        is the rooted sum on ``m`` legs: each edge below the block names the
+        read from the kept table (built on first use).  In a rooted walk
+        the table of the prefix block ``{1..m}`` is the rooted sum on ``m``
+        legs, the top block included: each edge below the block names the
         leg subset on the root's far side, whatever the universe.  The
         values are copies that the caller owns."""
         if ROOT in block:
@@ -507,36 +519,35 @@ class TreeSumEngine:
         return keyed or {_NO_INT: RF_ZERO}
 
 
+def _rooted(n: int, diffeo: DiffeoSpec, theory: TheorySpec) -> TreeSumResult:
+    """The rooted sums of ``theory`` on ``1..n`` legs from one walk: the
+    kept table of the prefix block ``{1..m}`` is the sum on ``m`` legs,
+    ``m = n`` included, and ``{1}``'s is the bare leg's ``1``."""
+    legs = frozenset(range(1, n + 1))
+    engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=theory)
+    *below, value = (engine.block_sums(frozenset(range(1, m + 1)))[_NO_INT] for m in range(1, n + 1))
+    powers = tuple(it.power for it in theory.interactions)
+    return TreeSumResult(value, topology_count(n), _decorated_counts(n, powers, False)[0], {"below": below})
+
+
 def rooted_tree_sum(
     n: int,
     diffeo: DiffeoSpec = DiffeoSpec.symbolic(),
     *,
     theory: TheorySpec | None = None,
 ) -> TreeSumResult:
-    """Tree sum b_n: n onshell legs, one offshell root edge with propagator.
+    """Tree sum b_n: n onshell legs, one offshell root edge with propagator,
+    and diffeomorphism vertices only (``theory``'s interactions are not
+    read, its propagator kind is).
 
     ``metadata["below"]`` is ``[b_1, ..., b_{n-1}]``, read off the same
-    walk (:meth:`TreeSumEngine.block_sums` of each prefix block ``{1..m}``),
-    so a check over every ``n`` up to some bound sums once, at the bound."""
+    walk as b_n (:meth:`TreeSumEngine.block_sums` of each prefix block
+    ``{1..m}``), so a check over every ``n`` up to some bound sums once, at
+    the bound."""
     if n < 1:
         raise AlgebraError("tree sums are indexed from 1")
     theory = theory if theory is not None else TheorySpec.free()
-    legs = frozenset(range(1, n + 1))
-    meta = {"n": n, "kind": "b", "propagator": theory.kind, "below": []}
-    if n == 1:
-        return TreeSumResult(RF_ONE, 1, 1, meta)
-    free = replace(theory, interactions=())  # b_n has diffeomorphism vertices only
-    engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=free)
-    body = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO)
-    value = body * propagator(legs, legs | {ROOT}, generalized=theory.generalized)
-    meta["below"] = _below(engine, n)
-    count = topology_count(n, True)
-    return TreeSumResult(value, count, count, meta)
-
-
-def _below(engine: TreeSumEngine, n: int) -> list[RationalFunction]:
-    """The rooted sums on ``1..n-1`` legs from a rooted ``n``-leg walk."""
-    return [engine.block_sums(frozenset(range(1, m + 1))).get(_NO_INT, RF_ZERO) for m in range(1, n)]
+    return _rooted(n, diffeo, replace(theory, interactions=()))
 
 
 def interacting_rooted_tree_sum(
@@ -547,36 +558,25 @@ def interacting_rooted_tree_sum(
     *,
     coupling_value: RationalFunction | None = None,
 ) -> TreeSumResult:
-    """Tree sum b'_n of the single-interaction theory, by decoration
-    enumeration (``all_vertices``) or by the reduced gluing in which only
-    s-valent interaction vertices hang below diffeomorphism tree sums
-    (``s_only``).  Both modes evaluate to the same rational function.
+    """Tree sum b'_n of the single-interaction theory (coupling ``lambda_s``
+    unless ``coupling_value`` is given), by decoration enumeration
+    (``all_vertices``) or by the reduced gluing in which only s-valent
+    interaction vertices hang below diffeomorphism tree sums (``s_only``).
+    Both modes evaluate to the same rational function.
 
     In ``all_vertices`` mode ``metadata["below"]`` is ``[b'_1, ...,
-    b'_{n-1}]``, read off the same walk as in :func:`rooted_tree_sum`."""
+    b'_{n-1}]``, read off the same walk as in :func:`rooted_tree_sum`; in
+    ``s_only`` mode the decorated count is the number of glued terms."""
     if mode not in ("all_vertices", "s_only"):
         raise AlgebraError(f"unknown b' mode {mode!r}")
     if n < 1:
         raise AlgebraError("tree sums are indexed from 1")
-    lam = coupling_value if coupling_value is not None else rf(coupling(s))
-    theory = TheorySpec(interactions=(Interaction(s, lam),))
+    it = interaction(s, coupling_value)
+    if mode == "all_vertices":
+        return _rooted(n, diffeo, TheorySpec(interactions=(it,)))
     legs = frozenset(range(1, n + 1))
-    universe = legs | {ROOT}
-    meta = {"n": n, "kind": "bprime", "s": s, "mode": mode}
-    if mode == "all_vertices":
-        meta["below"] = []
-    if n == 1:
-        return TreeSumResult(RF_ONE, 1, 1, meta)
-    count = topology_count(n, True)
-    if mode == "all_vertices":
-        engine = TreeSumEngine(universe, onshell=legs, diffeo=diffeo, theory=theory)
-        value = engine.subtree_sums(legs).get(_NO_INT, RF_ZERO) * propagator(legs, universe)
-        meta["below"] = _below(engine, n)
-        decorated = _decorated_counts(n, (s,), False)[0]
-        return TreeSumResult(value, count, decorated, meta)
-    value, glued_terms = _reduced_bprime(legs, universe, s, lam, diffeo)
-    meta["glued_terms"] = glued_terms
-    return TreeSumResult(value, count, glued_terms, meta)
+    value, glued_terms = _reduced_bprime(legs, legs | {ROOT}, s, it.coupling_value, diffeo) if n > 1 else (RF_ONE, 1)
+    return TreeSumResult(value, topology_count(n), glued_terms)
 
 
 def _reduced_bprime(
@@ -635,6 +635,24 @@ def _reduced_bprime(
     return RationalFunction(total), glued_terms
 
 
+def _amputated(
+    n: int, onshell: frozenset[int], diffeo: DiffeoSpec, theory: TheorySpec, single: bool = False
+) -> TreeSumResult:
+    """An amputated sum on ``n`` legs with the largest, ``n``, as virtual
+    root: over every admissible decoration, or with ``single`` over the
+    trees with exactly one interaction vertex, keyed by its valence in
+    ``metadata["by_valence"]``."""
+    legs = frozenset(range(1, n + 1))
+    engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory, single=single)
+    keyed = engine.subtree_sums(legs - {n})
+    if single:
+        keyed.pop(_NO_INT, None)  # the trees without an interaction vertex
+    powers = tuple(it.power for it in theory.interactions)
+    decorated = _decorated_counts(n - 1, powers, single)[single]
+    value = sum(keyed.values(), RF_ZERO)
+    return TreeSumResult(value, topology_count(n, False), decorated, {"by_valence": keyed} if single else {})
+
+
 def amputated_tree_sum(
     n: int,
     offshell: Iterable[int],
@@ -645,19 +663,11 @@ def amputated_tree_sum(
     legs outside ``offshell`` set onshell."""
     if n < 3:
         raise AlgebraError("amputated sums need at least three legs")
-    theory = theory if theory is not None else TheorySpec.free()
     legs = frozenset(range(1, n + 1))
     offshell = frozenset(offshell)
     if not offshell <= legs:
         raise AlgebraError("offshell legs must be external legs")
-    onshell = legs - offshell
-    v = max(legs)
-    engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory)
-    value = sum(engine.subtree_sums(legs - {v}).values(), RF_ZERO)
-    powers = tuple(it.power for it in theory.interactions)
-    decorated = _decorated_counts(n - 1, powers, False)[0]
-    meta = {"n": n, "kind": "A", "offshell": sorted(offshell), "propagator": theory.kind}
-    return TreeSumResult(value, topology_count(n, False), decorated, meta)
+    return _amputated(n, legs - offshell, diffeo, theory if theory is not None else TheorySpec.free())
 
 
 def symmetrized_one_offshell_sum(n: int) -> RationalFunction:
@@ -673,20 +683,12 @@ def coupling_linear_tree_sum(
     coupling_value: RationalFunction | None = None,
 ) -> TreeSumResult:
     """All-onshell amputated sum S^(s)_n over trees with exactly one
-    interaction vertex; metadata carries the per-valence decomposition."""
+    interaction vertex (coupling ``lambda_s`` unless ``coupling_value`` is
+    given); metadata carries the per-valence decomposition."""
     if n < 3:
         raise AlgebraError("amputated sums need at least three legs")
-    lam = coupling_value if coupling_value is not None else rf(coupling(s))
-    theory = TheorySpec(interactions=(Interaction(s, lam),))
-    legs = frozenset(range(1, n + 1))
-    v = max(legs)
-    engine = TreeSumEngine(legs, onshell=legs, diffeo=diffeo, theory=theory, single=True)
-    keyed = engine.subtree_sums(legs - {v})
-    by_valence = {k: val for k, val in keyed.items() if k != _NO_INT}
-    value = sum(by_valence.values(), RF_ZERO)
-    decorated = _decorated_counts(n - 1, (s,), True)[1]
-    meta = {"n": n, "kind": "S", "s": s, "by_valence": by_valence}
-    return TreeSumResult(value, topology_count(n, False), decorated, meta)
+    theory = TheorySpec(interactions=(interaction(s, coupling_value),))
+    return _amputated(n, frozenset(range(1, n + 1)), diffeo, theory, single=True)
 
 
 def recursive_tree_sum(
@@ -820,14 +822,11 @@ def kinematic_values(
     r: RationalFunction,
     momenta: Sequence[Sequence[int | Fraction]],
     mass_sq_value: int | Fraction,
-    *,
-    beta: Mapping[int, Fraction] | None = None,
 ) -> dict[Symbol, int | Fraction]:
     """The value of every symbol of ``r`` at exact momenta: the edge variable
-    of a leg subset S is (sum_{i in S} p_i)^2 - msq (standard) or the
-    propagator polynomial in the squared momentum (generalized, via
-    ``beta``), with the mostly-minus metric, and ``msq`` is
-    ``mass_sq_value``.
+    of a leg subset S is (sum_{i in S} p_i)^2 - msq, with the mostly-minus
+    metric, and ``msq`` is ``mass_sq_value``.  A generalized edge variable
+    stands for a whole propagator polynomial and is refused.
 
     The momenta are scaled once to integers over the least common
     denominator ``L`` of their components, so a subset's momentum is a sum
@@ -849,22 +848,17 @@ def kinematic_values(
 
     table: dict[Symbol, int | Fraction] = {}
     den = r.den
+    m = mass_sq_value
     for sym in sorted(r.symbols()):
         if sym.kind == Kind.EDGE:
             subset = sym.meta
             if subset[0] < 1 or subset[-1] > len(momenta):
                 raise AlgebraError(f"no momentum supplied for edge variable {sym.name}")
+            if sym.key[1] == 1:
+                raise AlgebraError(f"generalized edge variable {sym.name} has no kinematic value")
             q = [sum(c) for c in zip(*(scaled[i - 1] for i in subset))]
             q_sq = q[0] * q[0] - sum(c * c for c in q[1:])  # times lcd^2
-            generalized = sym.key[1] == 1
-            if generalized:
-                if beta is None:
-                    raise AlgebraError("generalized edge variables need beta coefficients")
-                q_sq = Fraction(q_sq, lcd * lcd)
-                value = sum((Fraction(beta[k]) * q_sq**k for k in sorted(beta)), Fraction(0))
-            else:
-                m = mass_sq_value
-                value = Fraction(q_sq * m.denominator - m.numerator * lcd * lcd, lcd * lcd * m.denominator)
+            value = Fraction(q_sq * m.denominator - m.numerator * lcd * lcd, lcd * lcd * m.denominator)
             if not value and den.exponent(sym):
                 raise AlgebraError(f"kinematic point annihilates the edge denominator {sym.name}")
             table[sym] = value
@@ -879,9 +873,7 @@ def evaluate_at_kinematics(
     r: RationalFunction,
     momenta: Sequence[Sequence[int | Fraction]],
     mass_sq_value: int | Fraction,
-    *,
-    beta: Mapping[int, Fraction] | None = None,
 ) -> Scalar:
     """Exact value of ``r`` at the point that :func:`kinematic_values`
     gives for these momenta."""
-    return r.evaluate(kinematic_values(r, momenta, mass_sq_value, beta=beta))
+    return r.evaluate(kinematic_values(r, momenta, mass_sq_value))

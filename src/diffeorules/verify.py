@@ -129,7 +129,7 @@ def check_bn(max_n: int = 7, tamper: Tamper | None = None) -> Report:
     """Enumerated one-offshell tree sums vs the closed form vs the inverse
     series, and the constancy of the result (no edge / mass symbols)."""
     with _Checker("bn", {"max_n": max_n}) as chk:
-        inverses = series.inverse_series_tree_sums(max_n)
+        inverses = series.inverse_series_tree_sums(max(max_n, 1))
         sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, _SYMBOLIC), max_n)
         for n in range(2, max_n + 1):
             enum = sums[n]

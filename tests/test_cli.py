@@ -98,6 +98,24 @@ class TestTreesum:
         out = run_cli("treesum", "--kind", "A", "--n", "4", "--offshell", "1,9")
         assert out.returncode == 2
 
+    def test_b_ignores_configured_interactions(self, tmp_path):
+        cfg = {"theory": {"interactions": [{"s": 3}]}}
+        out = run_cli("treesum", "--kind", "b", "--n", "3", config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert "value: 12*a1^2-6*a2\n" in out.stdout
+        assert "tree_count: 4\n" in out.stdout
+        assert "decorated_count: 4\n" in out.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("rules", "--kind", "bogus", "--n", "4"), ("treesum", "--kind", "b")],
+        ids=["unknown rule kind", "treesum without --n"],
+    )
+    def test_argparse_refuses_before_any_command_runs(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stdout == ""
+
     def test_configured_coupling_reaches_value_and_trace(self, tmp_path):
         cfg = {"theory": {"interactions": [{"s": 3, "coupling": "2"}]}}
         out = run_cli(

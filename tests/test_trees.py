@@ -246,6 +246,37 @@ class TestRootedTreeSums:
             assert recursive_tree_sum(n) == tree_sum_closed_form(n)
             assert recursive_tree_sum(n, generalized=False) == tree_sum_closed_form(n)
 
+    def test_b_ignores_configured_interactions(self):
+        a1, a2, a3 = (rf(diffeo_coeff(j)) for j in (1, 2, 3))
+        free = rooted_tree_sum(4)
+        got = rooted_tree_sum(4, theory=TheorySpec.standard(3))
+        assert got.value == (a1 * a1 * a1).scaled(Scalar(-120)) + (a1 * a2).scaled(Scalar(120)) - a3.scaled(Scalar(24))
+        assert got.value == free.value
+        assert (got.tree_count, got.decorated_count) == (free.tree_count, free.decorated_count) == (26, 26)
+
+    @pytest.mark.parametrize("kind", ["b", "bprime"])
+    def test_one_leg_is_the_bare_edge(self, kind):
+        # G({1}) of the engine is the bare leg's 1; no branch skips the walk.
+        result = rooted_tree_sum(1) if kind == "b" else interacting_rooted_tree_sum(1, 3)
+        assert result.value == RF_ONE
+        assert (result.tree_count, result.decorated_count) == (1, 1)
+        assert result.metadata == {"below": []}
+
+    @pytest.mark.parametrize(
+        "build, keys",
+        [
+            (lambda n: rooted_tree_sum(n), {"below"}),
+            (lambda n: interacting_rooted_tree_sum(n, 3), {"below"}),
+            (lambda n: interacting_rooted_tree_sum(n, 3, mode="s_only"), set()),
+            (lambda n: amputated_tree_sum(n, {1}), set()),
+            (lambda n: coupling_linear_tree_sum(n, 3), {"by_valence"}),
+        ],
+        ids=["b", "bprime", "bprime s_only", "A", "S"],
+    )
+    def test_metadata_holds_only_what_callers_read(self, build, keys):
+        for n in (3, 4):
+            assert set(build(n).metadata) == keys, n
+
 
 class TestAmputatedSums:
     @pytest.mark.parametrize("n", range(3, 8))
@@ -259,6 +290,27 @@ class TestAmputatedSums:
             value = amputated_tree_sum(n, {j}).value
             assert value == RF_MINUS_I * b * rf(edge_symbol(frozenset((j,))))
         assert symmetrized_one_offshell_sum(n) == RF_MINUS_I * b * total_singles(n)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: amputated_tree_sum(5, {1}), lambda: coupling_linear_tree_sum(5, 3)],
+        ids=["A", "S"],
+    )
+    def test_the_largest_leg_is_the_virtual_root(self, monkeypatch, build):
+        # The value does not depend on the choice, but the walk does: the
+        # engine hangs the trees from the same leg as enumerate_trees and
+        # the per-tree trace printed beside the sum.
+        asked = []
+        subtree_sums = TreeSumEngine.subtree_sums
+
+        def spy(self, block):
+            asked.append(block)
+            return subtree_sums(self, block)
+
+        monkeypatch.setattr(TreeSumEngine, "subtree_sums", spy)
+        build()
+        (topology, *_) = enumerate_trees(range(1, 6), rooted=False)
+        assert asked == [frozenset(range(1, 6)) - {topology.virtual_root}] == [frozenset(range(1, 5))]
 
     def test_four_point_full_offshell(self):
         value = amputated_tree_sum(4, range(1, 5)).value
@@ -731,16 +783,13 @@ class TestKinematics:
                 )
 
     def test_generalized_edges_need_beta(self):
+        # A generalized edge variable stands for a whole propagator
+        # polynomial, which a kinematic point does not fix.
         rng = random.Random(4)
         momenta = random_conserving_momenta(3, 4, rng)
         x = rf(edge_symbol(frozenset((1,)), True))
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match="generalized edge variable X1 has no kinematic value"):
             evaluate_at_kinematics(x, momenta, Fraction(1))
-        beta = {0: Fraction(-1), 1: Fraction(1), 2: Fraction(2, 7)}
-        value = evaluate_at_kinematics(x, momenta, Fraction(1), beta=beta)
-        q = momenta[0]
-        q_sq = q[0] * q[0] - sum(c * c for c in q[1:])
-        assert value == Scalar(Fraction(-1) + q_sq + Fraction(2, 7) * q_sq**2)
 
     def test_conservation_violation_rejected(self):
         bad = [(Fraction(1), Fraction(0), Fraction(0), Fraction(0))] * 2

@@ -90,7 +90,7 @@ class TestIndividualChecks:
         assert check(max_n=5).status == "pass"
         assert len(rooted) == walks
 
-    @pytest.mark.parametrize("max_n", (1, 2))
+    @pytest.mark.parametrize("max_n", (-1, 0, 1, 2))
     @pytest.mark.parametrize(
         "check, params",
         [
