@@ -45,6 +45,10 @@ class ConfigError(Exception):
 # a second).  At 9, b and S each take about 1.0-1.2 s on a 2-core host;
 # b_40 or S_30 would not end.
 TREESUM_MAX_N = 9
+# Most decorated trees ``treesum --trace`` dumps, each through the per-tree
+# ``amplitude``: b_6 has 2752 and dumps in about 5 s.  A_7 has as many; with
+# every leg offshell it is the slowest dump the cap allows, about 17 s.
+TREESUM_TRACE_MAX = 2752
 # Largest ``rules --n``: the generalized vertex sums over subsets of the legs,
 # about 1.6-1.8 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
@@ -284,6 +288,11 @@ def cmd_treesum(args, cfg: dict) -> int:
     if kind in ("bprime", "S"):
         theory = _single_interaction(kind, args.s, theory)
         (it,) = theory.interactions
+    if args.trace:  # the rows of the dump, counted from the sizes before any sum
+        powers = tuple(it.power for it in theory.interactions) if kind != "b" else ()
+        count = trees._decorated_counts(n if kind in ("b", "bprime") else n - 1, powers, kind == "S")[kind == "S"]
+        if count > TREESUM_TRACE_MAX:
+            raise ConfigError(f"treesum --trace is limited to {TREESUM_TRACE_MAX} decorated trees, got {count}")
     if kind == "b":
         result = trees.rooted_tree_sum(n, diffeo, theory=theory)
     elif kind == "bprime":

@@ -249,7 +249,8 @@ def amplitude(
 
     Vertex rules and internal propagators are multiplied fully symbolically;
     the singleton variables of onshell legs are substituted to zero at the
-    end.  External propagators are excluded except the root one when flagged.
+    end.  External propagators are excluded except the root one when flagged;
+    the bare edge of a one-leg rooted tree is 1, as ``b_1`` is.
     """
     onshell = frozenset(onshell)
     if not onshell <= topology.labels:
@@ -286,11 +287,11 @@ def amplitude(
         return value
 
     if not isinstance(topology.structure, tuple):
-        value = RF_ONE  # bare offshell edge, no vertex
+        value = RF_ONE  # the bare edge: no vertex and no propagator, as b_1 = 1
     else:
         value = walk(topology.structure)
-    if include_root_propagator:
-        value = value * propagator(topology.labels, universe, generalized=gen)
+        if include_root_propagator:
+            value = value * propagator(topology.labels, universe, generalized=gen)
     bindings = {
         edge_symbol(frozenset((leg,)), gen): RF_ZERO
         for leg in onshell
@@ -312,16 +313,6 @@ class TreeSumResult:
 
 _NO_INT = 0  # key for "no interaction vertex yet" in the valence-tracked sums
 _ONE = Polynomial.constant(1)  # the sum of a bare leg; never an accumulator
-
-
-def _add(acc: dict, key, x: Polynomial) -> None:
-    """``acc[key] += x`` in place.  An absent entry starts as a copy of
-    ``x``, so every accumulator is created by the step that fills it and no
-    kept sum is ever merged into."""
-    if key in acc:
-        merge_terms(acc[key].terms, x.terms.items())
-    else:
-        acc[key] = Polynomial(x.terms, _trusted=True)
 
 
 def _mul_into(acc: dict, x: dict, y: dict) -> dict:
@@ -361,24 +352,34 @@ class TreeSumEngine:
     for a block ``T``:
 
     * ``F_k(T)`` sums ``prod G(B)`` over the partitions of ``T`` into ``k``
-      blocks, in one pass of :func:`set_partitions`;
-    * ``G(B) = J(B) i/X_B`` (1 for a leg), ``P(U) = i X_U sum_k c_{k-1}
-      F_k(U)`` and ``Q(W) = sum_l c_l F_l(W)``, with ``F_1 = G``;
-    * ``J(T) = sum_U P(U) Q(T-U) + i X_T sum_{k>=2} c_{k-1} F_k(T) +
-      sum_{m>=2} v(m+1) F_m(T)`` over the proper nonempty ``U``, with ``v``
-      the interaction vertex of each valence, is the sum below ``T``'s
-      parent edge.
+      blocks, in one pass of :func:`set_partitions`, with ``F_1 = G``;
+    * ``P(U) = i X_U sum_k c_{k-1} F_k(U)`` and ``Q(W) = sum_l c_l F_l(W)``
+      (``G = 1`` for a leg);
+    * ``B(T) = sum_U P(U) Q(T-U) + sum_{m>=2} v(m+1) F_m(T)`` over the
+      proper nonempty ``U``, with ``v`` the interaction vertex of each
+      valence, and ``J(T) = B(T) + i X_T sum_{k>=2} c_{k-1} F_k(T)`` is the
+      sum below ``T``'s parent edge.
+
+    The vertex's ``i X_T`` cancels the propagator ``i/X_T`` of the edge
+    above it: from ``G = J i/X_T`` and ``c_0 = 1``, ``P(T) = i X_T (G(T) +
+    sum_{k>=2} c_{k-1} F_k(T)) = i X_T (i/X_T) B(T) = -B(T)`` and ``G(T) =
+    (i/X_T) B(T) - sum_{k>=2} c_{k-1} F_k(T)``.  So a block's walk returns
+    ``B`` and its ``F_k``, no product forms ``P``, and ``J`` is built only
+    for the amputated top block (:meth:`subtree_sums`).  The engine keeps
+    ``-P`` (that is ``B``) and ``-Q``, whose signs cancel in ``P(U)
+    Q(W)``.
 
     ``X_U`` is ``U``'s canonical edge symbol, absent for an onshell
     singleton: a leg, or the complement of an unrooted sum's top block.
-    ``G``, ``P`` and ``Q`` are kept per proper block (``_blocks``) and
-    ``F_k`` only during its block's step, so the vertex costs one product
-    per split of a block, about ``3^n`` for ``n`` legs.  ``P`` and ``Q``
-    are built only where a split can read them.  Neither is built for a
-    sum's top block, whose ``F_k`` are dropped before its ``G`` is built,
-    so an ``n``-leg sum reads no ``a_j`` beyond ``a_{n-1}``; and ``Q`` is
-    not built for the top block's largest sub-blocks when every leg is
-    onshell.  A block never holds the root of a rooted sum.
+    ``G``, ``-P`` and ``-Q`` are kept per proper block (``_blocks``) and
+    ``F_k`` only until its block's ``G`` and ``Q`` have read it, so the
+    vertex costs one product per split of a block, about ``3^n`` for ``n``
+    legs.  ``P`` and ``Q`` are kept only where a split can read them.
+    Neither is kept for a sum's top block, whose ``B`` is released once its
+    ``G`` is built and each ``F_k`` after its product, so an ``n``-leg sum
+    reads no ``a_j`` beyond ``a_{n-1}``; and ``Q`` is not built for the top
+    block's largest sub-blocks when every leg is onshell.  A block never
+    holds the root of a rooted sum.
     """
 
     def __init__(
@@ -395,10 +396,9 @@ class TreeSumEngine:
         self.diffeo = diffeo
         self.theory = theory
         self.single = single
-        self._blocks: dict = {}  # proper block -> (G, P, Q), each keyed
+        self._blocks: dict = {}  # proper block -> (G, -P, -Q), each keyed
         self._coefficients: list = []  # j -> c_j = (j+1)! a_j
         self._vertices: dict = {}  # valence -> sum of its interaction vertices
-        self._edges: dict = {}  # leg subset -> i X_U as a polynomial, or None
 
     def _coefficient(self, j: int) -> Polynomial:
         """``c_j = (j+1)! a_j``, read on first use; empty when ``a_j = 0``."""
@@ -418,12 +418,10 @@ class TreeSumEngine:
 
     def _edge(self, subset: frozenset[int]) -> Polynomial | None:
         """``i X_U``, or ``None`` when ``U``'s canonical subset is an onshell leg."""
-        if subset not in self._edges:
-            canon = canonical_subset(subset, self.universe)
-            onshell = len(canon) == 1 and canon <= self.onshell
-            edge = Monomial.of(edge_symbol(canon, self.theory.generalized))
-            self._edges[subset] = None if onshell else Polynomial({edge: SC_I}, _trusted=True)
-        return self._edges[subset]
+        canon = canonical_subset(subset, self.universe)
+        if len(canon) == 1 and canon <= self.onshell:
+            return None
+        return Polynomial({Monomial.of(edge_symbol(canon, self.theory.generalized)): SC_I}, _trusted=True)
 
     def _q_is_read(self, block: frozenset[int]) -> bool:
         """Whether a larger block ``T = W + U`` can read ``Q(W)``, which it
@@ -435,31 +433,35 @@ class TreeSumEngine:
         return room >= 2 or (room == 1 and not spare <= self.onshell)
 
     def _tables(self, block: frozenset[int]) -> tuple[dict, dict, dict]:
-        """``(G, P, Q)`` of a proper block, built on first use and kept."""
+        """``(G, -P, -Q)`` of a proper block, built on first use and kept.
+        ``-P`` is ``B`` for a block of two or more legs; the two signs
+        cancel in every product ``P(U) Q(W)``."""
         tables = self._blocks.get(block)
         if tables is None:
             top = len(block) == len(self.universe) - 1  # a sum's top block: no larger block reads its P or Q
             if len(block) == 1:
-                g, forests, p = {_NO_INT: _ONE}, {}, {}
+                edge = self._edge(block)
+                g, b, forests = {_NO_INT: _ONE}, {} if edge is None or top else {_NO_INT: -edge}, {}
             else:
-                sums, forests, p = (self._walk(block)[0], {}, {}) if top else self._walk(block)
+                b, forests = self._walk(block)
                 edge = propagator(block, self.universe, generalized=self.theory.generalized).poly
-                g = {key: x * edge for key, x in sums.items()}
-            forests[1] = g
-            edge = self._edge(block)
-            if edge is not None and not top:
-                _mul_into(p, g, {_NO_INT: edge})  # c_0 = a_0 = 1
+                g = _mul_into({}, b, {_NO_INT: edge})
+                b = {} if top else b  # released before the forests, as no larger block reads it
+            read_q = self._q_is_read(block)
             q: dict = {}
-            if self._q_is_read(block):
-                for l, forest in forests.items():
-                    if c := self._coefficient(l):
-                        _mul_into(q, forest, {_NO_INT: c})
-            tables = self._blocks[block] = (g, _nonzero(p), _nonzero(q))
+            while forests:  # each F_k is released after its last product
+                k, forest = forests.popitem()
+                if c := self._coefficient(k - 1):
+                    _mul_into(g, forest, {_NO_INT: -c})
+                if read_q and (c := self._coefficient(k)):
+                    _mul_into(q, forest, {_NO_INT: -c})
+            if read_q and (c := self._coefficient(1)):
+                _mul_into(q, g, {_NO_INT: -c})
+            tables = self._blocks[block] = (_nonzero(g), b, _nonzero(q))
         return tables
 
-    def _walk(self, block: frozenset[int]) -> tuple[dict, dict, dict]:
-        """``J(T)``, ``{k: F_k(T)}`` for ``k >= 2``, and the part
-        ``i X_T sum_{k>=2} c_{k-1} F_k(T)`` of ``P(T)``; each keyed, without
+    def _walk(self, block: frozenset[int]) -> tuple[dict, dict]:
+        """``B(T)`` and ``{k: F_k(T)}`` for ``k >= 2``; each keyed, without
         zero entries, and owned by the caller."""
         legs = sorted(block)
         forests: dict = {}
@@ -471,37 +473,35 @@ class TreeSumEngine:
             forest = forests.setdefault(len(partition), {})
             if len(factors) < 2:
                 for key, x in (factors[0] if factors else {_NO_INT: _ONE}).items():
-                    _add(forest, key, x)
+                    merge_terms(forest.setdefault(key, Polynomial()).terms, x.terms.items())
                 continue
             merged = factors[0]
             for g in factors[1:-1]:
                 merged = _mul_into({}, merged, g)
             _mul_into(forest, merged, factors[-1])  # the last factor lands in F_k
         forests = {k: nonzero for k, f in forests.items() if (nonzero := _nonzero(f))}
-        edge = self._edge(block)
-        p: dict = {}
         sums: dict = {}
         for k, forest in forests.items():
-            c = self._coefficient(k - 1)
-            if edge is not None and c:
-                _mul_into(p, forest, {_NO_INT: c * edge})
-            vertex = self._vertex(k + 1)
-            if vertex and _NO_INT in forest:
-                _add(sums, k + 1 if self.single else _NO_INT, forest[_NO_INT] * vertex)
+            if vertex := self._vertex(k + 1):
+                _mul_into(sums, forest, {k + 1 if self.single else _NO_INT: vertex})
         for size in range(1, len(legs)):
             for subset in itertools.combinations(legs, size):
                 u = frozenset(subset)
                 _mul_into(sums, self._tables(u)[1], self._tables(block - u)[2])
-        for key, x in p.items():
-            _add(sums, key, x)
-        return _nonzero(sums), forests, _nonzero(p)
+        return _nonzero(sums), forests
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
-        """Keyed rational-function sums ``J`` over decorated subtrees on
-        ``block``: the top vertex and the child edges, not the parent edge."""
+        """Keyed rational-function sums ``J = B + i X_T sum_{k>=2} c_{k-1}
+        F_k`` over decorated subtrees on ``block``: the top vertex and the
+        child edges, not the parent edge."""
         if ROOT in block:
             raise AlgebraError("a subtree block holds legs below the root, never the root")
-        keyed = {k: RationalFunction(x) for k, x in self._walk(block)[0].items()}
+        sums, forests = self._walk(block)
+        edge = self._edge(block)
+        for k, forest in forests.items():
+            if edge is not None and (c := self._coefficient(k - 1)):
+                _mul_into(sums, forest, {_NO_INT: c * edge})
+        keyed = {k: RationalFunction(x) for k, x in _nonzero(sums).items()}
         return keyed or {_NO_INT: RF_ZERO}
 
     def block_sums(self, block: frozenset[int]) -> dict:

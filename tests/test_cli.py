@@ -1,5 +1,6 @@
 """Command-line interface: outputs, config parsing, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -183,6 +184,14 @@ class TestTreesum:
         topologies = {row["topology"] for row in payload["trace"]}
         assert len(topologies) == payload["tree_count"] == 4
 
+    @pytest.mark.parametrize("argv", [["b"], ["bprime"], ["bprime", "--reduced"]])
+    def test_one_leg_trace_is_the_bare_edge(self, argv):
+        out = run_cli("treesum", "--kind", *argv, "--n", "1", "--trace", "--format", "json")
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert payload["value"] == "1"
+        assert [row["amplitude"] for row in payload["trace"]] == ["1"]
+
 
 class TestVerify:
     def test_single_check_passes(self):
@@ -350,6 +359,70 @@ class TestVerifyCaps:
         path.write_text(json.dumps({"suite": {"s_values": s_values}}))
         specs = planned_specs(monkeypatch, "--config", str(path))
         assert specs == verify.default_suite(s_values=s_values)
+
+
+def _treesum_parser():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["treesum"]
+
+
+# Per kind, the largest --trace run the cap admits at default settings; the
+# next --n is refused.  A new kind without a measured entry here fails below.
+_TRACE_AT_CAP = {
+    "b": ["--n", "6"],
+    "bprime": ["--n", "5"],
+    "A": ["--n", "7"],
+    "S": ["--n", "6"],
+}
+# The treesum flags whose worst --trace run at the cap was measured (README's
+# cap table): the slowest is A at n = 7 with --offshell all.
+_TRACE_MEASURED_FLAGS = {"-h", "--help", "--config", "--format", "--kind", "--n", "--s", "--offshell", "--reduced", "--trace"}
+
+
+class TestTraceCaps:
+    def test_every_kind_and_flag_has_a_measured_trace_cap(self):
+        parser = _treesum_parser()
+        (kind,) = (a for a in parser._actions if "--kind" in a.option_strings)
+        assert set(kind.choices) == set(_TRACE_AT_CAP)
+        assert {flag for a in parser._actions for flag in a.option_strings} == _TRACE_MEASURED_FLAGS
+
+    @pytest.mark.parametrize("kind", sorted(_TRACE_AT_CAP))
+    def test_trace_at_the_cap_runs_and_one_past_is_refused_at_once(self, kind):
+        at_cap = run_cli("treesum", "--kind", kind, *_TRACE_AT_CAP[kind], "--trace", "--format", "json", timeout=60)
+        assert at_cap.returncode == 0, at_cap.stderr
+        rows = len(json.loads(at_cap.stdout)["trace"])
+        assert 0 < rows <= cli.TREESUM_TRACE_MAX
+        n = int(_TRACE_AT_CAP[kind][1]) + 1
+        start = time.perf_counter()
+        out = run_cli("treesum", "--kind", kind, "--n", str(n), "--trace", timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert str(cli.TREESUM_TRACE_MAX) in line
+
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [
+            (["--kind", "b", "--n", "5"], {"theory": {"interactions": [{"s": 3}]}}),
+            (["--kind", "bprime", "--n", "4", "--s", "4"], None),
+            (["--kind", "bprime", "--n", "4", "--reduced"], None),
+            (["--kind", "A", "--n", "5", "--offshell", "all"], {"theory": {"interactions": [{"s": 3}, {"s": 4}]}}),
+            (["--kind", "S", "--n", "5"], None),
+        ],
+    )
+    def test_the_refused_count_is_the_dumped_row_count(self, argv, cfg, monkeypatch, tmp_path, capsys):
+        prefix = []
+        if cfg is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            prefix = ["--config", str(path)]
+        assert cli.main(["treesum", *prefix, *argv, "--trace", "--format", "json"]) == 0
+        rows = len(json.loads(capsys.readouterr().out)["trace"])
+        monkeypatch.setattr(cli, "TREESUM_TRACE_MAX", rows - 1)
+        assert cli.main(["treesum", *prefix, *argv, "--trace"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"got {rows}")
 
 
 class TestStreams:

@@ -14,10 +14,12 @@ from diffeorules.algebra import (
     MONO_ONE,
     AlgebraError,
     Kind,
+    Monomial,
     Polynomial,
     RF_MINUS_I,
     RF_ONE,
     RF_ZERO,
+    SC_I,
     Scalar,
     coupling,
     diffeo_coeff,
@@ -182,6 +184,15 @@ class TestAmplitude:
             topo, None, TheorySpec.free(), onshell={1, 2}, include_root_propagator=True
         )
         assert value == rf(diffeo_coeff(1)).scaled(Scalar(-2))
+
+    @pytest.mark.parametrize("theory", (TheorySpec.free(), TheorySpec.generalized_free()), ids=("standard", "generalized"))
+    def test_bare_edge_is_one(self, theory):
+        # b_1 = 1: the one-leg tree has no vertex, and its root edge carries
+        # no propagator, whose onshell x1 = 0 would annihilate it.
+        [topo] = enumerate_trees({1})
+        for onshell in ((), (1,)):
+            assert amplitude(topo, None, theory, onshell=onshell, include_root_propagator=True) == RF_ONE
+        assert rooted_tree_sum(1, theory=theory).value == RF_ONE
 
     def test_onshell_substitution_happens_after_assembly(self):
         [topo] = enumerate_trees({1, 2})
@@ -540,6 +551,96 @@ class TestEngineMemo:
             assert engine._coefficients == want and not want[1], n
             assert empty_operands == [], n
             assert legs not in engine._blocks and len(engine._blocks) == 2**n - 2, n
+
+
+def _keyed_product(x: dict, y: dict) -> dict:
+    """Keyed ``x * y`` by plain polynomial arithmetic: a key is the valence
+    of the one interaction vertex (0: none), so two nonzero keys drop."""
+    out: dict = {}
+    for k1, x1 in x.items():
+        for k2, x2 in y.items():
+            if not (k1 and k2):
+                out[k1 or k2] = out.get(k1 or k2, Polynomial()) + x1 * x2
+    return out
+
+
+def _keyed_sum(*terms: dict) -> dict:
+    out: dict = {}
+    for x in terms:
+        for k, v in x.items():
+            out[k] = out.get(k, Polynomial()) + v
+    return out
+
+
+def _keyed_terms(x: dict, sign: int = 1) -> dict:
+    return {k: dict((v if sign > 0 else -v).terms) for k, v in x.items() if v.terms}
+
+
+# Engines at 6 legs: rooted, amputated with the offshell legs none, one (leg
+# 1), the top block's complement (leg 6) or all, single, generalized, tuned.
+_IDENTITY_ENGINES = {
+    "rooted": dict(rooted=True, onshell="all", theory=TheorySpec.free()),
+    "rooted tuned b'": dict(rooted=True, onshell="all", theory=TheorySpec.standard(3), diffeo=DiffeoSpec.tuned(3, 6)),
+    "rooted generalized": dict(rooted=True, onshell="all", theory=TheorySpec.generalized_free()),
+    "amputated none": dict(rooted=False, onshell="all", theory=TheorySpec.standard(3, 4)),
+    "amputated one": dict(rooted=False, onshell="all but 1", theory=TheorySpec.standard(3)),
+    "amputated top": dict(rooted=False, onshell="all but 6", theory=TheorySpec.free()),
+    "amputated all": dict(rooted=False, onshell="none", theory=TheorySpec.standard(4)),
+    "amputated generalized": dict(rooted=False, onshell="all but 1", theory=TheorySpec.generalized_free()),
+    "single": dict(rooted=False, onshell="all", theory=TheorySpec.standard(3), single=True),
+    "single tuned": dict(rooted=False, onshell="all", theory=TheorySpec.standard(3), single=True, diffeo=DiffeoSpec.tuned(3, 6)),
+}
+
+
+class TestEngineIdentity:
+    """Each kept ``P`` table rebuilt from its definition ``P(U) = i X_U (G(U)
+    + sum_{k>=2} c_{k-1} F_k(U))``, and each kept ``Q`` from ``Q(W) =
+    sum_{l>=1} c_l F_l(W)``, with ``F_1 = G`` and ``F_k`` the products of
+    the kept ``G`` tables over the partitions into ``k`` blocks.  The engine
+    keeps ``-P`` and ``-Q``; for a block of two or more legs ``-P`` is ``B``,
+    the sum it walks, and no edge product builds it."""
+
+    @pytest.mark.parametrize("name", sorted(_IDENTITY_ENGINES))
+    def test_kept_p_and_q_match_their_definitions(self, name):
+        spec = dict(_IDENTITY_ENGINES[name])
+        rooted, onshell, theory = spec.pop("rooted"), spec.pop("onshell"), spec.pop("theory")
+        diffeo = spec.pop("diffeo", SYMBOLIC)
+        legs = frozenset(range(1, 7))
+        onshell = {"all": legs, "none": frozenset(), "all but 1": legs - {1}, "all but 6": legs - {6}}[onshell]
+        universe = legs | {ROOT} if rooted else legs
+        engine = TreeSumEngine(universe, onshell=onshell, diffeo=diffeo, theory=theory, **spec)
+        top = legs if rooted else legs - {6}
+        if rooted:
+            engine.block_sums(top)
+            assert engine._blocks.pop(top)[1:] == ({}, {})  # no P or Q for the top block
+        else:
+            engine.subtree_sums(top)
+        assert len(engine._blocks) == 2 ** len(top) - 2
+
+        def c(j):
+            return diffeo.a(j).scaled(Scalar(factorial(j + 1))).poly
+
+        def forests(block):
+            out: dict = {}
+            for partition in trees.set_partitions(sorted(block)):
+                product = {0: Polynomial.constant(1)}
+                for b in partition:
+                    product = _keyed_product(product, engine._blocks[frozenset(b)][0])
+                out[len(partition)] = _keyed_sum(out.get(len(partition), {}), product)
+            return out
+
+        for block, (g, minus_p, minus_q) in engine._blocks.items():
+            f = forests(block)
+            canon = trees.canonical_subset(block, universe)
+            if len(canon) == 1 and canon <= onshell:
+                p = {}
+            else:
+                edge = Polynomial({Monomial.of(edge_symbol(canon, theory.generalized)): SC_I})
+                inner = _keyed_sum(g, *(_keyed_product(x, {0: c(k - 1)}) for k, x in f.items() if k >= 2))
+                p = _keyed_product(inner, {0: edge})
+            assert _keyed_terms(minus_p) == _keyed_terms(p, -1), (name, sorted(block))
+            q = _keyed_sum(*(_keyed_product(x, {0: c(k)}) for k, x in f.items())) if engine._q_is_read(block) else {}
+            assert _keyed_terms(minus_q) == _keyed_terms(q, -1), (name, sorted(block))
 
 
 def _valence_of_interaction(topo, deco):
