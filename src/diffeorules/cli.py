@@ -53,7 +53,7 @@ TREESUM_TRACE_MAX = 2752
 # about 1.6-1.8 s at n = 14 and more than twice that per further leg.
 RULES_MAX_N = 14
 # Largest ``verify`` run sizes, each measured with the others at their
-# defaults on a 2-core host.  max_n: the default suite takes 1.4-2.0 s at 7,
+# defaults on a 2-core host.  max_n: the default suite takes 1.1-1.4 s at 7,
 # and at 8 ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes
 # from 0.03-0.05 s to 0.14-0.15 s).  order: ``adiabatic`` takes 1.5-2.8 s at
 # 1000, most of it the Fuss-Catalan residual.  trials: ``kinematics`` takes

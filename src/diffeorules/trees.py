@@ -23,7 +23,11 @@ The engine has two front ends.  A rooted sum (``b_n``, ``b'_n``) walks its
 ``n`` legs below the root once and reads the sum on ``m`` legs, for every
 ``m <= n``, as the kept table of the prefix block ``{1..m}``.  An amputated
 sum (``A^j_n``, ``S^(s)_n``) takes leg ``n`` as its virtual root and reads
-the subtree sums of the other legs.
+the subtree sums of the other legs.  One walk on ``n`` legs also gives the
+amputated sum on ``m < n`` legs whose leg ``m`` is onshell
+(:func:`amputated_family`): it is the kept vertex-and-split sum of the
+prefix block ``{1..m-1}``, once each edge symbol is renamed from the
+``n``-leg universe to ``{1..m}``.
 
 The engine sums values only.  Counts depend on block sizes alone, so the
 tree, decorated-tree and topology counts come from a recursion over sizes
@@ -222,13 +226,12 @@ def enumerate_decorations(
     of valence ``v`` is ``FREE`` or any interaction of power ``s <= v``."""
     valences = [len(node) + 1 for node in topology.internal_vertices()]
     pools = [[FREE] + [("I", it.power) for it in interactions if v >= it.power] for v in valences]
-    decos = []
-    for combo in itertools.product(*pools):
-        n_int = sum(1 for tag in combo if tag[0] == "I")
-        if exactly_one and n_int != 1:
-            continue
-        decos.append(combo)
-    return decos
+    if not exactly_one:
+        return list(itertools.product(*pools))
+    # The order of the product: the tag's position from last to first, and
+    # the pool's order within a position.
+    free = (FREE,) * len(pools)
+    return [free[:i] + (tag,) + free[i + 1 :] for i in reversed(range(len(pools))) for tag in pools[i][1:]]
 
 
 def _leaves(node) -> frozenset[int]:
@@ -335,6 +338,30 @@ def _nonzero(keyed: dict) -> dict:
     return {key: x for key, x in keyed.items() if x}
 
 
+def _mask(block: Iterable[int]) -> int:
+    """The bitmask of a leg block: bit ``i`` is leg ``i``."""
+    return sum(1 << leg for leg in block)
+
+
+def _legs(mask: int) -> frozenset[int]:
+    return frozenset(leg for leg in range(mask.bit_length()) if mask >> leg & 1)
+
+
+def _renamed(value: RationalFunction, universe: frozenset[int], m: int, generalized: bool) -> RationalFunction:
+    """``value``, a sum over trees on the legs below ``m`` in ``universe``,
+    with each edge symbol renamed from ``universe`` to ``{1..m}``: the
+    symbol of a leg subset ``U`` of ``{1..m-1}`` names ``U`` or its
+    complement, and maps to ``U``'s canonical subset in ``{1..m}``, one to
+    one.  A single leg keeps its name."""
+    small = frozenset(range(1, m + 1))
+    names = {}
+    for sym in value.symbols():
+        if sym.kind == Kind.EDGE and len(sym.meta) > 1:
+            subset = frozenset(sym.meta) if sym.meta[-1] < m else universe - frozenset(sym.meta)
+            names[sym] = rf(edge_symbol(canonical_subset(subset, small), generalized))
+    return value.substitute(names)
+
+
 class TreeSumEngine:
     """Distributive evaluation of decorated tree sums over shared subtrees.
 
@@ -371,15 +398,17 @@ class TreeSumEngine:
 
     ``X_U`` is ``U``'s canonical edge symbol, absent for an onshell
     singleton: a leg, or the complement of an unrooted sum's top block.
-    ``G``, ``-P`` and ``-Q`` are kept per proper block (``_blocks``) and
-    ``F_k`` only until its block's ``G`` and ``Q`` have read it, so the
-    vertex costs one product per split of a block, about ``3^n`` for ``n``
-    legs.  ``P`` and ``Q`` are kept only where a split can read them.
+    ``G``, ``-P`` and ``-Q`` are kept per proper block (``_blocks``, keyed
+    by the block's bitmask: bit ``i`` is leg ``i``, and the root ``ROOT =
+    0`` is never in a block) and ``F_k`` only until its block's ``G`` and
+    ``Q`` have read it, so the vertex costs one product per split of a
+    block, about ``3^n`` for ``n`` legs; a walk enumerates the splits as
+    submasks and skips those whose ``P(U)`` is empty, as for an onshell
+    leg.  ``P`` and ``Q`` are kept only where a split can read them.
     Neither is kept for a sum's top block, whose ``B`` is released once its
     ``G`` is built and each ``F_k`` after its product, so an ``n``-leg sum
     reads no ``a_j`` beyond ``a_{n-1}``; and ``Q`` is not built for the top
-    block's largest sub-blocks when every leg is onshell.  A block never
-    holds the root of a rooted sum.
+    block's largest sub-blocks when every leg is onshell.
     """
 
     def __init__(
@@ -396,7 +425,7 @@ class TreeSumEngine:
         self.diffeo = diffeo
         self.theory = theory
         self.single = single
-        self._blocks: dict = {}  # proper block -> (G, -P, -Q), each keyed
+        self._blocks: dict = {}  # proper block's bitmask -> (G, -P, -Q), each keyed
         self._coefficients: list = []  # j -> c_j = (j+1)! a_j
         self._vertices: dict = {}  # valence -> sum of its interaction vertices
 
@@ -432,18 +461,19 @@ class TreeSumEngine:
         room = len(spare) - (ROOT not in self.universe)
         return room >= 2 or (room == 1 and not spare <= self.onshell)
 
-    def _tables(self, block: frozenset[int]) -> tuple[dict, dict, dict]:
-        """``(G, -P, -Q)`` of a proper block, built on first use and kept.
-        ``-P`` is ``B`` for a block of two or more legs; the two signs
-        cancel in every product ``P(U) Q(W)``."""
-        tables = self._blocks.get(block)
+    def _tables(self, t: int) -> tuple[dict, dict, dict]:
+        """``(G, -P, -Q)`` of the proper block of bitmask ``t``, built on
+        first use and kept.  ``-P`` is ``B`` for a block of two or more
+        legs; the two signs cancel in every product ``P(U) Q(W)``."""
+        tables = self._blocks.get(t)
         if tables is None:
+            block = _legs(t)
             top = len(block) == len(self.universe) - 1  # a sum's top block: no larger block reads its P or Q
             if len(block) == 1:
                 edge = self._edge(block)
                 g, b, forests = {_NO_INT: _ONE}, {} if edge is None or top else {_NO_INT: -edge}, {}
             else:
-                b, forests = self._walk(block)
+                b, forests = self._walk(t)
                 edge = propagator(block, self.universe, generalized=self.theory.generalized).poly
                 g = _mul_into({}, b, {_NO_INT: edge})
                 b = {} if top else b  # released before the forests, as no larger block reads it
@@ -457,19 +487,19 @@ class TreeSumEngine:
                     _mul_into(q, forest, {_NO_INT: -c})
             if read_q and (c := self._coefficient(1)):
                 _mul_into(q, g, {_NO_INT: -c})
-            tables = self._blocks[block] = (_nonzero(g), b, _nonzero(q))
+            tables = self._blocks[t] = (_nonzero(g), b, _nonzero(q))
         return tables
 
-    def _walk(self, block: frozenset[int]) -> tuple[dict, dict]:
-        """``B(T)`` and ``{k: F_k(T)}`` for ``k >= 2``; each keyed, without
-        zero entries, and owned by the caller."""
-        legs = sorted(block)
+    def _walk(self, t: int) -> tuple[dict, dict]:
+        """``B(T)`` and ``{k: F_k(T)}`` for ``k >= 2`` of the block of
+        bitmask ``t``; each keyed, without zero entries, and owned by the
+        caller."""
         forests: dict = {}
-        for partition in set_partitions(legs):
+        for partition in set_partitions([1 << leg for leg in range(t.bit_length()) if t >> leg & 1]):
             if len(partition) < 2:
                 continue
             # A bare leg contributes the factor one.
-            factors = [self._tables(frozenset(b))[0] for b in partition if len(b) > 1]
+            factors = [self._tables(sum(b))[0] for b in partition if len(b) > 1]
             forest = forests.setdefault(len(partition), {})
             if len(factors) < 2:
                 for key, x in (factors[0] if factors else {_NO_INT: _ONE}).items():
@@ -484,10 +514,11 @@ class TreeSumEngine:
         for k, forest in forests.items():
             if vertex := self._vertex(k + 1):
                 _mul_into(sums, forest, {k + 1 if self.single else _NO_INT: vertex})
-        for size in range(1, len(legs)):
-            for subset in itertools.combinations(legs, size):
-                u = frozenset(subset)
-                _mul_into(sums, self._tables(u)[1], self._tables(block - u)[2])
+        u = (t - 1) & t  # every proper nonempty submask, largest first
+        while u:
+            if p := self._tables(u)[1]:
+                _mul_into(sums, p, self._tables(t ^ u)[2])
+            u = (u - 1) & t
         return _nonzero(sums), forests
 
     def subtree_sums(self, block: frozenset[int]) -> dict:
@@ -496,7 +527,7 @@ class TreeSumEngine:
         child edges, not the parent edge."""
         if ROOT in block:
             raise AlgebraError("a subtree block holds legs below the root, never the root")
-        sums, forests = self._walk(block)
+        sums, forests = self._walk(_mask(block))
         edge = self._edge(block)
         for k, forest in forests.items():
             if edge is not None and (c := self._coefficient(k - 1)):
@@ -514,9 +545,32 @@ class TreeSumEngine:
         values are copies that the caller owns."""
         if ROOT in block:
             raise AlgebraError("a subtree block holds legs below the root, never the root")
-        g = self._tables(block)[0]
+        g = self._tables(_mask(block))[0]
         keyed = {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in g.items()}
         return keyed or {_NO_INT: RF_ZERO}
+
+    def amputated_sums(self, m: int) -> dict:
+        """Keyed rational-function sums of the amputated sum on the legs
+        ``{1..m}`` with virtual root ``m``, in an unrooted universe
+        ``{1..N}``: ``J`` of the top block ``{1..N-1}`` when ``m = N``.
+        For ``3 <= m < N`` leg ``m`` must be onshell; then the sum is the
+        kept ``B`` table of the prefix block ``{1..m-1}``.  In ``{1..m}``
+        that block's own edge is the onshell leg ``m``, so ``J = B`` there,
+        and ``B`` holds no edge of its own; every other edge names a leg
+        subset ``U`` of the block, which ``{1..N}`` and ``{1..m}`` name by
+        ``U`` or its complement, one to one.  The values are renamed to
+        ``{1..m}`` (:func:`_renamed`) and owned by the caller."""
+        n = len(self.universe)
+        if ROOT in self.universe or not 3 <= m <= n:
+            raise AlgebraError(f"an amputated read needs 3 <= m <= {n} legs of an unrooted universe")
+        if m == n:
+            return self.subtree_sums(frozenset(range(1, n)))
+        if m not in self.onshell:
+            raise AlgebraError(f"leg {m} must be onshell for an amputated read below the top block")
+        b = self._tables(_mask(range(1, m)))[1]
+        gen = self.theory.generalized
+        keyed = {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in b.items()}
+        return {k: _renamed(x, self.universe, m, gen) for k, x in keyed.items()} or {_NO_INT: RF_ZERO}
 
 
 def _rooted(n: int, diffeo: DiffeoSpec, theory: TheorySpec) -> TreeSumResult:
@@ -635,22 +689,44 @@ def _reduced_bprime(
     return RationalFunction(total), glued_terms
 
 
-def _amputated(
-    n: int, onshell: frozenset[int], diffeo: DiffeoSpec, theory: TheorySpec, single: bool = False
-) -> TreeSumResult:
-    """An amputated sum on ``n`` legs with the largest, ``n``, as virtual
-    root: over every admissible decoration, or with ``single`` over the
-    trees with exactly one interaction vertex, keyed by its valence in
-    ``metadata["by_valence"]``."""
-    legs = frozenset(range(1, n + 1))
-    engine = TreeSumEngine(legs, onshell=onshell, diffeo=diffeo, theory=theory, single=single)
-    keyed = engine.subtree_sums(legs - {n})
-    if single:
+def _amputated(engine: TreeSumEngine, m: int) -> TreeSumResult:
+    """The amputated sum on the legs ``{1..m}`` of ``engine``'s universe
+    with the largest, ``m``, as virtual root (:meth:`TreeSumEngine.
+    amputated_sums`): over every admissible decoration, or for a ``single``
+    engine over the trees with exactly one interaction vertex, keyed by its
+    valence in ``metadata["by_valence"]``."""
+    keyed = engine.amputated_sums(m)
+    if engine.single:
         keyed.pop(_NO_INT, None)  # the trees without an interaction vertex
-    powers = tuple(it.power for it in theory.interactions)
-    decorated = _decorated_counts(n - 1, powers, single)[single]
+    powers = tuple(it.power for it in engine.theory.interactions)
+    decorated = _decorated_counts(m - 1, powers, engine.single)[engine.single]
     value = sum(keyed.values(), RF_ZERO)
-    return TreeSumResult(value, topology_count(n, False), decorated, {"by_valence": keyed} if single else {})
+    return TreeSumResult(value, topology_count(m, False), decorated, {"by_valence": keyed} if engine.single else {})
+
+
+def amputated_family(
+    n: int,
+    offshell: Iterable[int],
+    theory: TheorySpec,
+    diffeo: DiffeoSpec,
+    *,
+    single: bool = False,
+) -> dict[int, TreeSumResult]:
+    """The amputated sums on ``{1..m}`` with virtual root ``m`` and the legs
+    in ``offshell`` offshell, for every ``m <= n`` from 3 up that exceeds
+    every offshell leg, from one walk on ``n`` legs: ``A^j_m`` for
+    ``offshell = {j}`` as :func:`amputated_tree_sum` gives it, or with
+    ``single`` the ``S^(s)_m`` of :func:`coupling_linear_tree_sum`.  The sum
+    on fewer than ``n`` legs is read off the kept table of the prefix block
+    ``{1..m-1}``, with each edge renamed to ``{1..m}``.  No engine is built
+    when there is no such ``m``."""
+    legs = frozenset(range(1, n + 1))
+    offshell = frozenset(offshell)
+    sizes = range(max([3, *(j + 1 for j in offshell)]), n + 1)
+    if not sizes:
+        return {}
+    engine = TreeSumEngine(legs, onshell=legs - offshell, diffeo=diffeo, theory=theory, single=single)
+    return {m: _amputated(engine, m) for m in sizes}
 
 
 def amputated_tree_sum(
@@ -667,7 +743,8 @@ def amputated_tree_sum(
     offshell = frozenset(offshell)
     if not offshell <= legs:
         raise AlgebraError("offshell legs must be external legs")
-    return _amputated(n, legs - offshell, diffeo, theory if theory is not None else TheorySpec.free())
+    theory = theory if theory is not None else TheorySpec.free()
+    return _amputated(TreeSumEngine(legs, onshell=legs - offshell, diffeo=diffeo, theory=theory), n)
 
 
 def symmetrized_one_offshell_sum(n: int) -> RationalFunction:
@@ -687,8 +764,9 @@ def coupling_linear_tree_sum(
     given); metadata carries the per-valence decomposition."""
     if n < 3:
         raise AlgebraError("amputated sums need at least three legs")
+    legs = frozenset(range(1, n + 1))
     theory = TheorySpec(interactions=(interaction(s, coupling_value),))
-    return _amputated(n, frozenset(range(1, n + 1)), diffeo, theory, single=True)
+    return _amputated(TreeSumEngine(legs, onshell=legs, diffeo=diffeo, theory=theory, single=True), n)
 
 
 def recursive_tree_sum(
@@ -701,6 +779,12 @@ def recursive_tree_sum(
     sums at the top vertex (no tree enumeration)."""
     if n < 1:
         raise AlgebraError("tree sums are indexed from 1")
+    return _recursive_tree_sums(n, diffeo, generalized)[n]
+
+
+def _recursive_tree_sums(n: int, diffeo: DiffeoSpec, generalized: bool) -> list[RationalFunction | None]:
+    """``[None, b_1, ..., b_n]`` from one memo of the recursion of
+    :func:`recursive_tree_sum`, which reaches every smaller ``b_m``."""
     memo: dict[int, RationalFunction] = {1: RF_ONE}
 
     def b(m: int) -> RationalFunction:
@@ -745,7 +829,7 @@ def recursive_tree_sum(
         memo[m] = value
         return value
 
-    return b(n)
+    return [None, *(b(m) for m in range(1, n + 1))]
 
 
 def glue_four_point(

@@ -148,15 +148,29 @@ def check_bn(max_n: int = 7, tamper: Tamper | None = None) -> Report:
     return chk.report()
 
 
-def _expect_one_offshell_shape(chk: _Checker, n: int, theory: TheorySpec, compared: tuple[str, str]) -> tuple:
+def _one_offshell_sums(max_n: int, theory: TheorySpec) -> dict:
+    """``{(n, j): A^j_n}`` for ``3 <= n <= max_n``, ``j = 0`` for every leg
+    onshell: one walk per offshell set, read at every ``n`` above its leg
+    (:func:`trees.amputated_family`), and one walk per ``n`` for ``j = n``,
+    where the virtual root itself is offshell."""
+    sums = {}
+    for j in range(max_n + 1):
+        family = trees.amputated_family(max_n, (j,) if j else (), theory, _SYMBOLIC)
+        sums.update({(n, j): result.value for n, result in family.items()})
+        if j >= 3:
+            sums[j, j] = trees.amputated_tree_sum(j, {j}, theory, _SYMBOLIC).value
+    return sums
+
+
+def _expect_one_offshell_shape(chk: _Checker, n: int, sums: dict, theory: TheorySpec, compared: tuple[str, str]) -> tuple:
     """Compare A^0_n with zero and each A^1_n with -i b_{n-1} x_j under the
-    labels ``compared``; return b_{n-1} and the sum of the A^1_n."""
-    onshell = trees.amputated_tree_sum(n, (), theory, _SYMBOLIC).value
-    chk.expect_zero(onshell, n=n, compared=compared[0])
+    labels ``compared``, reading ``sums`` of :func:`_one_offshell_sums`;
+    return b_{n-1} and the sum of the A^1_n."""
+    chk.expect_zero(sums[n, 0], n=n, compared=compared[0])
     b = series.tree_sum_closed_form(n - 1, _SYMBOLIC.a)
     symmetric = RF_ZERO
     for j in range(1, n + 1):
-        single = trees.amputated_tree_sum(n, {j}, theory, _SYMBOLIC).value
+        single = sums[n, j]
         expect = RF_MINUS_I * b * rf(edge_symbol(frozenset((j,)), theory.generalized))
         chk.expect_equal(single, expect, n=n, offshell_leg=j, compared=compared[1])
         symmetric = symmetric + single
@@ -168,8 +182,9 @@ def check_smatrix_free(max_n: int = 7) -> Report:
     A^1_n = -i b_{n-1} (x_1 + ... + x_n) for the free diffeomorphism."""
     theory = TheorySpec.free()
     with _Checker("smatrix_free", {"max_n": max_n}) as chk:
+        amputated = _one_offshell_sums(max_n, theory)
         for n in range(3, max_n + 1):
-            b, symmetric = _expect_one_offshell_shape(chk, n, theory, ("A0", "A1 single leg"))
+            b, symmetric = _expect_one_offshell_shape(chk, n, amputated, theory, ("A0", "A1 single leg"))
             total = sum((rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)), RF_ZERO)
             chk.expect_equal(symmetric, RF_MINUS_I * b * total, n=n, compared="A1 symmetrized")
     return chk.report()
@@ -180,8 +195,10 @@ def check_interaction_cancellation(s: int = 3, max_n: int = 8, tamper: Tamper | 
     formula, with per-valence agreement of the two decompositions."""
     lam = rf(coupling(s))
     with _Checker("interaction_cancellation", {"s": s, "max_n": max_n}) as chk:
+        # One walk on max_n legs gives S^(s)_n for every n.
+        family = trees.amputated_family(max_n, (), TheorySpec.standard(s), _SYMBOLIC, single=True) if max_n >= s else {}
         for n in range(s, max_n + 1):
-            result = trees.coupling_linear_tree_sum(n, s, _SYMBOLIC)
+            result = family[n]
             expect = RF_MINUS_I * lam if n == s else RF_ZERO
             terms = series.coupling_linear_terms(s, n)
             formula = sum(terms.values(), RF_ZERO)
@@ -252,16 +269,17 @@ def check_generalized(max_n: int = 6) -> Report:
     propagator polynomial, so they hold for every one."""
     theory = TheorySpec.generalized_free()
     with _Checker("generalized", {"max_n": max_n}) as chk:
+        amputated = _one_offshell_sums(max_n, theory)
         for n in range(3, max_n + 1):
-            _expect_one_offshell_shape(chk, n, theory, ("A0 generalized", "A1 generalized"))
+            _expect_one_offshell_shape(chk, n, amputated, theory, ("A0 generalized", "A1 generalized"))
         for j in range(3, 6):
             for k in range(3, 6):
                 resid = trees.vertex_pair_edge_coefficient(j, k, _SYMBOLIC)
                 chk.expect_zero(resid, valences=[j, k], compared="internal-edge coefficient")
         sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, _SYMBOLIC, theory=theory), max_n)
+        recursion = trees._recursive_tree_sums(max_n, _SYMBOLIC, theory.generalized)
         for n in range(1, max_n + 1):
-            rec = trees.recursive_tree_sum(n, _SYMBOLIC, generalized=theory.generalized)
-            chk.expect_equal(rec, sums[n], n=n, compared="recursion vs enumeration")
+            chk.expect_equal(recursion[n], sums[n], n=n, compared="recursion vs enumeration")
     return chk.report()
 
 

@@ -22,7 +22,7 @@ from diffeorules.algebra import (
     merge_terms,
 )
 from diffeorules.rules import canonical_subset, interaction_vertex, propagator
-from diffeorules.trees import _NO_INT, set_partitions
+from diffeorules.trees import _NO_INT, _renamed, set_partitions
 
 _ONE = Polynomial.constant(1)  # never an accumulator: products of it are fresh
 
@@ -34,8 +34,8 @@ def _accumulate(acc: Polynomial, x: Polynomial) -> Polynomial:
 
 
 class PartitionWalkEngine:
-    """Same constructor, ``subtree_sums`` and ``block_sums`` as
-    ``trees.TreeSumEngine``."""
+    """Same constructor, ``subtree_sums``, ``block_sums`` and
+    ``amputated_sums`` as ``trees.TreeSumEngine``."""
 
     def __init__(self, universe, *, onshell, diffeo, theory, single=False):
         self.universe = universe
@@ -132,6 +132,19 @@ class PartitionWalkEngine:
     def subtree_sums(self, block: frozenset[int]) -> dict:
         keyed = {k: RationalFunction(x) for k, x in self._walk(block).items()}
         return keyed or {_NO_INT: RF_ZERO}
+
+    def amputated_sums(self, m: int) -> dict:
+        """The amputated sum on ``{1..m}`` with virtual root ``m``: the
+        subtree sums of ``{1..m-1}`` with every edge renamed from the
+        universe to ``{1..m}``, where the block's own edge is leg ``m``,
+        and then leg ``m`` set onshell."""
+        keyed = self.subtree_sums(frozenset(range(1, m)))
+        if m == len(self.universe):
+            return keyed
+        gen = self.theory.generalized
+        onshell = {edge_symbol(frozenset((m,)), gen): RF_ZERO}
+        renamed = {k: _renamed(x, self.universe, m, gen).substitute(onshell) for k, x in keyed.items()}
+        return {k: x for k, x in renamed.items() if not x.is_zero()} or {_NO_INT: RF_ZERO}
 
     def block_sums(self, block: frozenset[int]) -> dict:
         """The subtree sums times the block's propagator; a bare leg is one."""

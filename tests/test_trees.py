@@ -58,6 +58,15 @@ def xe(*legs):
     return rf(edge_symbol(frozenset(legs)))
 
 
+def mask_of(block):
+    """The engine's key of a leg block: bit ``i`` is leg ``i``."""
+    return sum(1 << leg for leg in block)
+
+
+def block_of(mask):
+    return frozenset(leg for leg in range(mask.bit_length()) if mask >> leg & 1)
+
+
 def total_singles(n, generalized=False):
     out = RF_ZERO
     for j in range(1, n + 1):
@@ -166,6 +175,17 @@ class TestDecoratedCounts:
             result = coupling_linear_tree_sum(n, s, diffeo)
             expect = enumerated_decorated_count(n, interactions, rooted=False, exactly_one=True)
             assert result.decorated_count == expect, (s, n)
+
+    @pytest.mark.parametrize("powers", [(3,), (4,), (3, 4), (3, 5)])
+    def test_exactly_one_in_the_order_of_the_filtered_product(self, powers):
+        # The tuples with exactly one interaction are generated directly; the
+        # order is the product's, which --trace prints.
+        interactions = TheorySpec.standard(*powers).interactions
+        for n, rooted in ((4, True), (5, True), (6, False)):
+            for topo in enumerate_trees(range(1, n + 1), rooted):
+                every = enumerate_decorations(topo, interactions)
+                want = [deco for deco in every if sum(tag[0] == "I" for tag in deco) == 1]
+                assert enumerate_decorations(topo, interactions, exactly_one=True) == want, topo.encoding()
 
     def test_counts_beyond_enumeration(self):
         # Too many trees to enumerate; a count over the engine's set
@@ -449,7 +469,7 @@ class TestEngineMemo:
         seen: dict = {}
 
         def unchanged():
-            kept = {("block", b): tables for b, tables in walked._blocks.items()}
+            kept = {("block", block_of(b)): tables for b, tables in walked._blocks.items()}
             kept.update({("vertex", v): ({0: x},) for v, x in walked._vertices.items()})
             kept.update({("c", j): ({0: x},) for j, x in enumerate(walked._coefficients)})
             for name, tables in kept.items():
@@ -460,12 +480,12 @@ class TestEngineMemo:
         for sub in subs:
             walked.subtree_sums(sub)
             unchanged()
-            walked._tables(sub)
+            walked._tables(mask_of(sub))
             unchanged()
         assert len(walked._blocks) == 2 ** len(legs) - 2 and walked._vertices
         assert walked.subtree_sums(legs) == engine().subtree_sums(legs)
         unchanged()
-        assert legs not in walked._blocks
+        assert mask_of(legs) not in walked._blocks
 
     @pytest.mark.parametrize("kind", ("b6", "S3_6"))
     def test_products_never_land_in_a_kept_table(self, kind):
@@ -486,8 +506,8 @@ class TestEngineMemo:
 
         def snapshot():
             return {
-                block: tuple({k: dict(x.terms) for k, x in table.items()} for table in tables)
-                for block, tables in walked._blocks.items()
+                block_of(mask): tuple({k: dict(x.terms) for k, x in table.items()} for table in tables)
+                for mask, tables in walked._blocks.items()
             }
 
         first = walked.subtree_sums(top)
@@ -550,7 +570,7 @@ class TestEngineMemo:
             want = [diffeo.a(j).scaled(Scalar(factorial(j + 1))).poly for j in range(n)]
             assert engine._coefficients == want and not want[1], n
             assert empty_operands == [], n
-            assert legs not in engine._blocks and len(engine._blocks) == 2**n - 2, n
+            assert mask_of(legs) not in engine._blocks and len(engine._blocks) == 2**n - 2, n
 
 
 def _keyed_product(x: dict, y: dict) -> dict:
@@ -612,7 +632,7 @@ class TestEngineIdentity:
         top = legs if rooted else legs - {6}
         if rooted:
             engine.block_sums(top)
-            assert engine._blocks.pop(top)[1:] == ({}, {})  # no P or Q for the top block
+            assert engine._blocks.pop(mask_of(top))[1:] == ({}, {})  # no P or Q for the top block
         else:
             engine.subtree_sums(top)
         assert len(engine._blocks) == 2 ** len(top) - 2
@@ -625,11 +645,12 @@ class TestEngineIdentity:
             for partition in trees.set_partitions(sorted(block)):
                 product = {0: Polynomial.constant(1)}
                 for b in partition:
-                    product = _keyed_product(product, engine._blocks[frozenset(b)][0])
+                    product = _keyed_product(product, engine._blocks[mask_of(b)][0])
                 out[len(partition)] = _keyed_sum(out.get(len(partition), {}), product)
             return out
 
-        for block, (g, minus_p, minus_q) in engine._blocks.items():
+        for mask, (g, minus_p, minus_q) in engine._blocks.items():
+            block = block_of(mask)
             f = forests(block)
             canon = trees.canonical_subset(block, universe)
             if len(canon) == 1 and canon <= onshell:
@@ -788,6 +809,113 @@ class TestEngineAgainstPartitionWalk:
             got, want = self._both(monkeypatch, lambda: coupling_linear_tree_sum(n, s, diffeo))
             assert got.value == want.value, n
             assert got.metadata["by_valence"] == want.metadata["by_valence"], n
+
+
+_ENGINES = {"engine": lambda m: None, "partition walk": partition_walk.install}
+
+
+class TestAmputatedFamily:
+    """The amputated sums on ``m`` legs read off one walk on 7 legs
+    (``amputated_family``) against fresh ``m``-leg sums, through the engine
+    and through the partition walk: value, counts and ``by_valence``."""
+
+    @staticmethod
+    def _assert_family(monkeypatch, engine, family, fresh, sizes):
+        with monkeypatch.context() as m:
+            _ENGINES[engine](m)
+            got = family()
+            want = {n: fresh(n) for n in sizes}
+        assert sorted(got) == list(sizes)
+        for n, result in got.items():
+            assert result.value == want[n].value, n
+            assert result.metadata == want[n].metadata, n
+            assert (result.tree_count, result.decorated_count) == (want[n].tree_count, want[n].decorated_count), n
+
+    @pytest.mark.parametrize("engine", _ENGINES)
+    @pytest.mark.parametrize(
+        "theory, name",
+        [
+            (TheorySpec.free(), "symbolic"),
+            (TheorySpec.generalized_free(), "symbolic"),
+            (TheorySpec.standard(3, 4), "symbolic"),
+            (TheorySpec.free(), "tuned"),
+            (TheorySpec.standard(3, 4), "a1=0"),
+        ],
+        ids=["free", "generalized", "phi3+phi4", "tuned free", "a1=0 phi3+phi4"],
+    )
+    def test_every_leg_onshell_or_one_offshell(self, monkeypatch, engine, theory, name):
+        # A^0_m, and A^j_m for every leg j below m.
+        diffeo = ENGINE_DIFFEOS[name](7)
+        for j in range(7):
+            offshell = (j,) if j else ()
+            self._assert_family(
+                monkeypatch,
+                engine,
+                lambda: trees.amputated_family(7, offshell, theory, diffeo),
+                lambda n: amputated_tree_sum(n, offshell, theory, diffeo),
+                range(max(3, j + 1), 8),
+            )
+
+    @pytest.mark.parametrize("engine", _ENGINES)
+    @pytest.mark.parametrize("s", (3, 4))
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_coupling_linear_by_valence(self, monkeypatch, engine, name, s):
+        diffeo = ENGINE_DIFFEOS[name](7)
+        self._assert_family(
+            monkeypatch,
+            engine,
+            lambda: trees.amputated_family(7, (), TheorySpec.standard(s), diffeo, single=True),
+            lambda n: coupling_linear_tree_sum(n, s, diffeo),
+            range(3, 8),
+        )
+
+    def test_a_read_below_the_top_needs_leg_m_onshell(self):
+        # B of {1..m-1} lacks the block's own edge, which is leg m's.
+        legs = frozenset(range(1, 7))
+        engine = TreeSumEngine(legs, onshell=legs - {4}, diffeo=SYMBOLIC, theory=TheorySpec.free())
+        with pytest.raises(AlgebraError, match="leg 4 must be onshell"):
+            engine.amputated_sums(4)
+        assert engine.amputated_sums(5) == {0: amputated_tree_sum(5, {4}).value}
+        rooted = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
+        for engine, m in ((engine, 2), (engine, 7), (rooted, 4)):
+            with pytest.raises(AlgebraError, match="amputated read"):
+                engine.amputated_sums(m)
+        assert trees.amputated_family(6, {6}, TheorySpec.free(), SYMBOLIC) == {}
+
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_internal_edges_are_renamed(self, monkeypatch, engine):
+        # With legs 2 and 3 offshell the sums carry internal edges.  The
+        # subtree sums of the prefix block {1..m-1} in the 7-leg universe
+        # equal the fresh m-leg sum once each edge symbol is renamed from
+        # the 7-leg universe to {1..m}: the symbol of a leg subset U of the
+        # block names U's canonical subset there, and the block's own edge
+        # is the onshell leg m, whose symbol is zero.
+        legs, off = frozenset(range(1, 8)), {2, 3}
+        self._assert_family(
+            monkeypatch,
+            engine,
+            lambda: trees.amputated_family(7, off, TheorySpec.free(), SYMBOLIC),
+            lambda n: amputated_tree_sum(n, off),
+            range(4, 8),
+        )
+        renamed = 0
+        with monkeypatch.context() as m:
+            _ENGINES[engine](m)
+            walked = trees.TreeSumEngine(legs, onshell=legs - off, diffeo=SYMBOLIC, theory=TheorySpec.free())
+            for n in range(4, 7):
+                prefix, small = frozenset(range(1, n)), frozenset(range(1, n + 1))
+                [raw] = walked.subtree_sums(prefix).values()
+                names = {}
+                for size in range(2, n):
+                    for u in map(frozenset, combinations(sorted(prefix), size)):
+                        canon = trees.canonical_subset(u, small)
+                        to = RF_ZERO if canon == {n} else rf(edge_symbol(canon))
+                        names[edge_symbol(trees.canonical_subset(u, legs))] = to
+                want = amputated_tree_sum(n, off).value
+                assert any(s.kind == Kind.EDGE and len(s.meta) > 1 for s in want.symbols()), n
+                assert raw.substitute(names) == want, n
+                renamed += raw != want
+        assert renamed == 3
 
 
 class TestCouplingLinearSums:

@@ -90,6 +90,33 @@ class TestIndividualChecks:
         assert check(max_n=5).status == "pass"
         assert len(rooted) == walks
 
+    @pytest.mark.parametrize("max_n", (-1, 2, 3, 4, 5))
+    @pytest.mark.parametrize(
+        "check, walks",
+        [
+            (lambda max_n: check_interaction_cancellation(s=3, max_n=max_n), lambda n: int(n >= 3)),
+            (lambda max_n: check_interaction_cancellation(s=4, max_n=max_n), lambda n: int(n >= 4)),
+            # One walk per offshell set, none or leg j < max_n, plus one per
+            # n >= 3 whose virtual root n is offshell.
+            (check_smatrix_free, lambda n: 2 * n - 2 if n >= 3 else 0),
+            (check_generalized, lambda n: 2 * n - 2 if n >= 3 else 0),
+        ],
+        ids=["interaction_cancellation s=3", "interaction_cancellation s=4", "smatrix_free", "generalized"],
+    )
+    def test_each_amputated_family_is_walked_once(self, monkeypatch, check, walks, max_n):
+        # Every sum on fewer legs is read off the walk on max_n legs.
+        amputated = []
+
+        class Counted(verify.trees.TreeSumEngine):
+            def __init__(self, universe, **kwargs):
+                super().__init__(universe, **kwargs)
+                if ROOT not in universe:
+                    amputated.append(universe)
+
+        monkeypatch.setattr(verify.trees, "TreeSumEngine", Counted)
+        assert check(max_n=max_n).status == "pass"
+        assert len(amputated) == walks(max_n)
+
     @pytest.mark.parametrize("max_n", (-1, 0, 1, 2))
     @pytest.mark.parametrize(
         "check, params",
@@ -204,6 +231,21 @@ def plus_one_at(step):
     return wrap
 
 
+def plus_one_in_entry(step):
+    """Wrap a function that returns a list of values indexed by a step ``n``
+    so that its entry at ``step`` is off by one."""
+
+    def wrap(fn):
+        def faulty(*args, **kwargs):
+            values = fn(*args, **kwargs)
+            values[step] = values[step] + RF_ONE
+            return values
+
+        return faulty
+
+    return wrap
+
+
 def drop_first_imaginary_term(r):
     terms = dict(r.poly.terms)
     first = next((m for m, c in terms.items() if c.im), None)
@@ -217,33 +259,34 @@ class TestOracleFaults:
     five checks without a ``tamper`` hook are broken from outside."""
 
     @pytest.mark.parametrize(
-        "module, name, step, run, witness",
+        "module, name, fault, run, witness",
         [
             (
-                verify.series, "tree_sum_closed_form", 3, lambda: check_smatrix_free(max_n=5),
+                verify.series, "tree_sum_closed_form", plus_one_at(3), lambda: check_smatrix_free(max_n=5),
                 {"n": 4, "offshell_leg": 1, "compared": "A1 single leg"},
             ),
             (
-                verify.series, "tree_sum_closed_form", 3, lambda: check_generalized(max_n=5),
+                verify.series, "tree_sum_closed_form", plus_one_at(3), lambda: check_generalized(max_n=5),
                 {"n": 4, "offshell_leg": 1, "compared": "A1 generalized"},
             ),
             (
-                verify.series, "tree_sum_closed_form", 3, lambda: check_adiabatic(s=3, max_n=4),
+                verify.series, "tree_sum_closed_form", plus_one_at(3), lambda: check_adiabatic(s=3, max_n=4),
                 {"k": 3, "compared": "closed-form b_k"},
             ),
             (
-                verify.trees, "recursive_tree_sum", 2, lambda: check_generalized(max_n=3),
+                # The check reads every b_n of the recursion off one memo.
+                verify.trees, "_recursive_tree_sums", plus_one_in_entry(2), lambda: check_generalized(max_n=3),
                 {"n": 2, "compared": "recursion vs enumeration"},
             ),
             (
-                verify.rules, "nonlocal_beta", 2, lambda: check_nonlocal(max_n=3),
+                verify.rules, "nonlocal_beta", plus_one_at(2), lambda: check_nonlocal(max_n=3),
                 {"n": 2, "compared": "identity transform beta"},
             ),
         ],
         ids=["smatrix_free", "generalized one offshell", "adiabatic", "generalized", "nonlocal"],
     )
-    def test_broken_oracle_fails_at_its_step(self, module, name, step, run, witness, monkeypatch):
-        monkeypatch.setattr(module, name, plus_one_at(step)(getattr(module, name)))
+    def test_broken_oracle_fails_at_its_step(self, module, name, fault, run, witness, monkeypatch):
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
         report = run()
         assert report.status == "fail"
         assert {key: report.witness[key] for key in witness} == witness
