@@ -42,9 +42,20 @@ class ConfigError(Exception):
 
 # Largest ``treesum --n``: S_8 is the default suite's largest sum, and the
 # values bound the cap (the counts come from a size recursion in well under
-# a second).  At 9, b and S each take about 1.0-1.2 s on a 2-core host;
-# b_40 or S_30 would not end.
+# a second).  At 9, b and S each take about 0.8-1.4 s on a 2-core host;
+# b_40 or S_30 would not end.  It is checked first, before the offshell set
+# is parsed.
 TREESUM_MAX_N = 9
+# Largest ``treesum --n`` of each kind: entry i caps a run with i offshell
+# legs, the last entry any more, so only A's cap falls with its offshell
+# set.  Each is the largest n whose run, printing included, ended within
+# 10 s at default settings on a 2-core host: bprime 7 in 4.7-5.8 s (with
+# or without --reduced), A with 3 offshell legs at 9 in 4.3-7.1 s, 4 at 8
+# in 2.6-3.5 s and every leg at 7 in 3.5-4.7 s.  Past them, A with 4
+# offshell legs at 9 took 39 s and 5 at 8 took 12 s, and bprime 8 and A 8
+# with every leg offshell each ran out of a 3 GiB address space after
+# 47-69 s.
+TREESUM_CAPS = {"b": (9,), "bprime": (7,), "A": (9, 9, 9, 9, 8, 7), "S": (9,)}
 # Most decorated trees ``treesum --trace`` dumps, each through the per-tree
 # ``amplitude``: b_6 has 2752 and dumps in about 5 s.  A_7 has as many; with
 # every leg offshell it is the slowest dump the cap allows, about 17 s.
@@ -284,13 +295,19 @@ def cmd_treesum(args, cfg: dict) -> int:
         if given and kind not in kinds:
             raise ConfigError(f"treesum {flag} is not read by --kind {kind}")
     offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
+    caps = TREESUM_CAPS[kind]
+    cap = caps[min(len(offshell), len(caps) - 1)]
+    if n > cap:
+        legs = f" with {len(offshell)} offshell legs" if kind == "A" else ""
+        raise ConfigError(f"treesum --kind {kind} --n is limited to {cap}{legs}, got {n}")
     mode = ("s_only" if args.reduced else "all_vertices") if kind == "bprime" else None
     if kind in ("bprime", "S"):
         theory = _single_interaction(kind, args.s, theory)
         (it,) = theory.interactions
     if args.trace:  # the rows of the dump, counted from the sizes before any sum
-        powers = tuple(it.power for it in theory.interactions) if kind != "b" else ()
-        count = trees._decorated_counts(n if kind in ("b", "bprime") else n - 1, powers, kind == "S")[kind == "S"]
+        rooted, interactions, exactly_one = shape = _trace_shape(kind, theory)
+        powers = tuple(it.power for it in interactions)
+        count = trees._decorated_counts(n if rooted else n - 1, powers, exactly_one)[exactly_one]
         if count > TREESUM_TRACE_MAX:
             raise ConfigError(f"treesum --trace is limited to {TREESUM_TRACE_MAX} decorated trees, got {count}")
     if kind == "b":
@@ -314,24 +331,31 @@ def cmd_treesum(args, cfg: dict) -> int:
         "value": str(result.value),
     }
     if args.trace:
-        payload["trace"] = _trace(kind, n, offshell, theory, diffeo)
+        payload["trace"] = _trace(shape, n, offshell, theory, diffeo)
     _emit({k: v for k, v in payload.items() if v is not None}, args.format)
     return 0
 
 
+def _trace_shape(kind: str, theory: TheorySpec) -> tuple[bool, tuple, bool]:
+    """What ``--trace`` dumps for ``kind``: whether the trees are rooted,
+    the interactions that decorate them, and whether each tree carries
+    exactly one interaction vertex."""
+    return kind in ("b", "bprime"), theory.interactions if kind != "b" else (), kind == "S"
+
+
 def _trace(
-    kind: str, n: int, offshell: frozenset[int], theory: TheorySpec, diffeo: DiffeoSpec
+    shape: tuple[bool, tuple, bool], n: int, offshell: frozenset[int], theory: TheorySpec, diffeo: DiffeoSpec
 ) -> list[dict]:
     """Per-tree dump through the reference amplitude path, over the theory
-    whose sum ``cmd_treesum`` printed."""
+    whose sum ``cmd_treesum`` printed and the ``shape`` of
+    :func:`_trace_shape`."""
     rows: list[dict] = []
-    rooted = kind in ("b", "bprime")
+    rooted, interactions, exactly_one = shape
     labels = range(1, n + 1)
     onshell = frozenset(labels) - offshell
-    interactions = theory.interactions if kind != "b" else ()
     for topo in trees.enumerate_trees(labels, rooted):
         decos = (
-            trees.enumerate_decorations(topo, interactions, exactly_one=kind == "S")
+            trees.enumerate_decorations(topo, interactions, exactly_one=exactly_one)
             if interactions
             else [None]
         )

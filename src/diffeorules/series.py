@@ -3,6 +3,8 @@ the closed-form coefficient formulas built on them.
 
 Series coefficients are :class:`~diffeorules.algebra.RationalFunction`, so
 one code path serves numeric and symbolic diffeomorphism coefficients alike.
+Each formula reads its partial Bell polynomials off one memoized table per
+argument list (:func:`_bell_table`).
 Composition, which checks the round trip of :func:`invert`, and its naive
 oracle live with the tests.
 """
@@ -33,19 +35,11 @@ from .algebra import (
 CoeffFn = Callable[[int], RationalFunction]
 
 
-def bell_partial(n: int, k: int, args: Sequence[RationalFunction]) -> RationalFunction:
-    """Partial Bell polynomial ``B_{n,k}(x_1, ..., x_{n-k+1})``.
-
-    Computed through the standard recurrence
-    ``B_{n,k} = sum_j C(n-1, j-1) x_j B_{n-j,k-1}``; the set-partition
-    enumeration serves as the independent oracle in the tests.
-    """
-    if n < 0 or k < 0:
-        raise AlgebraError("Bell polynomial indices must be nonnegative")
-    if k > n:
-        return RF_ZERO
-    if n > 0 and k > 0 and len(args) < n - k + 1:
-        raise AlgebraError(f"B_{{{n},{k}}} needs {n - k + 1} arguments, got {len(args)}")
+def _bell_table(args: Sequence[RationalFunction]) -> Callable[[int, int], RationalFunction]:
+    """Reader of the partial Bell polynomials ``B_{m,j}`` over one argument
+    list, for any ``(m, j)`` with ``m - j < len(args)``: every read shares
+    one memo of the recurrence ``B_{m,j} = sum_i C(m-1, i-1) x_i
+    B_{m-i,j-1}`` (Comtet, *Advanced Combinatorics*, 1974, section 3.3)."""
     table: dict[tuple[int, int], RationalFunction] = {(0, 0): RF_ONE}
 
     def get(m: int, j: int) -> RationalFunction:
@@ -68,7 +62,20 @@ def bell_partial(n: int, k: int, args: Sequence[RationalFunction]) -> RationalFu
         table[(m, j)] = value
         return value
 
-    return get(n, k)
+    return get
+
+
+def bell_partial(n: int, k: int, args: Sequence[RationalFunction]) -> RationalFunction:
+    """Partial Bell polynomial ``B_{n,k}(x_1, ..., x_{n-k+1})``, one read of
+    a fresh :func:`_bell_table`; a caller that reads several ``B_{m,j}`` of
+    one argument list builds the table once.  The set-partition enumeration
+    serves as the independent oracle in the tests.
+    """
+    if n < 0 or k < 0:
+        raise AlgebraError("Bell polynomial indices must be nonnegative")
+    if n > 0 and k > 0 and len(args) < n - k + 1:
+        raise AlgebraError(f"B_{{{n},{k}}} needs {n - k + 1} arguments, got {len(args)}")
+    return _bell_table(args)(n, k)
 
 
 class PowerSeries:
@@ -161,10 +168,11 @@ def invert(f: PowerSeries) -> PowerSeries:
     if n_max >= 1:
         out[1] = rf(Scalar(1) / c1)
     inv_c1 = Scalar(1) / c1
+    bell_of = _bell_table(args)
     for n in range(2, n_max + 1):
         acc = RF_ZERO
         for k in range(1, n):
-            bell = bell_partial(n - 1 + k, k, args[: n])
+            bell = bell_of(n - 1 + k, k)
             if bell.is_zero():
                 continue
             acc = acc + bell.scaled(power(inv_c1, n + k, Scalar(1)))
@@ -223,8 +231,8 @@ def vertex_coefficients(n: int, a: CoeffFn = symbolic_coeffs):
     """
     if n < 2:
         raise AlgebraError("vertex coefficients need n >= 2")
-    kin = _kinetic_args(a, max(n - 2, 0))
-    f_n = bell_partial(n - 2, 1, kin) + bell_partial(n - 2, 2, kin)
+    kin = _bell_table(_kinetic_args(a, max(n - 2, 0)))
+    f_n = kin(n - 2, 1) + kin(n - 2, 2)
     c_nm2 = bell_partial(n, 2, tangent_args(a, n - 1))
     g_n = f_n.scaled(Scalar(n)) - c_nm2
     return f_n, c_nm2, g_n
@@ -240,10 +248,10 @@ def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFuncti
     if n == 1:
         return RF_ONE
     m = n - 1
-    args = [a(j).scaled(Scalar(-factorial(j))) for j in range(1, m + 1)]
+    bell_of = _bell_table([a(j).scaled(Scalar(-factorial(j))) for j in range(1, m + 1)])
     total = RF_ZERO
     for k in range(1, m + 1):
-        bell = bell_partial(m, k, args[: m - k + 1])
+        bell = bell_of(m, k)
         if not bell.is_zero():
             total = total + bell.scaled(Scalar(Fraction(factorial(m + k), factorial(m))))
     return total
@@ -276,23 +284,24 @@ def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
     return out
 
 
-def coupling_linear_terms(s: int, n: int) -> dict[int, RationalFunction]:
-    """Nonzero per-valence terms of the Bell-sum form of the coupling-linear
-    onshell tree sum S^(s)_n of symbolic coefficients:
+def coupling_linear_terms(s: int, max_n: int) -> dict[int, dict[int, RationalFunction]]:
+    """``{n: terms}`` for every ``n`` from ``s`` to ``max_n``: the nonzero
+    per-valence terms of the Bell-sum form of the coupling-linear onshell
+    tree sum S^(s)_n of symbolic coefficients,
     ``-i lambda_s B_{k,s}(1! a_0, 2! a_1, ...) B_{n,k}(b_1, b_2, ...)`` by
     the valence k of the interaction vertex.  With b_k the one-offshell tree
-    sums of the same coefficients, the terms sum to -i lambda_s delta_{n,s}."""
-    if n < s:
+    sums of the same coefficients, the terms sum to -i lambda_s delta_{n,s}.
+    Each of the two argument lists builds one Bell table for every ``n``."""
+    if max_n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
-    tangent = tangent_args(symbolic_coeffs, n)
-    b_args = [tree_sum_closed_form(j) for j in range(1, n + 1)]
+    tangent = _bell_table(tangent_args(symbolic_coeffs, max_n))
+    b_sums = _bell_table([tree_sum_closed_form(j) for j in range(1, max_n + 1)])
     scale = RF_MINUS_I * rf(coupling(s))
-    terms = {}
-    for k in range(s, n + 1):
-        left = bell_partial(k, s, tangent[: k - s + 1])
-        if left.is_zero():
-            continue
-        right = bell_partial(n, k, b_args[: n - k + 1])
-        if not right.is_zero():
-            terms[k] = left * right * scale
-    return terms
+    lefts = {k: left for k in range(s, max_n + 1) if not (left := tangent(k, s)).is_zero()}
+    out = {}
+    for n in range(s, max_n + 1):
+        terms = out[n] = {}
+        for k, left in lefts.items():
+            if k <= n and not (right := b_sums(n, k)).is_zero():
+                terms[k] = left * right * scale
+    return out

@@ -338,6 +338,12 @@ def _nonzero(keyed: dict) -> dict:
     return {key: x for key, x in keyed.items() if x}
 
 
+def _values(keyed: dict) -> dict:
+    """Rational-function copies of the keyed sums, owned by the caller;
+    ``{_NO_INT: 0}`` when there is none."""
+    return {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in keyed.items()} or {_NO_INT: RF_ZERO}
+
+
 def _mask(block: Iterable[int]) -> int:
     """The bitmask of a leg block: bit ``i`` is leg ``i``."""
     return sum(1 << leg for leg in block)
@@ -392,7 +398,7 @@ class TreeSumEngine:
     sum_{k>=2} c_{k-1} F_k(T)) = i X_T (i/X_T) B(T) = -B(T)`` and ``G(T) =
     (i/X_T) B(T) - sum_{k>=2} c_{k-1} F_k(T)``.  So a block's walk returns
     ``B`` and its ``F_k``, no product forms ``P``, and ``J`` is built only
-    for the amputated top block (:meth:`subtree_sums`).  The engine keeps
+    for an amputated sum's top block (:meth:`subtree_sums`).  The engine keeps
     ``-P`` (that is ``B``) and ``-Q``, whose signs cancel in ``P(U)
     Q(W)``.
 
@@ -532,8 +538,7 @@ class TreeSumEngine:
         for k, forest in forests.items():
             if edge is not None and (c := self._coefficient(k - 1)):
                 _mul_into(sums, forest, {_NO_INT: c * edge})
-        keyed = {k: RationalFunction(x) for k, x in _nonzero(sums).items()}
-        return keyed or {_NO_INT: RF_ZERO}
+        return _values(_nonzero(sums))
 
     def block_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums ``G`` of a proper ``block``: the
@@ -545,32 +550,28 @@ class TreeSumEngine:
         values are copies that the caller owns."""
         if ROOT in block:
             raise AlgebraError("a subtree block holds legs below the root, never the root")
-        g = self._tables(_mask(block))[0]
-        keyed = {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in g.items()}
-        return keyed or {_NO_INT: RF_ZERO}
+        return _values(self._tables(_mask(block))[0])
 
     def amputated_sums(self, m: int) -> dict:
         """Keyed rational-function sums of the amputated sum on the legs
         ``{1..m}`` with virtual root ``m``, in an unrooted universe
-        ``{1..N}``: ``J`` of the top block ``{1..N-1}`` when ``m = N``.
-        For ``3 <= m < N`` leg ``m`` must be onshell; then the sum is the
-        kept ``B`` table of the prefix block ``{1..m-1}``.  In ``{1..m}``
-        that block's own edge is the onshell leg ``m``, so ``J = B`` there,
-        and ``B`` holds no edge of its own; every other edge names a leg
-        subset ``U`` of the block, which ``{1..N}`` and ``{1..m}`` name by
-        ``U`` or its complement, one to one.  The values are renamed to
-        ``{1..m}`` (:func:`_renamed`) and owned by the caller."""
+        ``{1..N}``, ``3 <= m <= N``: ``J`` of the prefix block ``{1..m-1}``
+        (:meth:`subtree_sums`), renamed to ``{1..m}`` when ``m < N``.  In
+        ``{1..m}`` the block's own edge is leg ``m``; every other edge names
+        a leg subset ``U`` of the block, which ``{1..N}`` and ``{1..m}``
+        name by ``U`` or its complement, one to one (:func:`_renamed`), and
+        the block's edge ``X_{1..m-1}`` of ``{1..N}`` becomes ``x_m``.  When
+        leg ``m < N`` is onshell, ``J = B`` in ``{1..m}``, so the kept ``B``
+        table is read and no walk runs.  The values are owned by the
+        caller."""
         n = len(self.universe)
         if ROOT in self.universe or not 3 <= m <= n:
             raise AlgebraError(f"an amputated read needs 3 <= m <= {n} legs of an unrooted universe")
+        below = frozenset(range(1, m))
         if m == n:
-            return self.subtree_sums(frozenset(range(1, n)))
-        if m not in self.onshell:
-            raise AlgebraError(f"leg {m} must be onshell for an amputated read below the top block")
-        b = self._tables(_mask(range(1, m)))[1]
-        gen = self.theory.generalized
-        keyed = {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in b.items()}
-        return {k: _renamed(x, self.universe, m, gen) for k, x in keyed.items()} or {_NO_INT: RF_ZERO}
+            return self.subtree_sums(below)
+        keyed = _values(self._tables(_mask(below))[1]) if m in self.onshell else self.subtree_sums(below)
+        return {k: _renamed(x, self.universe, m, self.theory.generalized) for k, x in keyed.items()}
 
 
 def _rooted(n: int, diffeo: DiffeoSpec, theory: TheorySpec) -> TreeSumResult:
@@ -713,16 +714,18 @@ def amputated_family(
     single: bool = False,
 ) -> dict[int, TreeSumResult]:
     """The amputated sums on ``{1..m}`` with virtual root ``m`` and the legs
-    in ``offshell`` offshell, for every ``m <= n`` from 3 up that exceeds
-    every offshell leg, from one walk on ``n`` legs: ``A^j_m`` for
-    ``offshell = {j}`` as :func:`amputated_tree_sum` gives it, or with
-    ``single`` the ``S^(s)_m`` of :func:`coupling_linear_tree_sum`.  The sum
-    on fewer than ``n`` legs is read off the kept table of the prefix block
-    ``{1..m-1}``, with each edge renamed to ``{1..m}``.  No engine is built
-    when there is no such ``m``."""
+    in ``offshell`` offshell, for every ``m <= n`` from ``max(3, max
+    offshell)`` up, from one engine on ``n`` legs: ``A^j_m`` for
+    ``offshell = {j}`` as :func:`amputated_tree_sum` gives it, ``m = j``
+    included, or with ``single`` the ``S^(s)_m`` of
+    :func:`coupling_linear_tree_sum`.  Each sum is one read of the walk
+    (:meth:`TreeSumEngine.amputated_sums`): the kept ``B`` of the prefix
+    block ``{1..m-1}`` when leg ``m < n`` is onshell, else that block's
+    ``J``, with each edge renamed to ``{1..m}``.  No engine is built when
+    there is no such ``m``."""
     legs = frozenset(range(1, n + 1))
     offshell = frozenset(offshell)
-    sizes = range(max([3, *(j + 1 for j in offshell)]), n + 1)
+    sizes = range(max([3, *offshell]), n + 1)
     if not sizes:
         return {}
     engine = TreeSumEngine(legs, onshell=legs - offshell, diffeo=diffeo, theory=theory, single=single)

@@ -149,16 +149,14 @@ def check_bn(max_n: int = 7, tamper: Tamper | None = None) -> Report:
 
 
 def _one_offshell_sums(max_n: int, theory: TheorySpec) -> dict:
-    """``{(n, j): A^j_n}`` for ``3 <= n <= max_n``, ``j = 0`` for every leg
-    onshell: one walk per offshell set, read at every ``n`` above its leg
-    (:func:`trees.amputated_family`), and one walk per ``n`` for ``j = n``,
-    where the virtual root itself is offshell."""
+    """``{(n, j): A^j_n}`` for ``3 <= n <= max_n`` and ``0 <= j <= n``,
+    ``j = 0`` for every leg onshell: one engine per offshell set, read at
+    every ``n`` from ``max(3, j)`` up (:func:`trees.amputated_family`), the
+    case ``j = n`` of an offshell virtual root included."""
     sums = {}
     for j in range(max_n + 1):
         family = trees.amputated_family(max_n, (j,) if j else (), theory, _SYMBOLIC)
         sums.update({(n, j): result.value for n, result in family.items()})
-        if j >= 3:
-            sums[j, j] = trees.amputated_tree_sum(j, {j}, theory, _SYMBOLIC).value
     return sums
 
 
@@ -195,12 +193,14 @@ def check_interaction_cancellation(s: int = 3, max_n: int = 8, tamper: Tamper | 
     formula, with per-valence agreement of the two decompositions."""
     lam = rf(coupling(s))
     with _Checker("interaction_cancellation", {"s": s, "max_n": max_n}) as chk:
-        # One walk on max_n legs gives S^(s)_n for every n.
+        # One walk on max_n legs gives S^(s)_n for every n, and one call
+        # the Bell-sum terms.
         family = trees.amputated_family(max_n, (), TheorySpec.standard(s), _SYMBOLIC, single=True) if max_n >= s else {}
+        terms_of = series.coupling_linear_terms(s, max_n) if max_n >= s else {}
         for n in range(s, max_n + 1):
             result = family[n]
             expect = RF_MINUS_I * lam if n == s else RF_ZERO
-            terms = series.coupling_linear_terms(s, n)
+            terms = terms_of[n]
             formula = sum(terms.values(), RF_ZERO)
             if tamper is not None:
                 formula = tamper(n, formula)

@@ -137,12 +137,12 @@ class PartitionWalkEngine:
         """The amputated sum on ``{1..m}`` with virtual root ``m``: the
         subtree sums of ``{1..m-1}`` with every edge renamed from the
         universe to ``{1..m}``, where the block's own edge is leg ``m``,
-        and then leg ``m`` set onshell."""
+        and then leg ``m``'s symbol set to zero when it is onshell."""
         keyed = self.subtree_sums(frozenset(range(1, m)))
         if m == len(self.universe):
             return keyed
         gen = self.theory.generalized
-        onshell = {edge_symbol(frozenset((m,)), gen): RF_ZERO}
+        onshell = {edge_symbol(frozenset((m,)), gen): RF_ZERO} if m in self.onshell else {}
         renamed = {k: _renamed(x, self.universe, m, gen).substitute(onshell) for k, x in keyed.items()}
         return {k: x for k, x in renamed.items() if not x.is_zero()} or {_NO_INT: RF_ZERO}
 

@@ -221,7 +221,7 @@ def test_criterion_4_interaction_cancellation_to_n8():
         lam = rf(coupling(s))
         for n in range(s, 9):
             result = coupling_linear_tree_sum(n, s)
-            formula = sum(coupling_linear_terms(s, n).values(), RF_ZERO)
+            formula = sum(coupling_linear_terms(s, n)[n].values(), RF_ZERO)
             expect = RF_MINUS_I * lam if n == s else RF_ZERO
             assert result.value == expect, (s, n)
             assert formula == expect, (s, n)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from diffeorules import cli, verify
+from diffeorules.algebra import RF_ZERO
 
 CLI = [sys.executable, "-m", "diffeorules.cli"]
 
@@ -423,6 +424,47 @@ class TestTraceCaps:
         assert cli.main(["treesum", *prefix, *argv, "--trace"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.endswith(f"got {rows}")
+
+
+def _legs(k: int) -> str:
+    return ",".join(map(str, range(1, k + 1))) or "none"
+
+
+# One past each kind's cap: for A, one past the cap of each offshell-set
+# size, and every leg offshell past the last.
+_PAST_THE_CAPS = [
+    *(["--kind", kind, "--n", str(caps[0] + 1)] for kind, caps in cli.TREESUM_CAPS.items() if kind != "A"),
+    ["--kind", "bprime", "--reduced", "--n", str(cli.TREESUM_CAPS["bprime"][0] + 1)],
+    *(["--kind", "A", "--offshell", _legs(k), "--n", str(cap + 1)] for k, cap in enumerate(cli.TREESUM_CAPS["A"])),
+    ["--kind", "A", "--offshell", "all", "--n", str(cli.TREESUM_CAPS["A"][-1] + 1)],
+]
+
+
+class TestTreesumCaps:
+    def test_every_kind_has_a_measured_cap(self):
+        (kind,) = (a for a in _treesum_parser()._actions if "--kind" in a.option_strings)
+        assert set(kind.choices) == set(cli.TREESUM_CAPS)
+        assert all(cap <= cli.TREESUM_MAX_N for caps in cli.TREESUM_CAPS.values() for cap in caps)
+
+    @pytest.mark.parametrize("argv", _PAST_THE_CAPS, ids=" ".join)
+    def test_one_past_each_cap_is_refused_at_once(self, argv):
+        start = time.perf_counter()
+        out = run_cli("treesum", *argv, timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert f"limited to {int(argv[-1]) - 1}" in line
+
+    @pytest.mark.parametrize("argv", _PAST_THE_CAPS, ids=" ".join)
+    def test_each_cap_admits_its_own_size(self, argv, monkeypatch, capsys):
+        # The sums are stubbed: this pins the admission, README's cap table
+        # the time a run at the cap takes.
+        result = verify.trees.TreeSumResult(RF_ZERO, 0, 0)
+        for name in ("rooted_tree_sum", "interacting_rooted_tree_sum", "amputated_tree_sum", "coupling_linear_tree_sum"):
+            monkeypatch.setattr(cli.trees, name, lambda *args, **kwargs: result)
+        at_cap = [*argv[:-1], str(int(argv[-1]) - 1)]
+        assert cli.main(["treesum", *at_cap]) == 0, capsys.readouterr().err
 
 
 class TestStreams:

@@ -25,8 +25,10 @@ from diffeorules.algebra import (
     mass_sq,
     rf,
 )
+from diffeorules import series
 from diffeorules.series import (
     PowerSeries,
+    _bell_table,
     bell_partial,
     coupling_linear_terms,
     fc_functional_residual,
@@ -110,6 +112,35 @@ class TestBellPartial:
                 expect = expect + bell * u**k
             expect = expect.scaled(Scalar(Fraction(1, factorial(n))))
             assert lhs[n] == expect, n
+
+    def test_one_table_read_in_any_order_matches_fresh_calls(self):
+        entries = [(m, j) for m in range(9) for j in range(m + 1)]
+        random.Random(7).shuffle(entries)
+        read = _bell_table(XS[:8])
+        for m, j in entries:
+            assert read(m, j) == bell_partial(m, j, XS[: max(m - j + 1, 1)]), (m, j)
+
+    @pytest.mark.parametrize(
+        "call, tables",
+        [
+            (lambda: tree_sum_closed_form(7), 1),
+            (lambda: invert(PowerSeries([RF_ZERO, RF_ONE, *XS[:6]])), 1),
+            # f_n reads the kinetic arguments, c_{n-2} the tangent ones.
+            (lambda: vertex_coefficients(7), 2),
+        ],
+        ids=["tree_sum_closed_form", "invert", "vertex_coefficients"],
+    )
+    def test_one_table_per_argument_list(self, monkeypatch, call, tables):
+        built = []
+        table = series._bell_table
+
+        def counted(args):
+            built.append(len(args))
+            return table(args)
+
+        monkeypatch.setattr(series, "_bell_table", counted)
+        call()
+        assert len(built) == tables
 
     def test_shift_identity_used_by_inversion(self):
         # B_{n+k,k}(0, -2! a1, -3! a2, ...) = (n+k)!/n! B_{n,k}(-1! a1, ...)
@@ -354,8 +385,19 @@ class TestTunedCoefficients:
 class TestCouplingLinearClosedForm:
     def test_delta_structure(self):
         def closed_form(s, n):
-            return sum(coupling_linear_terms(s, n).values(), RF_ZERO)
+            return sum(coupling_linear_terms(s, n)[n].values(), RF_ZERO)
 
         assert closed_form(3, 3) == rf(coupling(3)).scaled(Scalar(0, -1))
         assert closed_form(3, 4).is_zero()
         assert closed_form(4, 7).is_zero()
+
+    @pytest.mark.parametrize("s", (3, 4))
+    def test_one_call_reads_every_n(self, s):
+        table = coupling_linear_terms(s, 8)
+        assert sorted(table) == list(range(s, 9))
+        for n, terms in table.items():
+            assert terms == coupling_linear_terms(s, n)[n], n
+
+    def test_needs_max_n_at_least_s(self):
+        with pytest.raises(AlgebraError, match="n >= s"):
+            coupling_linear_terms(4, 3)

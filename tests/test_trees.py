@@ -844,16 +844,17 @@ class TestAmputatedFamily:
         ids=["free", "generalized", "phi3+phi4", "tuned free", "a1=0 phi3+phi4"],
     )
     def test_every_leg_onshell_or_one_offshell(self, monkeypatch, engine, theory, name):
-        # A^0_m, and A^j_m for every leg j below m.
+        # A^0_m, and A^j_m for every leg j up to m: at m = j the virtual
+        # root is offshell, against a fresh amputated_tree_sum(j, {j}).
         diffeo = ENGINE_DIFFEOS[name](7)
-        for j in range(7):
+        for j in range(8):
             offshell = (j,) if j else ()
             self._assert_family(
                 monkeypatch,
                 engine,
                 lambda: trees.amputated_family(7, offshell, theory, diffeo),
                 lambda n: amputated_tree_sum(n, offshell, theory, diffeo),
-                range(max(3, j + 1), 8),
+                range(max(3, j), 8),
             )
 
     @pytest.mark.parametrize("engine", _ENGINES)
@@ -869,18 +870,20 @@ class TestAmputatedFamily:
             range(3, 8),
         )
 
-    def test_a_read_below_the_top_needs_leg_m_onshell(self):
-        # B of {1..m-1} lacks the block's own edge, which is leg m's.
+    def test_a_read_below_the_top_takes_leg_m_onshell_or_offshell(self):
+        # B of {1..m-1} lacks the block's own edge, which is leg m's: an
+        # offshell leg m reads the block's J, whose edge X_{1..m-1} is
+        # renamed to x_m.
         legs = frozenset(range(1, 7))
         engine = TreeSumEngine(legs, onshell=legs - {4}, diffeo=SYMBOLIC, theory=TheorySpec.free())
-        with pytest.raises(AlgebraError, match="leg 4 must be onshell"):
-            engine.amputated_sums(4)
+        assert engine.amputated_sums(4) == {0: amputated_tree_sum(4, {4}).value}
         assert engine.amputated_sums(5) == {0: amputated_tree_sum(5, {4}).value}
         rooted = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
         for engine, m in ((engine, 2), (engine, 7), (rooted, 4)):
             with pytest.raises(AlgebraError, match="amputated read"):
                 engine.amputated_sums(m)
-        assert trees.amputated_family(6, {6}, TheorySpec.free(), SYMBOLIC) == {}
+        family = trees.amputated_family(6, {6}, TheorySpec.free(), SYMBOLIC)
+        assert list(family) == [6] and family[6].value == amputated_tree_sum(6, {6}).value
 
     @pytest.mark.parametrize("engine", _ENGINES)
     def test_internal_edges_are_renamed(self, monkeypatch, engine):
@@ -896,7 +899,7 @@ class TestAmputatedFamily:
             engine,
             lambda: trees.amputated_family(7, off, TheorySpec.free(), SYMBOLIC),
             lambda n: amputated_tree_sum(n, off),
-            range(4, 8),
+            range(3, 8),
         )
         renamed = 0
         with monkeypatch.context() as m:

@@ -96,10 +96,10 @@ class TestIndividualChecks:
         [
             (lambda max_n: check_interaction_cancellation(s=3, max_n=max_n), lambda n: int(n >= 3)),
             (lambda max_n: check_interaction_cancellation(s=4, max_n=max_n), lambda n: int(n >= 4)),
-            # One walk per offshell set, none or leg j < max_n, plus one per
-            # n >= 3 whose virtual root n is offshell.
-            (check_smatrix_free, lambda n: 2 * n - 2 if n >= 3 else 0),
-            (check_generalized, lambda n: 2 * n - 2 if n >= 3 else 0),
+            # One engine per offshell set, none or leg j <= max_n, read at
+            # every n from max(3, j) up, the offshell virtual root j included.
+            (check_smatrix_free, lambda n: n + 1 if n >= 3 else 0),
+            (check_generalized, lambda n: n + 1 if n >= 3 else 0),
         ],
         ids=["interaction_cancellation s=3", "interaction_cancellation s=4", "smatrix_free", "generalized"],
     )
@@ -132,6 +132,19 @@ class TestIndividualChecks:
         report = check(max_n=max_n)
         assert report.status == "pass"
         assert report.params == {**params, "max_n": max_n}
+
+    @pytest.mark.parametrize("max_n", (2, 3, 6))
+    def test_interaction_cancellation_reads_the_bell_terms_once(self, monkeypatch, max_n):
+        calls = []
+        terms_of = verify.series.coupling_linear_terms
+
+        def counted(s, max_n):
+            calls.append((s, max_n))
+            return terms_of(s, max_n)
+
+        monkeypatch.setattr(verify.series, "coupling_linear_terms", counted)
+        assert check_interaction_cancellation(s=3, max_n=max_n).status == "pass"
+        assert calls == ([(3, max_n)] if max_n >= 3 else [])
 
     def test_bn_inverts_the_series_once(self, monkeypatch):
         orders = []
@@ -183,10 +196,11 @@ class TestFaultInjection:
         # The sum of the terms, and so "Bell formula vs delta", is unchanged.
         terms_of = verify.series.coupling_linear_terms
 
-        def shifted(s, n):
-            terms = terms_of(s, n)
+        def shifted(s, max_n):
+            table = terms_of(s, max_n)
+            terms = table[s]
             terms[s + 1] = terms.get(s + 1, RF_ZERO) + terms.pop(s)
-            return terms
+            return table
 
         monkeypatch.setattr(verify.series, "coupling_linear_terms", shifted)
         report = check_interaction_cancellation(s=3, max_n=5)
