@@ -456,9 +456,9 @@ def mul_into(out: dict, x: Mapping[Monomial, Scalar], y: Mapping[Monomial, Scala
     """Add the product of the term maps ``x`` and ``y`` into the term map
     ``out`` in place, dropping the terms that cancel; returns ``out``.
 
-    This is the one multiply-accumulate kernel of the package: every
-    product of two polynomials, and every product the tree-sum engine adds
-    into a sum, comes here.  Each term pair lands in ``out`` as it is
+    This is the multiply-accumulate kernel of every product of two
+    polynomials; the tree-sum engine multiplies its split term maps through
+    :func:`plain_mul_into` instead.  Each term pair lands in ``out`` as it is
     formed (Monagan & Pearce, CASC 2007), with no product dict and no
     second merging pass: the packed monomials add as ints under the mask
     test of :meth:`Monomial.__mul__`, and the Gaussian components multiply
@@ -495,6 +495,74 @@ def mul_into(out: dict, x: Mapping[Monomial, Scalar], y: Mapping[Monomial, Scala
             out[m] = s = scalar(Scalar)
             s.re = re if type(re) is int else exact(re)
             s.im = im if type(im) is int else exact(im)
+    return out
+
+
+def split_phases(terms: Mapping[Monomial, Scalar]) -> tuple[dict, dict]:
+    """The real and imaginary parts of a term map, as two plain term maps
+    (see :func:`plain_mul_into`); a component that is zero is left out."""
+    re: dict = {}
+    im: dict = {}
+    for m, c in terms.items():
+        if c.re:
+            re[int(m)] = c.re
+        if c.im:
+            im[int(m)] = c.im
+    return re, im
+
+
+def join_phases(re: dict, im: dict, *, drain: bool = False) -> Polynomial:
+    """The polynomial ``re + i im`` of two plain term maps, whose term map
+    is built once and not copied.  With ``drain``, ``re`` and ``im`` are
+    emptied as their terms are read, so each plain term is freed as its
+    :class:`Monomial` and :class:`Scalar` are built."""
+    terms: dict = {}
+    take = im.pop if drain else im.get
+    for m, c in _drained(re) if drain else re.items():
+        terms[_new(Monomial, m)] = Scalar(c, take(m, 0))
+    for m, c in _drained(im) if drain else im.items():
+        if m not in re:  # always so once ``re`` is drained
+            terms[_new(Monomial, m)] = Scalar(0, c)
+    poly = _alloc(Polynomial)
+    poly.terms = terms
+    return poly
+
+
+def _drained(terms: dict) -> Iterator[tuple]:
+    while terms:
+        yield terms.popitem()
+
+
+def plain_mul_into(out: dict, x: Mapping[int, int | Fraction], y: Mapping[int, int | Fraction], sign: int = 1) -> dict:
+    """Add ``sign`` times the product of the plain term maps ``x`` and
+    ``y`` into the plain term map ``out`` in place, dropping the terms that
+    cancel; returns ``out``.
+
+    A plain term map holds one phase of a term map (:func:`split_phases`):
+    each key is a packed monomial as a plain ``int``, each value a nonzero
+    ``int`` or ``Fraction``.  The tree-sum engine multiplies through this
+    kernel.  Per term pair it adds the keys under the mask test of
+    :meth:`Monomial.__mul__` (same :class:`AlgebraError`), then makes one
+    ``get``, one multiply-add and one store, and builds no :class:`Scalar`
+    or :class:`Monomial`.  A value may be a ``Fraction`` of denominator 1;
+    :func:`join_phases` gives it back as an ``int``.  ``out`` must not be
+    ``x`` or ``y``, and must not be a map that a kept value still holds.
+    """
+    if len(x) > len(y):
+        x, y = y, x
+    bias, top = _BIAS, _TOP
+    get = out.get
+    for m1, c1 in x.items():
+        c1 *= sign
+        for m2, c2 in y.items():
+            m = m1 + m2
+            if (m + bias) & top:
+                raise AlgebraError(_OUT_OF_RANGE)
+            c = get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
     return out
 
 

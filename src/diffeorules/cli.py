@@ -56,6 +56,15 @@ TREESUM_MAX_N = 9
 # with every leg offshell each ran out of a 3 GiB address space after
 # 47-69 s.
 TREESUM_CAPS = {"b": (9,), "bprime": (7,), "A": (9, 9, 9, 9, 8, 7), "S": (9,)}
+# The caps of ``--kind A`` when the config has an interaction of power at most
+# n, by offshell legs as above: its vertices multiply the terms.  Measured the
+# same way with powers 3, 3 and 4, 3 to 9, and 3 and 4 with the generalized
+# propagator: no offshell leg at 8 in 1.4-5.9 s, 1 to 5 at 7 in 0.5-8.9 s (5
+# the slowest) and every leg at 6 in 0.5 s.  Past them, A 9 with no offshell
+# leg and A 8 with 2 or 3 ran past 30 s, A 8 with 1 took 13 s, A 7 with 6
+# 14 s and A 7 with every leg 19-21 s.  b' and S sum over one power and keep
+# their caps (S 9 in 0.6-0.7 s with these configs).
+TREESUM_INTERACTING_A_CAPS = (8, 7, 7, 7, 7, 7, 6)
 # Most decorated trees ``treesum --trace`` dumps, each through the per-tree
 # ``amplitude``: b_6 has 2752 and dumps in about 5 s.  A_7 has as many; with
 # every leg offshell it is the slowest dump the cap allows, about 17 s.
@@ -295,10 +304,12 @@ def cmd_treesum(args, cfg: dict) -> int:
         if given and kind not in kinds:
             raise ConfigError(f"treesum {flag} is not read by --kind {kind}")
     offshell = _parse_offshell(args.offshell, n) if kind == "A" else frozenset()
-    caps = TREESUM_CAPS[kind]
+    interacting = kind == "A" and any(it.power <= n for it in theory.interactions)
+    caps = TREESUM_INTERACTING_A_CAPS if interacting else TREESUM_CAPS[kind]
     cap = caps[min(len(offshell), len(caps) - 1)]
     if n > cap:
         legs = f" with {len(offshell)} offshell legs" if kind == "A" else ""
+        legs += " and an interaction configured" if interacting else ""
         raise ConfigError(f"treesum --kind {kind} --n is limited to {cap}{legs}, got {n}")
     mode = ("s_only" if args.reduced else "all_vertices") if kind == "bprime" else None
     if kind in ("bprime", "S"):

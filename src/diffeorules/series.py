@@ -238,23 +238,29 @@ def vertex_coefficients(n: int, a: CoeffFn = symbolic_coeffs):
     return f_n, c_nm2, g_n
 
 
-def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFunction:
-    """Closed form of the one-offshell-leg tree sum b_n.
-
-    b_1 = 1 and b_{n+1} = sum_k (n+k)!/n! B_{n,k}(-1! a_1, ..., -n! a_n).
-    """
-    if n < 1:
+def tree_sum_closed_forms(max_n: int, a: CoeffFn = symbolic_coeffs) -> list[RationalFunction]:
+    """``[b_1, ..., b_max_n]``, the closed forms of the one-offshell-leg
+    tree sums: b_1 = 1 and b_{m+1} = sum_k (m+k)!/m! B_{m,k}(-1! a_1, ...,
+    -m! a_m).  Each b_{m+1} reads a prefix of one argument list, so one
+    Bell table serves them all."""
+    if max_n < 1:
         raise AlgebraError("tree sums are indexed from 1")
-    if n == 1:
-        return RF_ONE
-    m = n - 1
-    bell_of = _bell_table([a(j).scaled(Scalar(-factorial(j))) for j in range(1, m + 1)])
-    total = RF_ZERO
-    for k in range(1, m + 1):
-        bell = bell_of(m, k)
-        if not bell.is_zero():
-            total = total + bell.scaled(Scalar(Fraction(factorial(m + k), factorial(m))))
-    return total
+    bell_of = _bell_table([a(j).scaled(Scalar(-factorial(j))) for j in range(1, max_n)])
+    out = [RF_ONE]
+    for m in range(1, max_n):
+        total = RF_ZERO
+        for k in range(1, m + 1):
+            bell = bell_of(m, k)
+            if not bell.is_zero():
+                total = total + bell.scaled(Scalar(Fraction(factorial(m + k), factorial(m))))
+        out.append(total)
+    return out
+
+
+def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFunction:
+    """Closed form of the one-offshell-leg tree sum b_n: the last entry of
+    :func:`tree_sum_closed_forms`."""
+    return tree_sum_closed_forms(n, a)[-1]
 
 
 def inverse_series_tree_sums(order: int) -> list[RationalFunction]:
@@ -291,11 +297,12 @@ def coupling_linear_terms(s: int, max_n: int) -> dict[int, dict[int, RationalFun
     ``-i lambda_s B_{k,s}(1! a_0, 2! a_1, ...) B_{n,k}(b_1, b_2, ...)`` by
     the valence k of the interaction vertex.  With b_k the one-offshell tree
     sums of the same coefficients, the terms sum to -i lambda_s delta_{n,s}.
-    Each of the two argument lists builds one Bell table for every ``n``."""
+    Each of the two argument lists builds one Bell table for every ``n``,
+    and the ``b_k`` come from one more (:func:`tree_sum_closed_forms`)."""
     if max_n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
     tangent = _bell_table(tangent_args(symbolic_coeffs, max_n))
-    b_sums = _bell_table([tree_sum_closed_form(j) for j in range(1, max_n + 1)])
+    b_sums = _bell_table(tree_sum_closed_forms(max_n))
     scale = RF_MINUS_I * rf(coupling(s))
     lefts = {k: left for k in range(s, max_n + 1) if not (left := tangent(k, s)).is_zero()}
     out = {}

@@ -29,6 +29,15 @@ amputated sum on ``m < n`` legs whose leg ``m`` is onshell
 prefix block ``{1..m-1}``, once each edge symbol is renamed from the
 ``n``-leg universe to ``{1..m}``.
 
+The engine multiplies plain numbers.  Inside it a sum is plain term maps
+``{packed monomial int: int | Fraction}``, one per valence and power of
+``i``, multiplied by :func:`~diffeorules.algebra.plain_mul_into`;
+:class:`~diffeorules.algebra.Monomial` and
+:class:`~diffeorules.algebra.Scalar` are built only where its inputs are
+read in and its values read out.  The reference paths, :func:`amplitude`,
+:func:`recursive_tree_sum` and the reduced gluing of
+:func:`interacting_rooted_tree_sum`, stay on polynomial arithmetic.
+
 The engine sums values only.  Counts depend on block sizes alone, so the
 tree, decorated-tree and topology counts come from a recursion over sizes
 (:func:`_decorated_counts`).  The tests pin the counts against
@@ -54,13 +63,14 @@ from .algebra import (
     RF_MINUS_I,
     RF_ONE,
     RF_ZERO,
-    SC_I,
     Scalar,
     Symbol,
     edge_symbol,
+    join_phases,
     merge_terms,
-    mul_into,
+    plain_mul_into,
     rf,
+    split_phases,
 )
 from .rules import (
     ROOT,
@@ -74,7 +84,7 @@ from .rules import (
     interaction_vertex,
     propagator,
 )
-from .series import tree_sum_closed_form
+from .series import tree_sum_closed_form, tree_sum_closed_forms
 
 FREE = ("F",)
 
@@ -314,23 +324,32 @@ class TreeSumResult:
     metadata: dict = field(default_factory=dict)
 
 
-_NO_INT = 0  # key for "no interaction vertex yet" in the valence-tracked sums
-_ONE = Polynomial.constant(1)  # the sum of a bare leg; never an accumulator
+_NO_INT = 0  # valence key for "no interaction vertex yet" in the valence-tracked sums
+_ONE = {(_NO_INT, 0): {0: 1}}  # the keyed unit; never an accumulator
 
 
-def _mul_into(acc: dict, x: dict, y: dict) -> dict:
-    """Add the keyed product ``x * y`` into ``acc`` and return ``acc``.  A
-    key is the valence of the one interaction vertex (``_NO_INT``: none), so
-    a pair whose factors both carry one is dropped.  Each product lands in
-    its accumulator through :func:`mul_into`; an absent entry starts empty,
-    so as with :func:`_add` no kept sum is ever written into."""
-    for k1, x1 in x.items():
-        for k2, x2 in y.items():
-            if not (k1 and k2):
-                target = acc.get(k1 or k2)
+def _split(poly: Polynomial, valence: int = _NO_INT) -> dict:
+    """``poly`` as a keyed entry under ``valence``: one plain term map per
+    nonzero phase."""
+    return {(valence, phase): x for phase, x in enumerate(split_phases(poly.terms)) if x}
+
+
+def _mul_into(acc: dict, x: dict, y: dict, sign: int = 1) -> dict:
+    """Add the keyed product ``sign * x * y`` into ``acc`` and return
+    ``acc``.  A key is ``(valence, phase)``: the valence of the one
+    interaction vertex (``_NO_INT``: none), so a pair whose factors both
+    carry one is dropped, and the power of ``i``, so the phases add mod 2
+    and ``i * i = -1`` flips the sign.  Each product lands in its
+    accumulator through :func:`plain_mul_into`; an absent entry starts
+    empty, so no kept sum is ever written into."""
+    for (v1, p1), x1 in x.items():
+        for (v2, p2), x2 in y.items():
+            if not (v1 and v2):
+                key = (v1 or v2, p1 ^ p2)
+                target = acc.get(key)
                 if target is None:
-                    target = acc[k1 or k2] = Polynomial()
-                mul_into(target.terms, x1.terms, x2.terms)
+                    target = acc[key] = {}
+                plain_mul_into(target, x1, x2, -sign if p1 & p2 else sign)
     return acc
 
 
@@ -338,10 +357,17 @@ def _nonzero(keyed: dict) -> dict:
     return {key: x for key, x in keyed.items() if x}
 
 
-def _values(keyed: dict) -> dict:
-    """Rational-function copies of the keyed sums, owned by the caller;
-    ``{_NO_INT: 0}`` when there is none."""
-    return {k: RationalFunction(Polynomial(x.terms, _trusted=True)) for k, x in keyed.items()} or {_NO_INT: RF_ZERO}
+def _values(keyed: dict, *, drain: bool = False) -> dict:
+    """Rational-function values of the keyed sums by valence, owned by the
+    caller; ``{_NO_INT: 0}`` when there is none.  With ``drain`` the plain
+    term maps are emptied as they are read (:func:`join_phases`), for a
+    table that no later read needs."""
+    out = {}
+    for v in dict.fromkeys(v for v, _ in keyed):
+        poly = join_phases(keyed.get((v, 0), {}), keyed.get((v, 1), {}), drain=drain)
+        if poly:
+            out[v] = RationalFunction(poly)
+    return out or {_NO_INT: RF_ZERO}
 
 
 def _mask(block: Iterable[int]) -> int:
@@ -402,6 +428,15 @@ class TreeSumEngine:
     ``-P`` (that is ``B``) and ``-Q``, whose signs cancel in ``P(U)
     Q(W)``.
 
+    Every table entry is keyed: ``{(valence, phase): plain term map}``,
+    the valence of the one interaction vertex (``_NO_INT``: none) and the
+    power of ``i``, each map ``{packed monomial int: int | Fraction}``.  A
+    product XORs the phases and flips the sign when both are 1
+    (:func:`_mul_into`), so a Gaussian ``a_j`` or coupling fills both phase
+    maps.  The ``c_j``, edges, propagators and interaction vertices are
+    split into phases once per engine (:func:`_split`), and each value read
+    out is joined back once (:func:`_values`).
+
     ``X_U`` is ``U``'s canonical edge symbol, absent for an onshell
     singleton: a leg, or the complement of an unrooted sum's top block.
     ``G``, ``-P`` and ``-Q`` are kept per proper block (``_blocks``, keyed
@@ -435,28 +470,30 @@ class TreeSumEngine:
         self._coefficients: list = []  # j -> c_j = (j+1)! a_j
         self._vertices: dict = {}  # valence -> sum of its interaction vertices
 
-    def _coefficient(self, j: int) -> Polynomial:
-        """``c_j = (j+1)! a_j``, read on first use; empty when ``a_j = 0``."""
+    def _coefficient(self, j: int) -> dict:
+        """``c_j = (j+1)! a_j``, keyed, read on first use; empty when ``a_j = 0``."""
         while len(self._coefficients) <= j:
             i = len(self._coefficients)
-            self._coefficients.append(self.diffeo.a(i).scaled(Scalar(factorial(i + 1))).poly)
+            self._coefficients.append(_split(self.diffeo.a(i).scaled(Scalar(factorial(i + 1))).poly))
         return self._coefficients[j]
 
-    def _vertex(self, v: int) -> Polynomial:
-        """Sum of the interaction vertices of valence ``v``."""
+    def _vertex(self, v: int) -> dict:
+        """Sum of the interaction vertices of valence ``v``, keyed by ``v``
+        for a ``single`` engine."""
         vertex = self._vertices.get(v)
         if vertex is None:
             its = [it for it in self.theory.interactions if it.power <= v]
             vertices = (interaction_vertex(v, it.power, self.diffeo, it.coupling_value) for it in its)
-            vertex = self._vertices[v] = sum(vertices, RF_ZERO).poly
+            vertex = self._vertices[v] = _split(sum(vertices, RF_ZERO).poly, v if self.single else _NO_INT)
         return vertex
 
-    def _edge(self, subset: frozenset[int]) -> Polynomial | None:
-        """``i X_U``, or ``None`` when ``U``'s canonical subset is an onshell leg."""
+    def _edge(self, subset: frozenset[int], sign: int = 1) -> dict:
+        """``sign i X_U``, keyed; empty when ``U``'s canonical subset is an
+        onshell leg."""
         canon = canonical_subset(subset, self.universe)
         if len(canon) == 1 and canon <= self.onshell:
-            return None
-        return Polynomial({Monomial.of(edge_symbol(canon, self.theory.generalized)): SC_I}, _trusted=True)
+            return {}
+        return {(_NO_INT, 1): {int(Monomial.of(edge_symbol(canon, self.theory.generalized))): sign}}
 
     def _q_is_read(self, block: frozenset[int]) -> bool:
         """Whether a larger block ``T = W + U`` can read ``Q(W)``, which it
@@ -476,23 +513,22 @@ class TreeSumEngine:
             block = _legs(t)
             top = len(block) == len(self.universe) - 1  # a sum's top block: no larger block reads its P or Q
             if len(block) == 1:
-                edge = self._edge(block)
-                g, b, forests = {_NO_INT: _ONE}, {} if edge is None or top else {_NO_INT: -edge}, {}
+                # A fresh unit, not _ONE: a rooted sum on one leg drains it.
+                g, b, forests = {(_NO_INT, 0): {0: 1}}, {} if top else self._edge(block, -1), {}
             else:
                 b, forests = self._walk(t)
-                edge = propagator(block, self.universe, generalized=self.theory.generalized).poly
-                g = _mul_into({}, b, {_NO_INT: edge})
+                g = _mul_into({}, b, _split(propagator(block, self.universe, generalized=self.theory.generalized).poly))
                 b = {} if top else b  # released before the forests, as no larger block reads it
             read_q = self._q_is_read(block)
             q: dict = {}
             while forests:  # each F_k is released after its last product
                 k, forest = forests.popitem()
                 if c := self._coefficient(k - 1):
-                    _mul_into(g, forest, {_NO_INT: -c})
+                    _mul_into(g, forest, c, -1)
                 if read_q and (c := self._coefficient(k)):
-                    _mul_into(q, forest, {_NO_INT: -c})
+                    _mul_into(q, forest, c, -1)
             if read_q and (c := self._coefficient(1)):
-                _mul_into(q, g, {_NO_INT: -c})
+                _mul_into(q, g, c, -1)
             tables = self._blocks[t] = (_nonzero(g), b, _nonzero(q))
         return tables
 
@@ -508,8 +544,7 @@ class TreeSumEngine:
             factors = [self._tables(sum(b))[0] for b in partition if len(b) > 1]
             forest = forests.setdefault(len(partition), {})
             if len(factors) < 2:
-                for key, x in (factors[0] if factors else {_NO_INT: _ONE}).items():
-                    merge_terms(forest.setdefault(key, Polynomial()).terms, x.terms.items())
+                _mul_into(forest, factors[0] if factors else _ONE, _ONE)
                 continue
             merged = factors[0]
             for g in factors[1:-1]:
@@ -519,7 +554,7 @@ class TreeSumEngine:
         sums: dict = {}
         for k, forest in forests.items():
             if vertex := self._vertex(k + 1):
-                _mul_into(sums, forest, {k + 1 if self.single else _NO_INT: vertex})
+                _mul_into(sums, forest, vertex)
         u = (t - 1) & t  # every proper nonempty submask, largest first
         while u:
             if p := self._tables(u)[1]:
@@ -536,9 +571,9 @@ class TreeSumEngine:
         sums, forests = self._walk(_mask(block))
         edge = self._edge(block)
         for k, forest in forests.items():
-            if edge is not None and (c := self._coefficient(k - 1)):
-                _mul_into(sums, forest, {_NO_INT: c * edge})
-        return _values(_nonzero(sums))
+            if edge and (c := self._coefficient(k - 1)):
+                _mul_into(sums, forest, _mul_into({}, c, edge))
+        return _values(sums, drain=True)
 
     def block_sums(self, block: frozenset[int]) -> dict:
         """Keyed rational-function sums ``G`` of a proper ``block``: the
@@ -547,10 +582,17 @@ class TreeSumEngine:
         the table of the prefix block ``{1..m}`` is the rooted sum on ``m``
         legs, the top block included: each edge below the block names the
         leg subset on the root's far side, whatever the universe.  The
-        values are copies that the caller owns."""
+        values are owned by the caller.  No walk reads a sum's top block, so
+        its table is drained into the values and not kept; a second read
+        walks it again."""
         if ROOT in block:
             raise AlgebraError("a subtree block holds legs below the root, never the root")
-        return _values(self._tables(_mask(block))[0])
+        t = _mask(block)
+        tables = self._tables(t)
+        if len(block) < len(self.universe) - 1:
+            return _values(tables[0])
+        del self._blocks[t]
+        return _values(tables[0], drain=True)
 
     def amputated_sums(self, m: int) -> dict:
         """Keyed rational-function sums of the amputated sum on the legs
@@ -580,7 +622,8 @@ def _rooted(n: int, diffeo: DiffeoSpec, theory: TheorySpec) -> TreeSumResult:
     ``m = n`` included, and ``{1}``'s is the bare leg's ``1``."""
     legs = frozenset(range(1, n + 1))
     engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=theory)
-    *below, value = (engine.block_sums(frozenset(range(1, m + 1)))[_NO_INT] for m in range(1, n + 1))
+    value = engine.block_sums(legs)[_NO_INT]  # first, as its table is drained
+    below = [engine.block_sums(frozenset(range(1, m + 1)))[_NO_INT] for m in range(1, n)]
     powers = tuple(it.power for it in theory.interactions)
     return TreeSumResult(value, topology_count(n), _decorated_counts(n, powers, False)[0], {"below": below})
 
@@ -643,7 +686,7 @@ def _reduced_bprime(
 ) -> tuple[RationalFunction, int]:
     """Reduced b'_n: a diffeomorphism tree sum under the root edge with pure
     power-s interaction trees attached below through uncancelled edges."""
-    b_table = {m: tree_sum_closed_form(m, diffeo.a) for m in range(1, len(legs) + 1)}
+    b_table = [None, *tree_sum_closed_forms(len(legs), diffeo.a)]
     root_prop = propagator(legs, universe)
     lambda_cache: dict[frozenset, RationalFunction] = {}
 

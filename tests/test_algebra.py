@@ -28,12 +28,16 @@ from diffeorules.algebra import (
     edge_symbol,
     fixed_offshell,
     generic_symbol,
+    join_phases,
     mass_sq,
     mul_into,
     parse_rational,
+    plain_mul_into,
     power,
     rf,
+    split_phases,
 )
+from diffeorules import trees
 from diffeorules.rules import DiffeoSpec, generalized_vertex
 from diffeorules.series import PowerSeries
 from diffeorules.trees import coupling_linear_tree_sum, interacting_rooted_tree_sum, rooted_tree_sum
@@ -549,6 +553,51 @@ class TestMulInto:
                 mul_into({}, x, y)
             with pytest.raises(AlgebraError, match="out of range"):
                 Polynomial(x) * Polynomial(y)
+
+
+class TestEngineKernel:
+    """The tree-sum engine's products on split term maps: one plain map of
+    ``int`` keys and ``int``/``Fraction`` values per power of ``i``, keyed
+    by ``(valence, phase)`` (:func:`trees._mul_into` over
+    :func:`plain_mul_into`), joined back, against :func:`mul_into` on the
+    Gaussian term maps."""
+
+    @staticmethod
+    def _keyed(terms: dict) -> dict:
+        return {(0, phase): x for phase, x in enumerate(split_phases(terms)) if x}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_term_map, _term_map, _term_map, st.sampled_from((1, -1)))
+    def test_split_product_joined_back_equals_mul_into(self, x, y, start, sign):
+        for terms in (x, y, start):
+            re, im = split_phases(terms)
+            assert all(type(m) is int for m in [*re, *im])
+            assert join_phases(re, im).terms == terms
+        acc = self._keyed(start)
+        trees._mul_into(acc, self._keyed(x), self._keyed(y), sign)
+        got = trees._values(acc)[0].poly.terms
+        expect = mul_into(dict(start), x, {m: c * Scalar(sign) for m, c in y.items()})
+        assert got == expect
+        _assert_term_map(got)
+        drained = {key: dict(terms) for key, terms in acc.items()}
+        assert trees._values(drained, drain=True)[0].poly.terms == expect
+        assert not any(drained.values())
+
+    @pytest.mark.parametrize("c", (3, Fraction(-2, 5)))
+    def test_exponent_out_of_range_raises_and_never_wraps(self, c):
+        # X12 rides along: the product moves only X1's field, or raises.
+        edges = (*range(EXPONENT_MIN, EXPONENT_MIN + 4), *range(-3, 4), *range(EXPONENT_MAX - 3, EXPONENT_MAX + 1))
+        for e in edges:
+            for f in range(-3, 4):
+                x = {int(Monomial([(X1, e), (X12, 1)])): c}
+                y = {int(Monomial([(X1, f)])): 2}
+                if EXPONENT_MIN <= e + f <= EXPONENT_MAX:
+                    assert plain_mul_into({}, x, y) == {int(Monomial([(X1, e + f), (X12, 1)])): 2 * c}, (e, f)
+                else:
+                    out = {0: 1}
+                    with pytest.raises(AlgebraError, match="out of range"):
+                        plain_mul_into(out, x, y)
+                    assert out == {0: 1}, (e, f)
 
 
 def _substituted(value: RationalFunction, bindings: dict, substitute) -> object:

@@ -440,11 +440,28 @@ _PAST_THE_CAPS = [
 ]
 
 
+# Powers 3 and 4 configured: one past each cap of A with an interaction, and
+# one past S's cap, which does not fall.
+_INTERACTING = {"theory": {"interactions": [{"s": 3}, {"s": 4}]}}
+_PAST_THE_INTERACTING_CAPS = [
+    *(["--kind", "A", "--offshell", _legs(k), "--n", str(cap + 1)] for k, cap in enumerate(cli.TREESUM_INTERACTING_A_CAPS)),
+    ["--kind", "A", "--offshell", "all", "--n", str(cli.TREESUM_INTERACTING_A_CAPS[-1] + 1)],
+    ["--kind", "S", "--n", str(cli.TREESUM_CAPS["S"][0] + 1)],
+]
+
+
+def _stub_sums(monkeypatch):
+    result = verify.trees.TreeSumResult(RF_ZERO, 0, 0)
+    for name in ("rooted_tree_sum", "interacting_rooted_tree_sum", "amputated_tree_sum", "coupling_linear_tree_sum"):
+        monkeypatch.setattr(cli.trees, name, lambda *args, **kwargs: result)
+
+
 class TestTreesumCaps:
     def test_every_kind_has_a_measured_cap(self):
         (kind,) = (a for a in _treesum_parser()._actions if "--kind" in a.option_strings)
         assert set(kind.choices) == set(cli.TREESUM_CAPS)
-        assert all(cap <= cli.TREESUM_MAX_N for caps in cli.TREESUM_CAPS.values() for cap in caps)
+        caps = [*cli.TREESUM_CAPS.values(), cli.TREESUM_INTERACTING_A_CAPS]
+        assert all(cap <= cli.TREESUM_MAX_N for row in caps for cap in row)
 
     @pytest.mark.parametrize("argv", _PAST_THE_CAPS, ids=" ".join)
     def test_one_past_each_cap_is_refused_at_once(self, argv):
@@ -460,11 +477,38 @@ class TestTreesumCaps:
     def test_each_cap_admits_its_own_size(self, argv, monkeypatch, capsys):
         # The sums are stubbed: this pins the admission, README's cap table
         # the time a run at the cap takes.
-        result = verify.trees.TreeSumResult(RF_ZERO, 0, 0)
-        for name in ("rooted_tree_sum", "interacting_rooted_tree_sum", "amputated_tree_sum", "coupling_linear_tree_sum"):
-            monkeypatch.setattr(cli.trees, name, lambda *args, **kwargs: result)
+        _stub_sums(monkeypatch)
         at_cap = [*argv[:-1], str(int(argv[-1]) - 1)]
         assert cli.main(["treesum", *at_cap]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", _PAST_THE_INTERACTING_CAPS, ids=" ".join)
+    def test_one_past_each_interacting_cap_is_refused_at_once(self, argv, tmp_path):
+        start = time.perf_counter()
+        out = run_cli("treesum", *argv, config=_INTERACTING, tmp_path=tmp_path, timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert f"limited to {int(argv[-1]) - 1}" in line
+        assert line.endswith(f"and an interaction configured, got {argv[-1]}") == (argv[1] == "A")
+
+    @pytest.mark.parametrize("argv", _PAST_THE_INTERACTING_CAPS, ids=" ".join)
+    def test_each_interacting_cap_admits_its_own_size(self, argv, monkeypatch, capsys, tmp_path):
+        _stub_sums(monkeypatch)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_INTERACTING))
+        at_cap = [*argv[:-1], str(int(argv[-1]) - 1)]
+        assert cli.main(["treesum", "--config", str(path), *at_cap]) == 0, capsys.readouterr().err
+
+    def test_an_interaction_above_n_keeps_the_free_caps(self, monkeypatch, capsys, tmp_path):
+        # No vertex of an n-leg sum has valence above n.
+        _stub_sums(monkeypatch)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"theory": {"interactions": [{"s": 9}]}}))
+        argv = ["treesum", "--config", str(path), "--kind", "A", "--offshell", "1"]
+        assert cli.main([*argv, "--n", "8"]) == 0, capsys.readouterr().err
+        assert cli.main([*argv, "--n", "9"]) == 2
+        assert capsys.readouterr().err.strip().endswith("and an interaction configured, got 9")
 
 
 class TestStreams:

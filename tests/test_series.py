@@ -37,6 +37,7 @@ from diffeorules.series import (
     inverse_series_tree_sums,
     invert,
     tree_sum_closed_form,
+    tree_sum_closed_forms,
     tuned_diffeo_coeffs,
     vertex_coefficients,
 )
@@ -124,11 +125,14 @@ class TestBellPartial:
         "call, tables",
         [
             (lambda: tree_sum_closed_form(7), 1),
+            (lambda: tree_sum_closed_forms(7), 1),
             (lambda: invert(PowerSeries([RF_ZERO, RF_ONE, *XS[:6]])), 1),
             # f_n reads the kinetic arguments, c_{n-2} the tangent ones.
             (lambda: vertex_coefficients(7), 2),
+            # The tangent arguments, the closed forms b_k, and the b_k as arguments.
+            (lambda: coupling_linear_terms(3, 7), 3),
         ],
-        ids=["tree_sum_closed_form", "invert", "vertex_coefficients"],
+        ids=["tree_sum_closed_form", "tree_sum_closed_forms", "invert", "vertex_coefficients", "coupling_linear_terms"],
     )
     def test_one_table_per_argument_list(self, monkeypatch, call, tables):
         built = []
@@ -349,6 +353,9 @@ class TestTreeSumClosedForm:
     def test_matches_inverse_series(self):
         for n in range(1, 9):
             assert tree_sum_closed_form(n) == inverse_series_tree_sums(8)[n], n
+        assert tree_sum_closed_forms(8) == inverse_series_tree_sums(8)[1:]
+        with pytest.raises(AlgebraError, match="indexed from 1"):
+            tree_sum_closed_forms(0)
 
     def test_contains_only_diffeo_symbols(self):
         for n in range(2, 8):

@@ -9,7 +9,7 @@ import partition_walk
 import pytest
 from oracles import compose, internal_edge_count
 
-from diffeorules import trees
+from diffeorules import algebra, trees
 from diffeorules.algebra import (
     MONO_ONE,
     AlgebraError,
@@ -28,7 +28,7 @@ from diffeorules.algebra import (
     mass_sq,
     rf,
 )
-from diffeorules.rules import ROOT, DiffeoSpec, TheorySpec, edge_var
+from diffeorules.rules import ROOT, DiffeoSpec, TheorySpec, edge_var, interaction
 from diffeorules.series import PowerSeries, tree_sum_closed_form
 from diffeorules.trees import (
     _ONE,
@@ -65,6 +65,17 @@ def mask_of(block):
 
 def block_of(mask):
     return frozenset(leg for leg in range(mask.bit_length()) if mask >> leg & 1)
+
+
+def values_of(entry):
+    """A kept engine entry (plain term maps keyed by valence and phase) as
+    ``{valence: RationalFunction}``: a copy, which leaves the entry as it
+    is."""
+    return trees._values(entry)
+
+
+def polys_of(entry):
+    return {v: x.poly for v, x in values_of(entry).items()}
 
 
 def total_singles(n, generalized=False):
@@ -470,12 +481,12 @@ class TestEngineMemo:
 
         def unchanged():
             kept = {("block", block_of(b)): tables for b, tables in walked._blocks.items()}
-            kept.update({("vertex", v): ({0: x},) for v, x in walked._vertices.items()})
-            kept.update({("c", j): ({0: x},) for j, x in enumerate(walked._coefficients)})
+            kept.update({("vertex", v): (x,) for v, x in walked._vertices.items()})
+            kept.update({("c", j): (x,) for j, x in enumerate(walked._coefficients)})
             for name, tables in kept.items():
-                now = tuple({k: dict(x.terms) for k, x in t.items()} for t in tables)
+                now = tuple(values_of(t) for t in tables)
                 assert seen.setdefault(name, now) == now, name
-            assert _ONE.terms == {MONO_ONE: Scalar(1)}
+            assert _ONE == {(0, 0): {MONO_ONE: 1}}
 
         for sub in subs:
             walked.subtree_sums(sub)
@@ -505,10 +516,7 @@ class TestEngineMemo:
         walked = engine()
 
         def snapshot():
-            return {
-                block_of(mask): tuple({k: dict(x.terms) for k, x in table.items()} for table in tables)
-                for mask, tables in walked._blocks.items()
-            }
+            return {block_of(mask): tuple(values_of(table) for table in tables) for mask, tables in walked._blocks.items()}
 
         first = walked.subtree_sums(top)
         kept = snapshot()
@@ -553,22 +561,22 @@ class TestEngineMemo:
         # here, so reading it raises), never builds Q for its top block, and
         # multiplies by no zero coefficient (a1 = 0).
         empty_operands = []
-        mul = Polynomial.__mul__
+        mul = trees.plain_mul_into
 
-        def counted(x, y):
-            if not x.terms or not y.terms:
+        def counted(out, x, y, sign):
+            if not x or not y:
                 empty_operands.append((x, y))
-            return mul(x, y)
+            return mul(out, x, y, sign)
 
         for n in range(2, 8):
             diffeo = DiffeoSpec.from_bindings({1: rf(0), **{j: rf(j) for j in range(2, n)}})
             legs = frozenset(range(1, n + 1))
             engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.free())
             with monkeypatch.context() as m:
-                m.setattr(Polynomial, "__mul__", counted)
+                m.setattr(trees, "plain_mul_into", counted)
                 engine.subtree_sums(legs)
-            want = [diffeo.a(j).scaled(Scalar(factorial(j + 1))).poly for j in range(n)]
-            assert engine._coefficients == want and not want[1], n
+            want = [{0: diffeo.a(j).scaled(Scalar(factorial(j + 1)))} for j in range(n)]
+            assert [values_of(c) for c in engine._coefficients] == want and not engine._coefficients[1], n
             assert empty_operands == [], n
             assert mask_of(legs) not in engine._blocks and len(engine._blocks) == 2**n - 2, n
 
@@ -631,8 +639,13 @@ class TestEngineIdentity:
         engine = TreeSumEngine(universe, onshell=onshell, diffeo=diffeo, theory=theory, **spec)
         top = legs if rooted else legs - {6}
         if rooted:
-            engine.block_sums(top)
+            g = values_of(engine._tables(mask_of(top))[0])
             assert engine._blocks.pop(mask_of(top))[1:] == ({}, {})  # no P or Q for the top block
+            # block_sums drains the top block's table and does not keep it;
+            # a smaller block's table it reads and keeps.
+            assert engine.block_sums(top) == g and mask_of(top) not in engine._blocks
+            below = frozenset(range(1, 5))
+            assert engine.block_sums(below) == values_of(engine._blocks[mask_of(below)][0])
         else:
             engine.subtree_sums(top)
         assert len(engine._blocks) == 2 ** len(top) - 2
@@ -645,11 +658,12 @@ class TestEngineIdentity:
             for partition in trees.set_partitions(sorted(block)):
                 product = {0: Polynomial.constant(1)}
                 for b in partition:
-                    product = _keyed_product(product, engine._blocks[mask_of(b)][0])
+                    product = _keyed_product(product, polys_of(engine._blocks[mask_of(b)][0]))
                 out[len(partition)] = _keyed_sum(out.get(len(partition), {}), product)
             return out
 
-        for mask, (g, minus_p, minus_q) in engine._blocks.items():
+        for mask, tables in engine._blocks.items():
+            g, minus_p, minus_q = map(polys_of, tables)
             block = block_of(mask)
             f = forests(block)
             canon = trees.canonical_subset(block, universe)
@@ -670,14 +684,63 @@ def _valence_of_interaction(topo, deco):
     return valence
 
 
-# Symbolic, tuned and a rational binding whose a1 = 0 zeroes some weights.
+# Symbolic, tuned, a rational binding whose a1 = 0 zeroes some weights, and
+# a Gaussian-rational binding, whose engine entries carry both powers of i.
 ENGINE_DIFFEOS = {
     "symbolic": lambda n: SYMBOLIC,
     "tuned": lambda n: DiffeoSpec.tuned(3, n),
     "a1=0": lambda n: DiffeoSpec.from_bindings(
         {1: rf(0), 2: rf(Fraction(3, 2)), 3: rf(-2), 4: rf(Fraction(5, 7)), 5: rf(1), 6: rf(Fraction(-4, 3))}
     ),
+    "complex": lambda n: DiffeoSpec.from_bindings(
+        {
+            1: rf(Scalar(1, 2)),
+            2: rf(Scalar(0, Fraction(1, 3))),
+            3: rf(-2),
+            4: rf(Scalar(Fraction(1, 2), -1)),
+            5: rf(Scalar(0, -3)),
+            6: rf(Scalar(2, Fraction(1, 5))),
+        }
+    ),
 }
+
+# phi^3 + phi^4 with Gaussian-rational couplings: each interaction vertex
+# -i lambda_s B carries both powers of i.
+COMPLEX_COUPLINGS = (interaction(3, Scalar(1, -1)), interaction(4, Scalar(Fraction(2, 3), Fraction(1, 2))))
+
+
+class TestEngineEntries:
+    @pytest.mark.parametrize(
+        "name, theory",
+        [("symbolic", TheorySpec.standard(3, 4)), ("complex", TheorySpec(interactions=COMPLEX_COUPLINGS))],
+        ids=("symbolic", "complex"),
+    )
+    def test_kept_entries_hold_plain_numbers_and_the_walk_calls_no_mul_into(self, monkeypatch, name, theory):
+        # Every kept table, coefficient and vertex is plain term maps keyed
+        # by (valence, phase), with int keys and int or Fraction values; a
+        # Gaussian input fills both phases of one entry.  The interaction
+        # vertices are inputs, built through RationalFunction products;
+        # after them no product goes through mul_into.
+        legs = frozenset(range(1, 7))
+        diffeo = ENGINE_DIFFEOS[name](6)
+        engine = TreeSumEngine(legs, onshell=legs - {1}, diffeo=diffeo, theory=theory)
+        for v in range(3, 7):
+            engine._vertex(v)
+        calls = []
+        mul_into = algebra.mul_into
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "mul_into", lambda *args: calls.append(args) or mul_into(*args))
+            got = engine.subtree_sums(legs - {6})
+        assert calls == []
+        assert got == {0: amputated_tree_sum(6, {1}, theory, diffeo).value}
+        entries = [entry for tables in engine._blocks.values() for entry in tables]
+        entries += [*engine._coefficients, *engine._vertices.values()]
+        for entry in entries:
+            for (valence, phase), terms in entry.items():
+                assert valence == 0 and phase in (0, 1) and terms
+                assert all(type(m) is int and type(c) in (int, Fraction) and c for m, c in terms.items())
+        assert {phase for entry in entries for _, phase in entry} == {0, 1}
+        assert any(len(entry) == 2 for entry in entries) == (name == "complex")
 
 
 class TestEngineAgainstAmplitudes:
@@ -714,8 +777,16 @@ class TestEngineAgainstAmplitudes:
     @pytest.mark.parametrize("kind", ("standard", "generalized"))
     @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
     def test_amputated(self, name, kind, offshell):
+        self._amputated(name, TheorySpec(kind=kind, interactions=TheorySpec.standard(3, 4).interactions), offshell)
+
+    @pytest.mark.parametrize("offshell", ("none", "one", "two", "all"))
+    @pytest.mark.parametrize("name", ENGINE_DIFFEOS)
+    def test_amputated_with_complex_couplings(self, name, offshell):
+        self._amputated(name, TheorySpec(interactions=COMPLEX_COUPLINGS), offshell)
+
+    @staticmethod
+    def _amputated(name, theory, offshell):
         for n in range(3, 6):
-            theory = TheorySpec(kind=kind, interactions=TheorySpec.standard(3, 4).interactions)
             diffeo = ENGINE_DIFFEOS[name](n)
             legs = frozenset(range(1, n + 1))
             off = {"none": (), "one": {1}, "two": {1, 2}, "all": legs}[offshell]
@@ -767,6 +838,8 @@ class TestEngineAgainstPartitionWalk:
             pytest.param("bprime", "symbolic", id="bprime"),
             pytest.param("bprime", "tuned", id="tuned bprime"),
             pytest.param("bprime", "a1=0", id="a1=0 bprime"),
+            pytest.param("b", "complex", id="complex b"),
+            pytest.param("bprime", "complex", id="complex bprime"),
         ],
     )
     def test_rooted(self, monkeypatch, kind, name):
@@ -790,8 +863,8 @@ class TestEngineAgainstPartitionWalk:
     @pytest.mark.parametrize("offshell", ("none", "one", "top", "all"))
     @pytest.mark.parametrize(
         "theory",
-        (TheorySpec.free(), TheorySpec.generalized_free(), TheorySpec.standard(3, 4)),
-        ids=("free", "generalized", "phi3+phi4"),
+        (TheorySpec.free(), TheorySpec.generalized_free(), TheorySpec.standard(3, 4), TheorySpec(interactions=COMPLEX_COUPLINGS)),
+        ids=("free", "generalized", "phi3+phi4", "complex phi3+phi4"),
     )
     def test_amputated(self, monkeypatch, theory, offshell):
         # "top" sets offshell the virtual root, the complement of the top

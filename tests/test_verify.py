@@ -158,6 +158,23 @@ class TestIndividualChecks:
         assert check_bn(max_n=5).status == "pass"
         assert orders == [5]
 
+    def test_the_default_suite_builds_one_closed_form_table_per_check(self, monkeypatch):
+        built = []
+        table = verify.series._bell_table
+
+        def counted(args):
+            built.append(len(args))
+            return table(args)
+
+        monkeypatch.setattr(verify.series, "_bell_table", counted)
+        assert suite_passed(run_suite(default_suite()))
+        # 13 tables of closed forms b_k: one in each of the six checks that
+        # read them, one for each n of the reduced b'_n oracle (5) and two
+        # in the Bell-sum terms (s = 3, 4).  The other 38: the series
+        # inverse (1), the interaction vertices (27), the display vertices
+        # (6) and the Bell-sum terms' own lists (4).
+        assert len(built) == 51
+
     def test_bn_fails_against_a_broken_inverse(self, monkeypatch):
         invert = verify.series.invert
 
@@ -276,15 +293,16 @@ class TestOracleFaults:
         "module, name, fault, run, witness",
         [
             (
-                verify.series, "tree_sum_closed_form", plus_one_at(3), lambda: check_smatrix_free(max_n=5),
+                # Entry 2 of [b_1, b_2, ...] is b_3.
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_smatrix_free(max_n=5),
                 {"n": 4, "offshell_leg": 1, "compared": "A1 single leg"},
             ),
             (
-                verify.series, "tree_sum_closed_form", plus_one_at(3), lambda: check_generalized(max_n=5),
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_generalized(max_n=5),
                 {"n": 4, "offshell_leg": 1, "compared": "A1 generalized"},
             ),
             (
-                verify.series, "tree_sum_closed_form", plus_one_at(3), lambda: check_adiabatic(s=3, max_n=4),
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_adiabatic(s=3, max_n=4),
                 {"k": 3, "compared": "closed-form b_k"},
             ),
             (
