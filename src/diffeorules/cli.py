@@ -189,6 +189,8 @@ def build_diffeo(cfg: dict) -> DiffeoSpec:
     for k, value in coeffs.items():
         if not (k.isascii() and k.isdigit()):
             raise ConfigError(f"diffeo.a keys must be integers >= 1, got {k!r}")
+        if k != str(int(k)):  # else two spellings of one index, and the last would win
+            raise ConfigError(f"diffeo.a key {k!r} must be written {str(int(k))!r}")
         bindings[int(k)] = _parse_value(value)
     if 0 in bindings:
         raise ConfigError("a0 is fixed to 1; the substitution is tangent to identity")
@@ -232,9 +234,11 @@ def cmd_rules(args, cfg: dict) -> int:
         raise ConfigError("rules needs a valence --n of at least 3")
     if n > RULES_MAX_N:
         raise ConfigError(f"rules --n is limited to {RULES_MAX_N}; vertex rules grow quickly with the valence")
+    kind = args.kind
+    if args.s is not None and kind != "interaction":
+        raise ConfigError(f"rules --s is not read by --kind {kind}")
     legs = frozenset(range(1, n + 1))
     singles = [rf(edge_symbol(frozenset((j,)), theory.generalized)) for j in range(1, n + 1)]
-    kind = args.kind
     if kind == "free":
         value = rules.free_vertex(n, singles, diffeo, theory.mass_sq_value)
     elif kind == "interaction":

@@ -238,15 +238,16 @@ def vertex_coefficients(n: int, a: CoeffFn = symbolic_coeffs):
     return f_n, c_nm2, g_n
 
 
-def tree_sum_closed_forms(max_n: int, a: CoeffFn = symbolic_coeffs) -> list[RationalFunction]:
-    """``[b_1, ..., b_max_n]``, the closed forms of the one-offshell-leg
-    tree sums: b_1 = 1 and b_{m+1} = sum_k (m+k)!/m! B_{m,k}(-1! a_1, ...,
-    -m! a_m).  Each b_{m+1} reads a prefix of one argument list, so one
-    Bell table serves them all."""
+def tree_sum_closed_forms(max_n: int, a: CoeffFn = symbolic_coeffs) -> list[RationalFunction | None]:
+    """``[None, b_1, ..., b_max_n]``, indexed by the leg count as every
+    tree-sum list is, and ``[None]`` when ``max_n < 1``: the closed forms of
+    the one-offshell-leg tree sums, b_1 = 1 and b_{m+1} = sum_k (m+k)!/m!
+    B_{m,k}(-1! a_1, ..., -m! a_m).  Each b_{m+1} reads a prefix of one
+    argument list, so one Bell table serves them all."""
     if max_n < 1:
-        raise AlgebraError("tree sums are indexed from 1")
+        return [None]
     bell_of = _bell_table([a(j).scaled(Scalar(-factorial(j))) for j in range(1, max_n)])
-    out = [RF_ONE]
+    out = [None, RF_ONE]
     for m in range(1, max_n):
         total = RF_ZERO
         for k in range(1, m + 1):
@@ -258,18 +259,21 @@ def tree_sum_closed_forms(max_n: int, a: CoeffFn = symbolic_coeffs) -> list[Rati
 
 
 def tree_sum_closed_form(n: int, a: CoeffFn = symbolic_coeffs) -> RationalFunction:
-    """Closed form of the one-offshell-leg tree sum b_n: the last entry of
-    :func:`tree_sum_closed_forms`."""
-    return tree_sum_closed_forms(n, a)[-1]
+    """Closed form of the one-offshell-leg tree sum b_n, ``n >= 1``: the
+    entry ``n`` of :func:`tree_sum_closed_forms`."""
+    if n < 1:
+        raise AlgebraError("tree sums are indexed from 1")
+    return tree_sum_closed_forms(n, a)[n]
 
 
 def inverse_series_tree_sums(order: int) -> list[RationalFunction]:
     """``[b_0, ..., b_order]`` of symbolic coefficients, ``b_n`` being n!
     times the n-th coefficient of the inverse of the field map: one
-    inversion gives every ``b_n`` up to ``order``."""
-    coeffs = [RF_ZERO] + [symbolic_coeffs(j - 1) for j in range(1, order + 1)]
+    inversion gives every ``b_n`` up to ``order``.  The map keeps its
+    linear coefficient ``a_0 = 1`` at every order, so ``[b_0]`` is ``[0]``."""
+    coeffs = [RF_ZERO, RF_ONE] + [symbolic_coeffs(j - 1) for j in range(2, order + 1)]
     inverse = invert(PowerSeries(coeffs))
-    return [c.scaled(Scalar(factorial(n))) for n, c in enumerate(inverse.coeffs)]
+    return [c.scaled(Scalar(factorial(n))) for n, c in enumerate(inverse.coeffs[: order + 1])]
 
 
 def tuned_diffeo_coeffs(s: int, max_j: int) -> dict[int, RationalFunction]:
@@ -302,7 +306,7 @@ def coupling_linear_terms(s: int, max_n: int) -> dict[int, dict[int, RationalFun
     if max_n < s:
         raise AlgebraError("the coupling-linear sum needs n >= s")
     tangent = _bell_table(tangent_args(symbolic_coeffs, max_n))
-    b_sums = _bell_table(tree_sum_closed_forms(max_n))
+    b_sums = _bell_table(tree_sum_closed_forms(max_n)[1:])
     scale = RF_MINUS_I * rf(coupling(s))
     lefts = {k: left for k in range(s, max_n + 1) if not (left := tangent(k, s)).is_zero()}
     out = {}

@@ -686,7 +686,7 @@ def _reduced_bprime(
 ) -> tuple[RationalFunction, int]:
     """Reduced b'_n: a diffeomorphism tree sum under the root edge with pure
     power-s interaction trees attached below through uncancelled edges."""
-    b_table = [None, *tree_sum_closed_forms(len(legs), diffeo.a)]
+    b_table = tree_sum_closed_forms(len(legs), diffeo.a)
     root_prop = propagator(legs, universe)
     lambda_cache: dict[frozenset, RationalFunction] = {}
 

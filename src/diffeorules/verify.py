@@ -129,12 +129,12 @@ def check_bn(max_n: int = 7, tamper: Tamper | None = None) -> Report:
     """Enumerated one-offshell tree sums vs the closed form vs the inverse
     series, and the constancy of the result (no edge / mass symbols)."""
     with _Checker("bn", {"max_n": max_n}) as chk:
-        inverses = series.inverse_series_tree_sums(max(max_n, 1))
-        closed_forms = series.tree_sum_closed_forms(max(max_n, 1), _SYMBOLIC.a)
+        inverses = series.inverse_series_tree_sums(max_n)
+        closed_forms = series.tree_sum_closed_forms(max_n, _SYMBOLIC.a)
         sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, _SYMBOLIC), max_n)
         for n in range(2, max_n + 1):
             enum = sums[n]
-            closed = closed_forms[n - 1]
+            closed = closed_forms[n]
             if tamper is not None:
                 closed = tamper(n, closed)
             chk.expect_equal(enum, closed, n=n, compared="enumerated vs closed form")
@@ -166,10 +166,10 @@ def _expect_one_offshell_shape(
 ) -> tuple:
     """Compare A^0_n with zero and each A^1_n with -i b_{n-1} x_j under the
     labels ``compared``, reading ``sums`` of :func:`_one_offshell_sums` and
-    ``closed_forms``, ``[b_1, b_2, ...]``; return b_{n-1} and the sum of the
-    A^1_n."""
+    the ``closed_forms`` of :func:`series.tree_sum_closed_forms`; return
+    b_{n-1} and the sum of the A^1_n."""
     chk.expect_zero(sums[n, 0], n=n, compared=compared[0])
-    b = closed_forms[n - 2]
+    b = closed_forms[n - 1]
     symmetric = RF_ZERO
     for j in range(1, n + 1):
         single = sums[n, j]
@@ -185,7 +185,7 @@ def check_smatrix_free(max_n: int = 7) -> Report:
     theory = TheorySpec.free()
     with _Checker("smatrix_free", {"max_n": max_n}) as chk:
         amputated = _one_offshell_sums(max_n, theory)
-        closed_forms = series.tree_sum_closed_forms(max(max_n - 1, 1), _SYMBOLIC.a)
+        closed_forms = series.tree_sum_closed_forms(max_n - 1, _SYMBOLIC.a)
         for n in range(3, max_n + 1):
             b, symmetric = _expect_one_offshell_shape(chk, n, amputated, closed_forms, theory, ("A0", "A1 single leg"))
             total = sum((rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)), RF_ZERO)
@@ -224,7 +224,7 @@ def check_bprime(s: int = 3, max_n: int = 6, tamper: Tamper | None = None) -> Re
     lam = rf(coupling(s))
     with _Checker("bprime", {"s": s, "max_n": max_n}) as chk:
         sums = _rooted_sums(lambda n: trees.interacting_rooted_tree_sum(n, s, _SYMBOLIC), max_n)
-        closed_forms = series.tree_sum_closed_forms(max(min(max_n, s - 1), 1), _SYMBOLIC.a)
+        closed_forms = series.tree_sum_closed_forms(min(max_n, s - 1), _SYMBOLIC.a)
         for n in range(1, max_n + 1):
             enum = sums[n]
             glued = trees.interacting_rooted_tree_sum(n, s, _SYMBOLIC, mode="s_only").value
@@ -232,10 +232,10 @@ def check_bprime(s: int = 3, max_n: int = 6, tamper: Tamper | None = None) -> Re
                 glued = tamper(n, glued)
             chk.expect_equal(enum, glued, n=n, compared="all_vertices vs s_only")
             if n < s - 1:
-                chk.expect_equal(enum, closed_forms[n - 1], n=n, compared="b'_k = b_k below s-1")
+                chk.expect_equal(enum, closed_forms[n], n=n, compared="b'_k = b_k below s-1")
             if n == s - 1:
                 root = rf(edge_symbol(frozenset(range(1, n + 1))))
-                expect = closed_forms[n - 1] + lam * root.inverse()
+                expect = closed_forms[n] + lam * root.inverse()
                 chk.expect_equal(enum, expect, n=n, compared="b'_{s-1} pole term")
     return chk.report()
 
@@ -249,9 +249,9 @@ def check_adiabatic(s: int = 3, max_n: int = 7, order: int = 10) -> Report:
         lam = rf(coupling(s))
         xp = rf(fixed_offshell())
         sums = _rooted_sums(lambda n: trees.rooted_tree_sum(n, tuned), max_n)
-        closed_forms = series.tree_sum_closed_forms(max(max_n, 1), tuned.a)
+        closed_forms = series.tree_sum_closed_forms(max_n, tuned.a)
         for k in range(2, max_n + 1):
-            closed = closed_forms[k - 1]
+            closed = closed_forms[k]
             enum = sums[k]
             expect = lam.scaled(Scalar(-1)) * xp.inverse() if k == s - 1 else RF_ZERO
             chk.expect_equal(closed, expect, k=k, compared="closed-form b_k")
@@ -275,7 +275,7 @@ def check_generalized(max_n: int = 6) -> Report:
     theory = TheorySpec.generalized_free()
     with _Checker("generalized", {"max_n": max_n}) as chk:
         amputated = _one_offshell_sums(max_n, theory)
-        closed_forms = series.tree_sum_closed_forms(max(max_n - 1, 1), _SYMBOLIC.a)
+        closed_forms = series.tree_sum_closed_forms(max_n - 1, _SYMBOLIC.a)
         for n in range(3, max_n + 1):
             _expect_one_offshell_shape(chk, n, amputated, closed_forms, theory, ("A0 generalized", "A1 generalized"))
         for j in range(3, 6):

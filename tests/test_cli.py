@@ -63,13 +63,27 @@ class TestRules:
 
     @pytest.mark.parametrize("kind", ["free", "interaction", "total", "generalized"])
     def test_size_above_the_cap_is_refused(self, kind):
-        at_cap = run_cli("rules", "--n", str(cli.RULES_MAX_N), "--kind", kind, "--s", "3", timeout=60)
+        power = ["--s", "3"] if kind == "interaction" else []
+        at_cap = run_cli("rules", "--n", str(cli.RULES_MAX_N), "--kind", kind, *power, timeout=60)
         assert at_cap.returncode == 0
-        out = run_cli("rules", "--n", "3000", "--kind", kind, "--s", "3", timeout=30)
+        out = run_cli("rules", "--n", "3000", "--kind", kind, *power, timeout=30)
         assert out.returncode == 2
         assert out.stdout == ""
         (line,) = out.stderr.splitlines()
         assert str(cli.RULES_MAX_N) in line
+
+    @pytest.mark.parametrize("kind", ["free", "total", "generalized"])
+    def test_s_is_refused_by_a_kind_that_does_not_read_it(self, kind):
+        out = run_cli("rules", "--n", "4", "--kind", kind, "--s", "3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert line == f"error: rules --s is not read by --kind {kind}"
+
+    def test_s_is_read_by_the_interaction_kind(self):
+        out = run_cli("rules", "--n", "4", "--kind", "interaction", "--s", "3")
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
 
     def test_invalid_valence_is_usage_error(self):
         out = run_cli("rules", "--n", "2", "--kind", "free")
@@ -627,6 +641,24 @@ class TestConfig:
             assert out.stdout == ""
             (line,) = out.stderr.splitlines()
             assert message in line
+
+    @pytest.mark.parametrize(
+        "coeffs", [{"1": "1/2", "01": "3", "2": "0"}, {"01": "3", "1": "1/2", "2": "0"}], ids=["01 last", "01 first"]
+    )
+    def test_an_index_has_one_spelling(self, coeffs, tmp_path):
+        # Either order of "1" and "01" is refused, so neither binding can
+        # silently win.
+        out = run_cli("treesum", "--kind", "b", "--n", "3", config={"diffeo": {"a": coeffs}}, tmp_path=tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        (line,) = out.stderr.splitlines()
+        assert line == "error: diffeo.a key '01' must be written '1'"
+
+    def test_a_plain_index_is_read(self, tmp_path):
+        cfg = {"diffeo": {"a": {"1": "1/2", "2": "0"}}}
+        out = run_cli("treesum", "--kind", "b", "--n", "3", config=cfg, tmp_path=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert "value: 3" in out.stdout  # 12 (1/2)^2 - 6 * 0
 
     def test_rejects_low_interaction_power(self, tmp_path):
         cfg = {"theory": {"interactions": [{"s": 2}]}}

@@ -18,7 +18,7 @@ CLI = [sys.executable, "-m", "diffeorules.cli"]
 COMMANDS = {
     "rules_free": ["rules", "--n", "4", "--kind", "free", "--format", "json"],
     "rules_interaction": ["rules", "--n", "4", "--kind", "interaction", "--s", "3", "--format", "json"],
-    "rules_total": ["rules", "--n", "4", "--kind", "total", "--s", "3", "--format", "json"],
+    "rules_total": ["rules", "--n", "4", "--kind", "total", "--format", "json"],
     "rules_generalized": ["rules", "--n", "4", "--kind", "generalized", "--format", "json"],
     "treesum_b6": ["treesum", "--kind", "b", "--n", "6", "--format", "json"],
     "treesum_bprime5": ["treesum", "--kind", "bprime", "--n", "5", "--format", "json"],

@@ -26,6 +26,7 @@ from diffeorules.algebra import (
     rf,
 )
 from diffeorules import series
+from diffeorules.rules import DiffeoSpec
 from diffeorules.series import (
     PowerSeries,
     _bell_table,
@@ -353,9 +354,22 @@ class TestTreeSumClosedForm:
     def test_matches_inverse_series(self):
         for n in range(1, 9):
             assert tree_sum_closed_form(n) == inverse_series_tree_sums(8)[n], n
-        assert tree_sum_closed_forms(8) == inverse_series_tree_sums(8)[1:]
+        assert tree_sum_closed_forms(8)[1:] == inverse_series_tree_sums(8)[1:]
         with pytest.raises(AlgebraError, match="indexed from 1"):
-            tree_sum_closed_forms(0)
+            tree_sum_closed_form(0)
+
+    def test_every_list_is_indexed_by_the_leg_count(self):
+        # Entry n is b_n, entry 0 none; an empty range leaves only entry 0.
+        tuned = DiffeoSpec.tuned(3, 7).a
+        for n in range(-1, 8):
+            forms, tuned_forms = tree_sum_closed_forms(n), tree_sum_closed_forms(n, tuned)
+            assert len(forms) == len(tuned_forms) == max(n, 0) + 1, n
+            assert forms[0] is None and tuned_forms[0] is None, n
+            for m in range(1, n + 1):
+                assert forms[m] == tree_sum_closed_form(m), (n, m)
+                assert tuned_forms[m] == tree_sum_closed_form(m, tuned), (n, m)
+        assert inverse_series_tree_sums(0) == [RF_ZERO]
+        assert inverse_series_tree_sums(-1) == []
 
     def test_contains_only_diffeo_symbols(self):
         for n in range(2, 8):

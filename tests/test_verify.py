@@ -90,7 +90,7 @@ class TestIndividualChecks:
         assert check(max_n=5).status == "pass"
         assert len(rooted) == walks
 
-    @pytest.mark.parametrize("max_n", (-1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("max_n", (-1, 0, 1, 2, 3, 4, 5))
     @pytest.mark.parametrize(
         "check, walks",
         [
@@ -117,7 +117,7 @@ class TestIndividualChecks:
         assert check(max_n=max_n).status == "pass"
         assert len(amputated) == walks(max_n)
 
-    @pytest.mark.parametrize("max_n", (-1, 0, 1, 2))
+    @pytest.mark.parametrize("max_n", (-1, 0, 1, 2, 6, 7))
     @pytest.mark.parametrize(
         "check, params",
         [
@@ -125,11 +125,15 @@ class TestIndividualChecks:
             (check_adiabatic, {"s": 3, "order": 10}),
             (check_bprime, {"s": 3}),
             (check_generalized, {}),
+            (check_adiabatic, {"s": 4, "order": 10}),
+            (check_bprime, {"s": 4}),
         ],
-        ids=["bn", "adiabatic", "bprime", "generalized"],
+        ids=["bn", "adiabatic", "bprime", "generalized", "adiabatic s=4", "bprime s=4"],
     )
     def test_rooted_checks_pass_at_the_smallest_sizes(self, check, params, max_n):
-        report = check(max_n=max_n)
+        # Every closed-form list is indexed by the leg count, so no size
+        # needs a clamp; 6 and 7 read the top entries.
+        report = check(max_n=max_n, **params)
         assert report.status == "pass"
         assert report.params == {**params, "max_n": max_n}
 
@@ -293,16 +297,16 @@ class TestOracleFaults:
         "module, name, fault, run, witness",
         [
             (
-                # Entry 2 of [b_1, b_2, ...] is b_3.
-                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_smatrix_free(max_n=5),
+                # Entry 3 of [None, b_1, b_2, ...] is b_3.
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_smatrix_free(max_n=5),
                 {"n": 4, "offshell_leg": 1, "compared": "A1 single leg"},
             ),
             (
-                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_generalized(max_n=5),
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_generalized(max_n=5),
                 {"n": 4, "offshell_leg": 1, "compared": "A1 generalized"},
             ),
             (
-                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_adiabatic(s=3, max_n=4),
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_adiabatic(s=3, max_n=4),
                 {"k": 3, "compared": "closed-form b_k"},
             ),
             (
