@@ -29,6 +29,7 @@ is deliberately narrow:
 from __future__ import annotations
 
 import enum
+import re
 import threading
 from fractions import Fraction
 from math import lcm
@@ -523,6 +524,13 @@ def join_phases(re: dict, im: dict, *, drain: bool = False) -> Polynomial:
     for m, c in _drained(im) if drain else im.items():
         if m not in re:  # always so once ``re`` is drained
             terms[_new(Monomial, m)] = Scalar(0, c)
+    return _adopt(terms)
+
+
+def _adopt(terms: dict) -> Polynomial:
+    """The polynomial whose term map is ``terms``, not copied: for a map
+    that its caller has just built, with no zero coefficient and no other
+    holder.  ``Polynomial(terms)`` copies and drops zeros."""
     poly = _alloc(Polynomial)
     poly.terms = terms
     return poly
@@ -590,11 +598,9 @@ class Polynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None, *, _trusted=False):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         if terms is None:
             self.terms = {}
-        elif _trusted:
-            self.terms = dict(terms)
         else:
             self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
@@ -605,11 +611,11 @@ class Polynomial:
     @staticmethod
     def constant(value) -> "Polynomial":
         c = value if isinstance(value, Scalar) else Scalar(value)
-        return Polynomial() if c.is_zero() else Polynomial({MONO_ONE: c}, _trusted=True)
+        return Polynomial() if c.is_zero() else _adopt({MONO_ONE: c})
 
     @staticmethod
     def symbol(sym: Symbol) -> "Polynomial":
-        return Polynomial({Monomial.of(sym): SC_ONE}, _trusted=True)
+        return _adopt({Monomial.of(sym): SC_ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -632,21 +638,21 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        return Polynomial(merge_terms(dict(self.terms), other.terms.items()), _trusted=True)
+        return _adopt(merge_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()}, _trusted=True)
+        return _adopt({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(mul_into({}, self.terms, other.terms), _trusted=True)
+        return _adopt(mul_into({}, self.terms, other.terms))
 
     def scaled(self, c: Scalar) -> "Polynomial":
         if c.is_zero():
             return Polynomial()
-        return Polynomial({m: k * c for m, k in self.terms.items()}, _trusted=True)
+        return _adopt({m: k * c for m, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         return power(self, n, Polynomial.constant(1))
@@ -697,7 +703,7 @@ class RationalFunction:
                 s = next(s for s in den.symbols() if s.kind not in _OFFSHELL_KINDS)
                 raise AlgebraError(f"denominator factor {s.name} is not an offshell variable")
             inv = _checked(-den)
-            num = Polynomial({m * inv: c for m, c in num.terms.items()}, _trusted=True)
+            num = _adopt({m * inv: c for m, c in num.terms.items()})
         self.poly = num
 
     @property
@@ -723,9 +729,7 @@ class RationalFunction:
     def num(self) -> Polynomial:
         """The numerator over :attr:`den`."""
         den = self.den
-        if not den:
-            return Polynomial(self.poly.terms, _trusted=True)
-        return Polynomial({m * den: c for m, c in self.poly.terms.items()}, _trusted=True)
+        return _adopt({m * den: c for m, c in self.poly.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.poly.terms
@@ -778,7 +782,7 @@ class RationalFunction:
         if len(self.poly.terms) != 1:
             raise AlgebraError("cannot invert a multi-term rational function exactly")
         ((mono, coeff),) = self.poly.terms.items()
-        return RationalFunction(Polynomial({MONO_ONE: coeff.inverse()}, _trusted=True), mono)
+        return RationalFunction(_adopt({MONO_ONE: coeff.inverse()}), mono)
 
     def substitute(self, bindings: Mapping[Symbol, "RationalFunction"]) -> "RationalFunction":
         """Exact simultaneous substitution.
@@ -832,7 +836,7 @@ class RationalFunction:
             for factor in factors[:-1]:
                 terms = mul_into({}, terms, factor)
             mul_into(out, terms, factors[-1])
-        return RationalFunction(Polynomial(out, _trusted=True))
+        return RationalFunction(_adopt(out))
 
     def evaluate(self, values: Mapping[Symbol, int | Fraction]) -> Scalar:
         """Exact value at a point that binds every symbol of the value to an
@@ -962,10 +966,14 @@ def rf(value) -> RationalFunction:
     return RationalFunction(Polynomial.constant(value))
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the exact literal form ``p`` or ``p/q`` (no floats)."""
-    text = text.strip()
-    if "/" in text:
-        p, q = text.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    """Parse the exact literal form ``p`` or ``p/q`` (no floats): ``p``
+    and ``q`` each an optional sign and ASCII digits, so no underscore and
+    no digit of another script, which ``int`` would take."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"expected p or p/q in ASCII digits, got {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))

@@ -18,6 +18,7 @@ import inspect
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -113,10 +114,9 @@ def _parse_value(text) -> RationalFunction:
     token = text.strip()
     if token in _NAMED_SYMBOLS:
         return rf(_NAMED_SYMBOLS[token]())
-    if token.startswith("a") and token[1:].isdigit():
-        return rf(diffeo_coeff(int(token[1:])))
-    if token.startswith("lambda") and token[6:].isdigit():
-        return rf(coupling(int(token[6:])))
+    if symbol := re.fullmatch(r"(a|lambda)([0-9]+)", token):  # not isdigit(): it takes any script's digits
+        make = diffeo_coeff if symbol[1] == "a" else coupling
+        return rf(make(int(symbol[2])))
     try:
         return rf(parse_rational(token))
     except (ValueError, ZeroDivisionError) as exc:
@@ -445,9 +445,11 @@ def cmd_verify(args, cfg: dict) -> int:
     specs = verify.default_suite(**_suite_params(args, cfg))
     if args.check:
         known = verify.check_names()
-        for name in args.check:
+        for i, name in enumerate(args.check):
             if name not in known:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(known)}")
+            if name in args.check[:i]:
+                raise ConfigError(f"verify --check repeats {name}; each check runs once")
         specs = [spec for name in args.check for spec in specs if spec.name == name]
     reports = verify.run_suite(specs)
     if args.format == "json":

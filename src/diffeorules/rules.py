@@ -43,6 +43,7 @@ from .algebra import (
     RF_ZERO,
     Scalar,
     Symbol,
+    _adopt,
     coupling,
     edge_symbol,
     mass_sq,
@@ -287,7 +288,7 @@ def generalized_vertex(
             canon = canonical_subset(frozenset().union(*choice), universe)
             edge = Monomial.of(edge_symbol(canon, generalized))
             merge_terms(out, ((mono * edge, c) for mono, c in terms.items()))
-    return RationalFunction(Polynomial(out, _trusted=True))
+    return RationalFunction(_adopt(out))
 
 
 def propagator(

@@ -24,6 +24,7 @@ from .algebra import (
     RF_ONE,
     RF_ZERO,
     Scalar,
+    _adopt,
     coupling,
     diffeo_coeff,
     fixed_offshell,
@@ -126,7 +127,7 @@ class PowerSeries:
             for i in range(k + 1):
                 if xs[i] and ys[k - i]:
                     mul_into(terms, xs[i], ys[k - i])
-            out.append(RationalFunction(Polynomial(terms, _trusted=True)))
+            out.append(RationalFunction(_adopt(terms)))
         return PowerSeries(out)
 
     def __pow__(self, k: int) -> "PowerSeries":

@@ -370,13 +370,17 @@ def _values(keyed: dict, *, drain: bool = False) -> dict:
     return out or {_NO_INT: RF_ZERO}
 
 
-def _mask(block: Iterable[int]) -> int:
-    """The bitmask of a leg block: bit ``i`` is leg ``i``."""
-    return sum(1 << leg for leg in block)
-
-
 def _legs(mask: int) -> frozenset[int]:
     return frozenset(leg for leg in range(mask.bit_length()) if mask >> leg & 1)
+
+
+def _offshell_mask(n: int, offshell: Iterable[int]) -> int:
+    """The bitmask of the offshell legs, bit ``i`` for leg ``i``; a leg
+    outside ``1..n`` is refused."""
+    legs = frozenset(offshell)
+    if not legs <= frozenset(range(1, n + 1)):
+        raise AlgebraError("offshell legs must be external legs")
+    return sum(1 << leg for leg in legs)
 
 
 def _renamed(value: RationalFunction, universe: frozenset[int], m: int, generalized: bool) -> RationalFunction:
@@ -396,6 +400,13 @@ def _renamed(value: RationalFunction, universe: frozenset[int], m: int, generali
 
 class TreeSumEngine:
     """Distributive evaluation of decorated tree sums over shared subtrees.
+
+    An engine on ``n`` legs, the legs in ``offshell`` offshell and the
+    others onshell, sums the trees below the root (``rooted``: the top
+    block is ``1..n``) or below the virtual root ``n`` (the top block is
+    ``1..n-1``).  It reads the sum on ``m`` legs off the prefix block
+    ``{1..m}`` (:meth:`rooted`) or ``{1..m-1}`` (:meth:`amputated`), the
+    Berends & Giele subcurrents.
 
     The sum over all decorated trees on a leg block factorizes through the
     partition at the block's top vertex.  Every vertex is a diffeomorphism
@@ -424,9 +435,8 @@ class TreeSumEngine:
     sum_{k>=2} c_{k-1} F_k(T)) = i X_T (i/X_T) B(T) = -B(T)`` and ``G(T) =
     (i/X_T) B(T) - sum_{k>=2} c_{k-1} F_k(T)``.  So a block's walk returns
     ``B`` and its ``F_k``, no product forms ``P``, and ``J`` is built only
-    for an amputated sum's top block (:meth:`subtree_sums`).  The engine keeps
-    ``-P`` (that is ``B``) and ``-Q``, whose signs cancel in ``P(U)
-    Q(W)``.
+    for an amputated read (:meth:`_below`).  The engine keeps ``-P`` (that
+    is ``B``) and ``-Q``, whose signs cancel in ``P(U) Q(W)``.
 
     Every table entry is keyed: ``{(valence, phase): plain term map}``,
     the valence of the one interaction vertex (``_NO_INT``: none) and the
@@ -437,35 +447,38 @@ class TreeSumEngine:
     split into phases once per engine (:func:`_split`), and each value read
     out is joined back once (:func:`_values`).
 
-    ``X_U`` is ``U``'s canonical edge symbol, absent for an onshell
-    singleton: a leg, or the complement of an unrooted sum's top block.
-    ``G``, ``-P`` and ``-Q`` are kept per proper block (``_blocks``, keyed
-    by the block's bitmask: bit ``i`` is leg ``i``, and the root ``ROOT =
-    0`` is never in a block) and ``F_k`` only until its block's ``G`` and
-    ``Q`` have read it, so the vertex costs one product per split of a
-    block, about ``3^n`` for ``n`` legs; a walk enumerates the splits as
-    submasks and skips those whose ``P(U)`` is empty, as for an onshell
-    leg.  ``P`` and ``Q`` are kept only where a split can read them.
-    Neither is kept for a sum's top block, whose ``B`` is released once its
-    ``G`` is built and each ``F_k`` after its product, so an ``n``-leg sum
-    reads no ``a_j`` beyond ``a_{n-1}``; and ``Q`` is not built for the top
-    block's largest sub-blocks when every leg is onshell.
+    A block is a bitmask: bit ``i`` is leg ``i``, and the root ``ROOT = 0``
+    is never in a block.  ``X_U`` is ``U``'s canonical edge symbol, absent
+    for an onshell singleton: a leg, or the complement of an amputated
+    sum's top block.  ``G``, ``-P`` and ``-Q`` are kept per proper block
+    (``_blocks``) and ``F_k`` only until its block's ``G`` and ``Q`` have
+    read it, so the vertex costs one product per split of a block, about
+    ``3^n`` for ``n`` legs; a walk enumerates the splits as submasks and
+    skips those whose ``P(U)`` is empty, as for an onshell leg.  ``P`` and
+    ``Q`` are kept only where a split can read them.  Neither is kept for
+    the top block, whose ``B`` is released once its ``G`` is built and
+    each ``F_k`` after its product, so an ``n``-leg sum reads no ``a_j``
+    beyond ``a_{n-1}``; and ``Q`` is not built for the top block's largest
+    sub-blocks when every leg is onshell.
     """
 
     def __init__(
         self,
-        universe: frozenset[int],
+        n: int,
         *,
-        onshell: frozenset[int],
+        offshell: Iterable[int] = frozenset(),
+        rooted: bool = False,
         diffeo: DiffeoSpec,
         theory: TheorySpec,
         single: bool = False,
     ):
-        self.universe = universe
-        self.onshell = onshell
+        self.n = n
+        self._offshell = _offshell_mask(n, offshell)
         self.diffeo = diffeo
         self.theory = theory
         self.single = single
+        self._top = (2 << n if rooted else 1 << n) - 2  # legs 1..n, or 1..n-1 below the virtual root n
+        self._universe = frozenset(range(1, n + 1)) | ({ROOT} if rooted else frozenset())  # for the edge symbols
         self._blocks: dict = {}  # proper block's bitmask -> (G, -P, -Q), each keyed
         self._coefficients: list = []  # j -> c_j = (j+1)! a_j
         self._vertices: dict = {}  # valence -> sum of its interaction vertices
@@ -487,22 +500,22 @@ class TreeSumEngine:
             vertex = self._vertices[v] = _split(sum(vertices, RF_ZERO).poly, v if self.single else _NO_INT)
         return vertex
 
-    def _edge(self, subset: frozenset[int], sign: int = 1) -> dict:
-        """``sign i X_U``, keyed; empty when ``U``'s canonical subset is an
-        onshell leg."""
-        canon = canonical_subset(subset, self.universe)
-        if len(canon) == 1 and canon <= self.onshell:
+    def _edge(self, t: int, sign: int = 1) -> dict:
+        """``sign i X_U`` of the block of bitmask ``t``, keyed; empty when
+        ``U``'s canonical subset is an onshell leg."""
+        canon = canonical_subset(_legs(t), self._universe)
+        if len(canon) == 1 and not self._offshell >> min(canon) & 1:
             return {}
         return {(_NO_INT, 1): {int(Monomial.of(edge_symbol(canon, self.theory.generalized))): sign}}
 
-    def _q_is_read(self, block: frozenset[int]) -> bool:
-        """Whether a larger block ``T = W + U`` can read ``Q(W)``, which it
-        does when ``P(U)`` has an edge.  ``T`` leaves the root outside, or
-        one leg in an unrooted sum; a ``U`` of two or more legs always has
-        an edge, a single leg only when it is offshell."""
-        spare = self.universe - block - {ROOT}
-        room = len(spare) - (ROOT not in self.universe)
-        return room >= 2 or (room == 1 and not spare <= self.onshell)
+    def _q_is_read(self, t: int) -> bool:
+        """Whether a larger block ``T = W + U`` can read ``Q(W)`` of the
+        block of bitmask ``t``, which it does when ``P(U)`` has an edge.
+        ``U`` lies among the top block's legs outside ``t``; a ``U`` of two
+        or more legs always has an edge, a single leg only when it is
+        offshell."""
+        spare = self._top ^ t
+        return spare.bit_count() >= 2 or bool(spare & self._offshell)
 
     def _tables(self, t: int) -> tuple[dict, dict, dict]:
         """``(G, -P, -Q)`` of the proper block of bitmask ``t``, built on
@@ -510,16 +523,16 @@ class TreeSumEngine:
         legs; the two signs cancel in every product ``P(U) Q(W)``."""
         tables = self._blocks.get(t)
         if tables is None:
-            block = _legs(t)
-            top = len(block) == len(self.universe) - 1  # a sum's top block: no larger block reads its P or Q
-            if len(block) == 1:
+            top = t == self._top  # no larger block reads its P or Q
+            if t.bit_count() == 1:
                 # A fresh unit, not _ONE: a rooted sum on one leg drains it.
-                g, b, forests = {(_NO_INT, 0): {0: 1}}, {} if top else self._edge(block, -1), {}
+                g, b, forests = {(_NO_INT, 0): {0: 1}}, {} if top else self._edge(t, -1), {}
             else:
                 b, forests = self._walk(t)
-                g = _mul_into({}, b, _split(propagator(block, self.universe, generalized=self.theory.generalized).poly))
+                edge = propagator(_legs(t), self._universe, generalized=self.theory.generalized)
+                g = _mul_into({}, b, _split(edge.poly))
                 b = {} if top else b  # released before the forests, as no larger block reads it
-            read_q = self._q_is_read(block)
+            read_q = self._q_is_read(t)
             q: dict = {}
             while forests:  # each F_k is released after its last product
                 k, forest = forests.popitem()
@@ -562,68 +575,62 @@ class TreeSumEngine:
             u = (u - 1) & t
         return _nonzero(sums), forests
 
-    def subtree_sums(self, block: frozenset[int]) -> dict:
+    def _below(self, t: int) -> dict:
         """Keyed rational-function sums ``J = B + i X_T sum_{k>=2} c_{k-1}
-        F_k`` over decorated subtrees on ``block``: the top vertex and the
-        child edges, not the parent edge."""
-        if ROOT in block:
-            raise AlgebraError("a subtree block holds legs below the root, never the root")
-        sums, forests = self._walk(_mask(block))
-        edge = self._edge(block)
+        F_k`` over the decorated subtrees on the block of bitmask ``t``:
+        the top vertex and the child edges, not the parent edge.  The
+        values are owned by the caller."""
+        sums, forests = self._walk(t)
+        edge = self._edge(t)
         for k, forest in forests.items():
             if edge and (c := self._coefficient(k - 1)):
                 _mul_into(sums, forest, _mul_into({}, c, edge))
         return _values(sums, drain=True)
 
-    def block_sums(self, block: frozenset[int]) -> dict:
-        """Keyed rational-function sums ``G`` of a proper ``block``: the
-        sums over its decorated subtrees with the parent edge's propagator,
-        read from the kept table (built on first use).  In a rooted walk
-        the table of the prefix block ``{1..m}`` is the rooted sum on ``m``
-        legs, the top block included: each edge below the block names the
-        leg subset on the root's far side, whatever the universe.  The
-        values are owned by the caller.  No walk reads a sum's top block, so
-        its table is drained into the values and not kept; a second read
-        walks it again."""
-        if ROOT in block:
-            raise AlgebraError("a subtree block holds legs below the root, never the root")
-        t = _mask(block)
-        tables = self._tables(t)
-        if len(block) < len(self.universe) - 1:
-            return _values(tables[0])
+    def rooted(self, m: int) -> dict:
+        """Keyed rational-function sums of the rooted sum on the legs
+        ``{1..m}``, ``1 <= m <= n``, of a rooted engine: ``G`` of the prefix
+        block, read from the kept table (built on first use).  Each edge
+        below the block names the leg subset on the root's far side,
+        whatever ``n``.  The values are owned by the caller.  No walk reads
+        the top block ``{1..n}``, so its table is drained into the values
+        and not kept; a second read walks it again."""
+        if ROOT not in self._universe or not 1 <= m <= self.n:
+            raise AlgebraError(f"a rooted read needs 1 <= m <= {self.n} legs of a rooted engine")
+        t = (2 << m) - 2
+        g = self._tables(t)[0]
+        if t != self._top:
+            return _values(g)
         del self._blocks[t]
-        return _values(tables[0], drain=True)
+        return _values(g, drain=True)
 
-    def amputated_sums(self, m: int) -> dict:
+    def amputated(self, m: int) -> dict:
         """Keyed rational-function sums of the amputated sum on the legs
-        ``{1..m}`` with virtual root ``m``, in an unrooted universe
-        ``{1..N}``, ``3 <= m <= N``: ``J`` of the prefix block ``{1..m-1}``
-        (:meth:`subtree_sums`), renamed to ``{1..m}`` when ``m < N``.  In
-        ``{1..m}`` the block's own edge is leg ``m``; every other edge names
-        a leg subset ``U`` of the block, which ``{1..N}`` and ``{1..m}``
-        name by ``U`` or its complement, one to one (:func:`_renamed`), and
-        the block's edge ``X_{1..m-1}`` of ``{1..N}`` becomes ``x_m``.  When
-        leg ``m < N`` is onshell, ``J = B`` in ``{1..m}``, so the kept ``B``
-        table is read and no walk runs.  The values are owned by the
-        caller."""
-        n = len(self.universe)
-        if ROOT in self.universe or not 3 <= m <= n:
-            raise AlgebraError(f"an amputated read needs 3 <= m <= {n} legs of an unrooted universe")
-        below = frozenset(range(1, m))
-        if m == n:
-            return self.subtree_sums(below)
-        keyed = _values(self._tables(_mask(below))[1]) if m in self.onshell else self.subtree_sums(below)
-        return {k: _renamed(x, self.universe, m, self.theory.generalized) for k, x in keyed.items()}
+        ``{1..m}`` with virtual root ``m``, ``3 <= m <= n``, of an unrooted
+        engine: ``J`` of the prefix block ``{1..m-1}`` (:meth:`_below`),
+        renamed to ``{1..m}`` when ``m < n``.  In ``{1..m}`` the block's own
+        edge is leg ``m``; every other edge names a leg subset ``U`` of the
+        block, which ``{1..n}`` and ``{1..m}`` name by ``U`` or its
+        complement, one to one (:func:`_renamed`), and the block's edge
+        ``X_{1..m-1}`` of ``{1..n}`` becomes ``x_m``.  When leg ``m < n``
+        is onshell, ``J = B`` in ``{1..m}``, so the kept ``B`` table is read
+        and no walk runs.  The values are owned by the caller."""
+        if ROOT in self._universe or not 3 <= m <= self.n:
+            raise AlgebraError(f"an amputated read needs 3 <= m <= {self.n} legs of an unrooted engine")
+        t = (1 << m) - 2
+        if m == self.n:
+            return self._below(t)
+        keyed = self._below(t) if self._offshell >> m & 1 else _values(self._tables(t)[1])
+        return {k: _renamed(x, self._universe, m, self.theory.generalized) for k, x in keyed.items()}
 
 
 def _rooted(n: int, diffeo: DiffeoSpec, theory: TheorySpec) -> TreeSumResult:
-    """The rooted sums of ``theory`` on ``1..n`` legs from one walk: the
-    kept table of the prefix block ``{1..m}`` is the sum on ``m`` legs,
-    ``m = n`` included, and ``{1}``'s is the bare leg's ``1``."""
-    legs = frozenset(range(1, n + 1))
-    engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=theory)
-    value = engine.block_sums(legs)[_NO_INT]  # first, as its table is drained
-    below = [engine.block_sums(frozenset(range(1, m + 1)))[_NO_INT] for m in range(1, n)]
+    """The rooted sums of ``theory`` on ``1..n`` legs from one walk
+    (:meth:`TreeSumEngine.rooted`): the sum on ``m`` legs, ``m = n``
+    included, and on one leg the bare leg's ``1``."""
+    engine = TreeSumEngine(n, rooted=True, diffeo=diffeo, theory=theory)
+    value = engine.rooted(n)[_NO_INT]  # first, as its table is drained
+    below = [engine.rooted(m)[_NO_INT] for m in range(1, n)]
     powers = tuple(it.power for it in theory.interactions)
     return TreeSumResult(value, topology_count(n), _decorated_counts(n, powers, False)[0], {"below": below})
 
@@ -639,9 +646,8 @@ def rooted_tree_sum(
     read, its propagator kind is).
 
     ``metadata["below"]`` is ``[b_1, ..., b_{n-1}]``, read off the same
-    walk as b_n (:meth:`TreeSumEngine.block_sums` of each prefix block
-    ``{1..m}``), so a check over every ``n`` up to some bound sums once, at
-    the bound."""
+    walk as b_n (:meth:`TreeSumEngine.rooted` at each ``m``), so a check
+    over every ``n`` up to some bound sums once, at the bound."""
     if n < 1:
         raise AlgebraError("tree sums are indexed from 1")
     theory = theory if theory is not None else TheorySpec.free()
@@ -734,12 +740,12 @@ def _reduced_bprime(
 
 
 def _amputated(engine: TreeSumEngine, m: int) -> TreeSumResult:
-    """The amputated sum on the legs ``{1..m}`` of ``engine``'s universe
-    with the largest, ``m``, as virtual root (:meth:`TreeSumEngine.
-    amputated_sums`): over every admissible decoration, or for a ``single``
-    engine over the trees with exactly one interaction vertex, keyed by its
-    valence in ``metadata["by_valence"]``."""
-    keyed = engine.amputated_sums(m)
+    """The amputated sum on the legs ``{1..m}`` of ``engine`` with the
+    largest, ``m``, as virtual root (:meth:`TreeSumEngine.amputated`): over
+    every admissible decoration, or for a ``single`` engine over the trees
+    with exactly one interaction vertex, keyed by its valence in
+    ``metadata["by_valence"]``."""
+    keyed = engine.amputated(m)
     if engine.single:
         keyed.pop(_NO_INT, None)  # the trees without an interaction vertex
     powers = tuple(it.power for it in engine.theory.interactions)
@@ -762,16 +768,16 @@ def amputated_family(
     ``offshell = {j}`` as :func:`amputated_tree_sum` gives it, ``m = j``
     included, or with ``single`` the ``S^(s)_m`` of
     :func:`coupling_linear_tree_sum`.  Each sum is one read of the walk
-    (:meth:`TreeSumEngine.amputated_sums`): the kept ``B`` of the prefix
+    (:meth:`TreeSumEngine.amputated`): the kept ``B`` of the prefix
     block ``{1..m-1}`` when leg ``m < n`` is onshell, else that block's
-    ``J``, with each edge renamed to ``{1..m}``.  No engine is built when
-    there is no such ``m``."""
-    legs = frozenset(range(1, n + 1))
+    ``J``, with each edge renamed to ``{1..m}``.  An offshell leg outside
+    ``1..n`` is refused, and no engine is built when there is no such
+    ``m``."""
     offshell = frozenset(offshell)
-    sizes = range(max([3, *offshell]), n + 1)
+    sizes = range(max(3, _offshell_mask(n, offshell).bit_length() - 1), n + 1)
     if not sizes:
         return {}
-    engine = TreeSumEngine(legs, onshell=legs - offshell, diffeo=diffeo, theory=theory, single=single)
+    engine = TreeSumEngine(n, offshell=offshell, diffeo=diffeo, theory=theory, single=single)
     return {m: _amputated(engine, m) for m in sizes}
 
 
@@ -785,12 +791,8 @@ def amputated_tree_sum(
     legs outside ``offshell`` set onshell."""
     if n < 3:
         raise AlgebraError("amputated sums need at least three legs")
-    legs = frozenset(range(1, n + 1))
-    offshell = frozenset(offshell)
-    if not offshell <= legs:
-        raise AlgebraError("offshell legs must be external legs")
     theory = theory if theory is not None else TheorySpec.free()
-    return _amputated(TreeSumEngine(legs, onshell=legs - offshell, diffeo=diffeo, theory=theory), n)
+    return _amputated(TreeSumEngine(n, offshell=offshell, diffeo=diffeo, theory=theory), n)
 
 
 def symmetrized_one_offshell_sum(n: int) -> RationalFunction:
@@ -810,9 +812,8 @@ def coupling_linear_tree_sum(
     given); metadata carries the per-valence decomposition."""
     if n < 3:
         raise AlgebraError("amputated sums need at least three legs")
-    legs = frozenset(range(1, n + 1))
     theory = TheorySpec(interactions=(interaction(s, coupling_value),))
-    return _amputated(TreeSumEngine(legs, onshell=legs, diffeo=diffeo, theory=theory, single=True), n)
+    return _amputated(TreeSumEngine(n, diffeo=diffeo, theory=theory, single=True), n)
 
 
 def recursive_tree_sum(

@@ -295,6 +295,8 @@ def check_nonlocal(max_n: int = 5, spec: NonlocalSpec | None = None) -> Report:
     ``(t - msq) alpha(t)^2`` and the symbolic first-order table.  The induced
     theory's identities are ``generalized``'s, which hold for every beta."""
     with _Checker("nonlocal", {"max_n": max_n}) as chk:
+        if max_n < 0:  # no coefficient to compare
+            return chk.report()
         msq = rf(mass_sq())
         line = series.PowerSeries([msq.scaled(Scalar(-1)), rf(1)] + [RF_ZERO] * max_n)  # t - msq
         identity = NonlocalSpec(alpha={})

@@ -21,8 +21,8 @@ from diffeorules.algebra import (
     edge_symbol,
     merge_terms,
 )
-from diffeorules.rules import canonical_subset, interaction_vertex, propagator
-from diffeorules.trees import _NO_INT, _renamed, set_partitions
+from diffeorules.rules import ROOT, canonical_subset, interaction_vertex, propagator
+from diffeorules.trees import _NO_INT, _legs, _renamed, set_partitions
 
 _ONE = Polynomial.constant(1)  # never an accumulator: products of it are fresh
 
@@ -34,12 +34,13 @@ def _accumulate(acc: Polynomial, x: Polynomial) -> Polynomial:
 
 
 class PartitionWalkEngine:
-    """Same constructor, ``subtree_sums``, ``block_sums`` and
-    ``amputated_sums`` as ``trees.TreeSumEngine``."""
+    """Same constructor and reads, ``rooted`` and ``amputated``, as
+    ``trees.TreeSumEngine``, and its ``_below`` of a block's bitmask."""
 
-    def __init__(self, universe, *, onshell, diffeo, theory, single=False):
-        self.universe = universe
-        self.onshell = onshell
+    def __init__(self, n, *, offshell=frozenset(), rooted=False, diffeo, theory, single=False):
+        legs = frozenset(range(1, n + 1))
+        self.universe = legs | {ROOT} if rooted else legs
+        self.onshell = legs - frozenset(offshell)
         self.diffeo = diffeo
         self.theory = theory
         self.single = single
@@ -116,7 +117,7 @@ class PartitionWalkEngine:
                     edge = self._edge(frozenset().union(*choice))
                     if edge is not None:
                         merge_terms(free, ((mono * edge, c) for mono, c in terms.items()))
-            vertices = [(Polynomial(free, _trusted=True), False)] if free else []
+            vertices = [(Polynomial(free), False)] if free else []
             vertices += [(x, self.single) for x in interactions]
             for vertex, keyed in vertices:
                 for key, x in merged.items():
@@ -129,16 +130,18 @@ class PartitionWalkEngine:
         self._memo[block] = result
         return result
 
-    def subtree_sums(self, block: frozenset[int]) -> dict:
-        keyed = {k: RationalFunction(x) for k, x in self._walk(block).items()}
+    def _below(self, t: int) -> dict:
+        """The subtree sums of the block of bitmask ``t``: the top vertex
+        and the child edges, not the parent edge."""
+        keyed = {k: RationalFunction(x) for k, x in self._walk(_legs(t)).items()}
         return keyed or {_NO_INT: RF_ZERO}
 
-    def amputated_sums(self, m: int) -> dict:
+    def amputated(self, m: int) -> dict:
         """The amputated sum on ``{1..m}`` with virtual root ``m``: the
         subtree sums of ``{1..m-1}`` with every edge renamed from the
         universe to ``{1..m}``, where the block's own edge is leg ``m``,
         and then leg ``m``'s symbol set to zero when it is onshell."""
-        keyed = self.subtree_sums(frozenset(range(1, m)))
+        keyed = self._below((1 << m) - 2)
         if m == len(self.universe):
             return keyed
         gen = self.theory.generalized
@@ -146,9 +149,11 @@ class PartitionWalkEngine:
         renamed = {k: _renamed(x, self.universe, m, gen).substitute(onshell) for k, x in keyed.items()}
         return {k: x for k, x in renamed.items() if not x.is_zero()} or {_NO_INT: RF_ZERO}
 
-    def block_sums(self, block: frozenset[int]) -> dict:
-        """The subtree sums times the block's propagator; a bare leg is one."""
-        if len(block) == 1:
+    def rooted(self, m: int) -> dict:
+        """The subtree sums of ``{1..m}`` times the block's propagator; a
+        bare leg is one."""
+        block = frozenset(range(1, m + 1))
+        if m == 1:
             return {_NO_INT: RationalFunction(Polynomial.constant(1))}
         edge = propagator(block, self.universe, generalized=self.theory.generalized)
         keyed = {k: RationalFunction(x) * edge for k, x in self._walk(block).items()}

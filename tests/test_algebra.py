@@ -398,6 +398,12 @@ def test_parse_rational():
     assert parse_rational("-2") == Fraction(-2)
     with pytest.raises(ValueError):
         parse_rational("0.5")
+    # The signs int() takes are kept; its underscores and other scripts'
+    # digits are not.
+    assert parse_rational(" +3/-6 ") == Fraction(-1, 2)
+    for text in ("1_0", "\u0663", "a\u0663"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_symbol_interning_is_injective():

@@ -257,6 +257,13 @@ class TestVerifyPlan:
         ]
         assert suite == verify.default_suite()
 
+    def test_a_repeated_check_is_refused_before_any_check(self, monkeypatch, capsys):
+        # Each copy would run the check again: no bound on one command's time.
+        monkeypatch.setattr(verify, "run_suite", lambda specs: pytest.fail("a check ran"))
+        assert cli.main(["verify", "--check", "bn", "--check", "kinematics", "--check", "bn", "--max-n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: verify --check repeats bn; each check runs once\n"
+
     def test_checks_run_in_the_order_given(self, monkeypatch):
         specs = planned_specs(monkeypatch, "--check", "kinematics", "--check", "bn")
         assert [spec.name for spec in specs] == ["kinematics", "bn"]
@@ -580,6 +587,10 @@ class TestConfig:
             ({"theory": {"mass_sq": True}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"diffeo": {"a": {"1": True}}}, ["treesum", "--kind", "b", "--n", "2"]),
             ({"suite": {"s_values": [4] * 8, "order": 1000}}, ["verify"]),
+            # Literals take ASCII digits only: int() alone read "1_0" as 10,
+            # the Arabic-Indic three as 3 and "a" before it as the symbol a3.
+            ({"diffeo": {"a": {"1": "1_0", "2": "\u0663"}}}, ["treesum", "--kind", "b", "--n", "3"]),
+            ({"diffeo": {"a": {"1": "a\u0663"}}}, ["treesum", "--kind", "b", "--n", "3"]),
         ]
         + [(cfg, _TREESUM_A) for cfg, _ in _BAD_INDEX_TABLES],
     )

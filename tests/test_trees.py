@@ -343,13 +343,13 @@ class TestAmputatedSums:
         # engine hangs the trees from the same leg as enumerate_trees and
         # the per-tree trace printed beside the sum.
         asked = []
-        subtree_sums = TreeSumEngine.subtree_sums
+        below = TreeSumEngine._below
 
-        def spy(self, block):
-            asked.append(block)
-            return subtree_sums(self, block)
+        def spy(self, t):
+            asked.append(block_of(t))
+            return below(self, t)
 
-        monkeypatch.setattr(TreeSumEngine, "subtree_sums", spy)
+        monkeypatch.setattr(TreeSumEngine, "_below", spy)
         build()
         (topology, *_) = enumerate_trees(range(1, 6), rooted=False)
         assert asked == [frozenset(range(1, 6)) - {topology.virtual_root}] == [frozenset(range(1, 5))]
@@ -467,9 +467,7 @@ class TestEngineMemo:
         legs = frozenset(range(1, 6))
 
         def engine():
-            return TreeSumEngine(
-                legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.standard(3), single=single
-            )
+            return TreeSumEngine(5, rooted=True, diffeo=diffeo, theory=TheorySpec.standard(3), single=single)
 
         subs = [frozenset(c) for size in range(2, 5) for c in combinations(sorted(legs), size)]
         if order == "descending":
@@ -489,12 +487,12 @@ class TestEngineMemo:
             assert _ONE == {(0, 0): {MONO_ONE: 1}}
 
         for sub in subs:
-            walked.subtree_sums(sub)
+            walked._below(mask_of(sub))
             unchanged()
             walked._tables(mask_of(sub))
             unchanged()
         assert len(walked._blocks) == 2 ** len(legs) - 2 and walked._vertices
-        assert walked.subtree_sums(legs) == engine().subtree_sums(legs)
+        assert walked.rooted(5) == engine().rooted(5)
         unchanged()
         assert mask_of(legs) not in walked._blocks
 
@@ -502,35 +500,50 @@ class TestEngineMemo:
     def test_products_never_land_in_a_kept_table(self, kind):
         # Every product adds straight into its accumulator; repeating a walk
         # over the kept tables must leave each G, P and Q table as it was.
-        legs = frozenset(range(1, 7))
+        # ``read(engine, k)`` reads the sum whose block is {1..k}.
         if kind == "b6":
             def engine():
-                return TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
-            top = legs
+                return TreeSumEngine(6, rooted=True, diffeo=SYMBOLIC, theory=TheorySpec.free())
+
+            def read(e, k):
+                return e.rooted(k)
+            top = 6
         else:
             def engine():
-                return TreeSumEngine(
-                    legs, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.standard(3), single=True
-                )
-            top = legs - {6}
+                return TreeSumEngine(6, diffeo=SYMBOLIC, theory=TheorySpec.standard(3), single=True)
+
+            def read(e, k):
+                return e.amputated(k + 1)
+            top = 5
         walked = engine()
 
         def snapshot():
             return {block_of(mask): tuple(values_of(table) for table in tables) for mask, tables in walked._blocks.items()}
 
-        first = walked.subtree_sums(top)
+        first = read(walked, top)
         kept = snapshot()
         sub = frozenset({1, 2, 3, 4})
-        assert sub in kept and len(kept) == 2 ** len(top) - 2
-        assert walked.subtree_sums(top) == first
-        assert walked.subtree_sums(sub) == engine().subtree_sums(sub)
+        assert sub in kept and len(kept) == 2**top - 2
+        assert read(walked, top) == first
+        assert read(walked, len(sub)) == read(engine(), len(sub))
         assert snapshot() == kept
 
-    def test_a_block_never_holds_the_root(self):
-        legs = frozenset(range(1, 4))
-        engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
-        with pytest.raises(AlgebraError, match="never the root"):
-            engine.subtree_sums(frozenset({ROOT, 1}))
+    def test_reads_and_legs_outside_the_engine_are_refused(self):
+        # A read names a leg count of the engine's own kind; an offshell
+        # leg must be one of its legs, also where no engine is built.
+        n, free = 4, TheorySpec.free()
+        rooted = TreeSumEngine(n, rooted=True, diffeo=SYMBOLIC, theory=free)
+        amputated = TreeSumEngine(n, diffeo=SYMBOLIC, theory=free)
+        reads = [(rooted.rooted, 0), (rooted.rooted, n + 1), (amputated.rooted, 3)]
+        reads += [(amputated.amputated, 2), (rooted.amputated, 3)]
+        for read, m in reads:
+            with pytest.raises(AlgebraError, match=f"an? {read.__name__} read needs"):
+                read(m)
+        for leg in (0, n + 1):
+            with pytest.raises(AlgebraError, match="offshell legs must be external legs"):
+                TreeSumEngine(n, offshell={leg}, diffeo=SYMBOLIC, theory=free)
+            with pytest.raises(AlgebraError, match="offshell legs must be external legs"):
+                trees.amputated_family(n, {leg}, free, SYMBOLIC)
 
     def test_each_interaction_vertex_is_built_once(self, monkeypatch):
         built = []
@@ -571,10 +584,10 @@ class TestEngineMemo:
         for n in range(2, 8):
             diffeo = DiffeoSpec.from_bindings({1: rf(0), **{j: rf(j) for j in range(2, n)}})
             legs = frozenset(range(1, n + 1))
-            engine = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=diffeo, theory=TheorySpec.free())
+            engine = TreeSumEngine(n, rooted=True, diffeo=diffeo, theory=TheorySpec.free())
             with monkeypatch.context() as m:
                 m.setattr(trees, "plain_mul_into", counted)
-                engine.subtree_sums(legs)
+                engine.rooted(n)
             want = [{0: diffeo.a(j).scaled(Scalar(factorial(j + 1)))} for j in range(n)]
             assert [values_of(c) for c in engine._coefficients] == want and not engine._coefficients[1], n
             assert empty_operands == [], n
@@ -636,18 +649,18 @@ class TestEngineIdentity:
         legs = frozenset(range(1, 7))
         onshell = {"all": legs, "none": frozenset(), "all but 1": legs - {1}, "all but 6": legs - {6}}[onshell]
         universe = legs | {ROOT} if rooted else legs
-        engine = TreeSumEngine(universe, onshell=onshell, diffeo=diffeo, theory=theory, **spec)
+        engine = TreeSumEngine(6, offshell=legs - onshell, rooted=rooted, diffeo=diffeo, theory=theory, **spec)
         top = legs if rooted else legs - {6}
         if rooted:
             g = values_of(engine._tables(mask_of(top))[0])
             assert engine._blocks.pop(mask_of(top))[1:] == ({}, {})  # no P or Q for the top block
-            # block_sums drains the top block's table and does not keep it;
-            # a smaller block's table it reads and keeps.
-            assert engine.block_sums(top) == g and mask_of(top) not in engine._blocks
+            # A rooted read drains the top block's table and does not keep
+            # it; a smaller block's table it reads and keeps.
+            assert engine.rooted(6) == g and mask_of(top) not in engine._blocks
             below = frozenset(range(1, 5))
-            assert engine.block_sums(below) == values_of(engine._blocks[mask_of(below)][0])
+            assert engine.rooted(4) == values_of(engine._blocks[mask_of(below)][0])
         else:
-            engine.subtree_sums(top)
+            engine.amputated(6)
         assert len(engine._blocks) == 2 ** len(top) - 2
 
         def c(j):
@@ -674,7 +687,7 @@ class TestEngineIdentity:
                 inner = _keyed_sum(g, *(_keyed_product(x, {0: c(k - 1)}) for k, x in f.items() if k >= 2))
                 p = _keyed_product(inner, {0: edge})
             assert _keyed_terms(minus_p) == _keyed_terms(p, -1), (name, sorted(block))
-            q = _keyed_sum(*(_keyed_product(x, {0: c(k)}) for k, x in f.items())) if engine._q_is_read(block) else {}
+            q = _keyed_sum(*(_keyed_product(x, {0: c(k)}) for k, x in f.items())) if engine._q_is_read(mask) else {}
             assert _keyed_terms(minus_q) == _keyed_terms(q, -1), (name, sorted(block))
 
 
@@ -721,16 +734,15 @@ class TestEngineEntries:
         # Gaussian input fills both phases of one entry.  The interaction
         # vertices are inputs, built through RationalFunction products;
         # after them no product goes through mul_into.
-        legs = frozenset(range(1, 7))
         diffeo = ENGINE_DIFFEOS[name](6)
-        engine = TreeSumEngine(legs, onshell=legs - {1}, diffeo=diffeo, theory=theory)
+        engine = TreeSumEngine(6, offshell={1}, diffeo=diffeo, theory=theory)
         for v in range(3, 7):
             engine._vertex(v)
         calls = []
         mul_into = algebra.mul_into
         with monkeypatch.context() as m:
             m.setattr(algebra, "mul_into", lambda *args: calls.append(args) or mul_into(*args))
-            got = engine.subtree_sums(legs - {6})
+            got = engine.amputated(6)
         assert calls == []
         assert got == {0: amputated_tree_sum(6, {1}, theory, diffeo).value}
         entries = [entry for tables in engine._blocks.values() for entry in tables]
@@ -947,14 +959,13 @@ class TestAmputatedFamily:
         # B of {1..m-1} lacks the block's own edge, which is leg m's: an
         # offshell leg m reads the block's J, whose edge X_{1..m-1} is
         # renamed to x_m.
-        legs = frozenset(range(1, 7))
-        engine = TreeSumEngine(legs, onshell=legs - {4}, diffeo=SYMBOLIC, theory=TheorySpec.free())
-        assert engine.amputated_sums(4) == {0: amputated_tree_sum(4, {4}).value}
-        assert engine.amputated_sums(5) == {0: amputated_tree_sum(5, {4}).value}
-        rooted = TreeSumEngine(legs | {ROOT}, onshell=legs, diffeo=SYMBOLIC, theory=TheorySpec.free())
+        engine = TreeSumEngine(6, offshell={4}, diffeo=SYMBOLIC, theory=TheorySpec.free())
+        assert engine.amputated(4) == {0: amputated_tree_sum(4, {4}).value}
+        assert engine.amputated(5) == {0: amputated_tree_sum(5, {4}).value}
+        rooted = TreeSumEngine(6, rooted=True, diffeo=SYMBOLIC, theory=TheorySpec.free())
         for engine, m in ((engine, 2), (engine, 7), (rooted, 4)):
             with pytest.raises(AlgebraError, match="amputated read"):
-                engine.amputated_sums(m)
+                engine.amputated(m)
         family = trees.amputated_family(6, {6}, TheorySpec.free(), SYMBOLIC)
         assert list(family) == [6] and family[6].value == amputated_tree_sum(6, {6}).value
 
@@ -977,10 +988,10 @@ class TestAmputatedFamily:
         renamed = 0
         with monkeypatch.context() as m:
             _ENGINES[engine](m)
-            walked = trees.TreeSumEngine(legs, onshell=legs - off, diffeo=SYMBOLIC, theory=TheorySpec.free())
+            walked = trees.TreeSumEngine(7, offshell=off, diffeo=SYMBOLIC, theory=TheorySpec.free())
             for n in range(4, 7):
                 prefix, small = frozenset(range(1, n)), frozenset(range(1, n + 1))
-                [raw] = walked.subtree_sums(prefix).values()
+                [raw] = walked._below(mask_of(prefix)).values()
                 names = {}
                 for size in range(2, n):
                     for u in map(frozenset, combinations(sorted(prefix), size)):

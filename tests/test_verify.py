@@ -6,7 +6,7 @@ import pytest
 
 from diffeorules import verify
 from diffeorules.algebra import RF_ONE, RF_ZERO, Polynomial, RationalFunction, Scalar, rf, generic_symbol
-from diffeorules.rules import ROOT, NonlocalSpec
+from diffeorules.rules import NonlocalSpec
 from diffeorules.verify import (
     CheckSpec,
     Report,
@@ -81,10 +81,10 @@ class TestIndividualChecks:
         rooted = []
 
         class Counted(verify.trees.TreeSumEngine):
-            def __init__(self, universe, **kwargs):
-                super().__init__(universe, **kwargs)
-                if ROOT in universe:
-                    rooted.append(universe)
+            def __init__(self, n, **kwargs):
+                super().__init__(n, **kwargs)
+                if kwargs.get("rooted"):
+                    rooted.append(n)
 
         monkeypatch.setattr(verify.trees, "TreeSumEngine", Counted)
         assert check(max_n=5).status == "pass"
@@ -108,10 +108,10 @@ class TestIndividualChecks:
         amputated = []
 
         class Counted(verify.trees.TreeSumEngine):
-            def __init__(self, universe, **kwargs):
-                super().__init__(universe, **kwargs)
-                if ROOT not in universe:
-                    amputated.append(universe)
+            def __init__(self, n, **kwargs):
+                super().__init__(n, **kwargs)
+                if not kwargs.get("rooted"):
+                    amputated.append(n)
 
         monkeypatch.setattr(verify.trees, "TreeSumEngine", Counted)
         assert check(max_n=max_n).status == "pass"
@@ -127,8 +127,9 @@ class TestIndividualChecks:
             (check_generalized, {}),
             (check_adiabatic, {"s": 4, "order": 10}),
             (check_bprime, {"s": 4}),
+            (check_nonlocal, {}),
         ],
-        ids=["bn", "adiabatic", "bprime", "generalized", "adiabatic s=4", "bprime s=4"],
+        ids=["bn", "adiabatic", "bprime", "generalized", "adiabatic s=4", "bprime s=4", "nonlocal"],
     )
     def test_rooted_checks_pass_at_the_smallest_sizes(self, check, params, max_n):
         # Every closed-form list is indexed by the leg count, so no size
