@@ -33,7 +33,7 @@ import re
 import threading
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class AlgebraError(Exception):
@@ -841,72 +841,86 @@ class RationalFunction:
     def evaluate(self, values: Mapping[Symbol, int | Fraction]) -> Scalar:
         """Exact value at a point that binds every symbol of the value to an
         ``int`` or ``Fraction``; agrees with ``substitute`` followed by
-        ``constant_value``.
+        ``constant_value``.  This is ``self.evaluator()(values)``."""
+        return self.evaluator()(values)
 
-        The values are put over their least common denominator ``L``, so
-        ``v_s = n_s / L`` and a term ``c * prod v_s^e_s`` is
+    def evaluator(self) -> Callable[[Mapping[Symbol, int | Fraction]], Scalar]:
+        """The value decoded once, as a function that evaluates it at a
+        point the way :meth:`evaluate` does: each term's (field offset,
+        exponent) pairs, its degree and its coefficient over the least
+        common denominator of the coefficients are read here, not per point.
+
+        At a point the values are put over their least common denominator
+        ``L``, so ``v_s = n_s / L`` and a term ``c * prod v_s^e_s`` is
         ``c * prod n_s^e_s / L^(sum e_s)``.  The terms are summed as integers
         over one common denominator: ``L`` to the highest degree (at least 0),
         times each ``n_s`` to its most negative exponent, negated, times the
         coefficients' denominators.  One ``Fraction`` per component is built
-        at the end.  A zero value of a symbol with a negative exponent raises
-        :class:`DenominatorAnnihilationError`.
+        at the end.  The first symbol of the terms without a value raises
+        :class:`AlgebraError`; a zero value of a symbol with a negative
+        exponent raises :class:`DenominatorAnnihilationError`.
         """
-        lcd = 1
-        for sym, v in values.items():
-            if type(v) is not int and not isinstance(v, Fraction):
-                raise AlgebraError(f"value of {sym.name} must be an int or Fraction, got {v!r}")
-            lcd = lcm(lcd, v.denominator)
-        # Field offset -> (symbol, numerator over ``lcd``).
-        scaled = {
-            sym.unit.bit_length() - 1: (sym, v.numerator * (lcd // v.denominator))
-            for sym, v in values.items()
-            if sym.unit is not None
-        }
         bias, coeff_den, top = _BIAS, 1, 0
+        fields: dict[int, Symbol] = {}  # field offset -> symbol, in the order the terms first use them
         inverted: dict[int, int] = {}  # field offset -> most negative exponent, negated
-        decoded = []  # degree, prod n_s^e_s over e_s > 0, prod n_s^-e_s over e_s < 0, coefficient
+        decoded = []  # degree, (offset, e) over e > 0, (offset, -e) over e < 0, coefficient
         for mono, coeff in self.poly.terms.items():
             y = mono + bias
-            x, degree, num, den = y ^ bias, 0, 1, 1
-            while x:
-                shift = (x & -x).bit_length() - 1
-                shift -= shift % _WIDTH
-                x &= ~(_FIELD << shift)
-                bound = scaled.get(shift)
-                if bound is None:
-                    raise AlgebraError(f"no value bound for symbol {_fields[shift // _WIDTH].name}")
+            up, down, degree = [], [], 0
+            for shift in _offsets(y ^ bias):
+                if shift not in fields:
+                    fields[shift] = _fields[shift // _WIDTH]
                 e = (y >> shift & _FIELD) - _HALF
                 degree += e
                 if e > 0:
-                    num *= bound[1] ** e
+                    up.append((shift, e))
                 else:
-                    den *= bound[1] ** -e
+                    down.append((shift, -e))
                     if inverted.get(shift, 0) < -e:
                         inverted[shift] = -e
             coeff_den = lcm(coeff_den, coeff.re.denominator, coeff.im.denominator)
             top = max(top, degree)
-            decoded.append((degree, num, den, coeff))
-        zeros = [scaled[shift][0] for shift in inverted if not scaled[shift][1]]
-        if zeros:
-            raise DenominatorAnnihilationError(min(zeros))
-        inv = 1
-        for shift, e in inverted.items():
-            inv *= scaled[shift][1] ** e
-        lifts = {top: 1}  # degree -> lcd^(top - degree)
-        re_sum = im_sum = 0
-        for degree, num, den, coeff in decoded:
-            lift = lifts.get(degree)
-            if lift is None:
-                lift = lifts[degree] = lcd ** (top - degree)
-            num *= lift * (inv // den)
-            re, im = coeff.re, coeff.im
-            if re:
-                re_sum += num * re.numerator * (coeff_den // re.denominator)
-            if im:
-                im_sum += num * im.numerator * (coeff_den // im.denominator)
-        den = lcd**top * inv * coeff_den
-        return Scalar(Fraction(re_sum, den), Fraction(im_sum, den))
+            decoded.append((degree, up, down, coeff))
+        terms = [  # top - degree, the pairs, and the coefficient's parts over ``coeff_den``
+            (top - degree, up, down, *(q.numerator * (coeff_den // q.denominator) for q in (c.re, c.im)))
+            for degree, up, down, c in decoded
+        ]
+
+        def at(values: Mapping[Symbol, int | Fraction]) -> Scalar:
+            for sym, v in values.items():
+                if type(v) is not int and not isinstance(v, Fraction):
+                    raise AlgebraError(f"value of {sym.name} must be an int or Fraction, got {v!r}")
+            ratios = {}  # field offset -> (numerator, denominator)
+            for shift, sym in fields.items():
+                if (v := values.get(sym)) is None:
+                    raise AlgebraError(f"no value bound for symbol {sym.name}")
+                ratios[shift] = v.as_integer_ratio()
+            lcd = lcm(*(d for _, d in ratios.values()))
+            scaled = {shift: n * (lcd // d) for shift, (n, d) in ratios.items()}  # numerators over ``lcd``
+            zeros = [fields[shift] for shift in inverted if not scaled[shift]]
+            if zeros:
+                raise DenominatorAnnihilationError(min(zeros))
+            inv = 1
+            for shift, e in inverted.items():
+                inv *= scaled[shift] ** e
+            lifts = {0: 1}  # top - degree -> lcd^(top - degree)
+            re_sum = im_sum = 0
+            for gap, up, down, re, im in terms:
+                num = den = 1
+                for shift, e in up:
+                    num *= scaled[shift] ** e
+                for shift, e in down:
+                    den *= scaled[shift] ** e
+                lift = lifts.get(gap)
+                if lift is None:
+                    lift = lifts[gap] = lcd**gap
+                num *= lift * (inv // den)
+                re_sum += num * re
+                im_sum += num * im
+            den = lcd**top * inv * coeff_den
+            return Scalar(Fraction(re_sum, den), Fraction(im_sum, den))
+
+        return at
 
     def symbols(self) -> set[Symbol]:
         return self.poly.symbols()

@@ -78,8 +78,8 @@ RULES_MAX_N = 14
 # and at 8 ``adiabatic`` would need the tuned b'_8 (``check_bn`` alone goes
 # from 0.03-0.05 s to 0.14-0.15 s).  order: ``adiabatic`` takes 1.5-2.8 s at
 # 1000, most of it the Fuss-Catalan residual.  trials: ``kinematics`` takes
-# about 1 ms a trial.
-# dimension: ``kinematics`` takes about 3 s at 1024.
+# about 0.5 ms a trial (2.1-2.7 s at 5000).
+# dimension: ``kinematics`` takes about 1.2 s at 1024.
 VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # Largest (max(s_values) - 1).bit_length() * order: the Fuss-Catalan residual
 # of ``adiabatic`` raises an order-term series to the power s - 1 by
@@ -89,7 +89,7 @@ VERIFY_CAPS = {"max_n": 7, "order": 1000, "trials": 5000, "dimension": 1024}
 # the slowest run it allows; s = 2**200 at order 10 takes 0.3 s.
 VERIFY_RESIDUAL_WORK = 2000
 # Largest trials * dimension, the cost of ``kinematics``: 50 trials at 1024
-# (about 3 s).  The caps above alone allow 5000 trials at 1024, about 6 minutes.
+# (about 1.2 s).  The caps above alone allow 5000 trials at 1024, about 2 minutes.
 VERIFY_KINEMATICS_WORK = 51_200
 # Longest ``suite.s_values``: each power adds one ``interaction_cancellation``
 # and one ``adiabatic`` run, at most about 23 s together (s = 3, max_n 7).
@@ -104,6 +104,18 @@ _NAMED_SYMBOLS = {
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_int(text: str) -> int:
+    """An integer flag or offshell leg: an optional sign and ASCII digits, as
+    :func:`parse_rational` reads ``p``; ``int`` alone takes underscores and
+    other scripts' digits.  It raises :class:`ConfigError`, which argparse
+    passes on (a ``ValueError`` would print its usage), so the error is one
+    line."""
+    match = re.fullmatch(r"[+-]?[0-9]+", text.strip())
+    if match is None:
+        raise ConfigError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(match[0])
 
 
 def _parse_value(text) -> RationalFunction:
@@ -272,8 +284,8 @@ def _parse_offshell(spec: str | None, n: int) -> frozenset[int]:
     if spec == "all":
         return frozenset(range(1, n + 1))
     try:
-        legs = frozenset(int(tok) for tok in spec.split(",") if tok)
-    except ValueError as exc:
+        legs = frozenset(_parse_int(tok) for tok in spec.split(",") if tok)
+    except ConfigError as exc:
         raise ConfigError(f"bad offshell spec {spec!r}") from exc
     if not legs <= frozenset(range(1, n + 1)):
         raise ConfigError(f"offshell legs {sorted(legs)} outside 1..{n}")
@@ -502,15 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rules = sub.add_parser("rules", help="print a vertex rule")
     _add_common(p_rules, top=False)
-    p_rules.add_argument("--n", type=int, required=True, help="vertex valence")
+    p_rules.add_argument("--n", type=_parse_int, required=True, help="vertex valence")
     p_rules.add_argument("--kind", choices=["free", "interaction", "total", "generalized"], default="free")
-    p_rules.add_argument("--s", type=int, help="interaction power for --kind interaction")
+    p_rules.add_argument("--s", type=_parse_int, help="interaction power for --kind interaction")
 
     p_sum = sub.add_parser("treesum", help="evaluate a tree sum")
     _add_common(p_sum, top=False)
     p_sum.add_argument("--kind", choices=["b", "bprime", "A", "S"], required=True)
-    p_sum.add_argument("--n", type=int, required=True)
-    p_sum.add_argument("--s", type=int, help="interaction power for bprime/S")
+    p_sum.add_argument("--n", type=_parse_int, required=True)
+    p_sum.add_argument("--s", type=_parse_int, help="interaction power for bprime/S")
     p_sum.add_argument("--offshell", help="offshell legs for A: 'all', 'none' or comma list")
     p_sum.add_argument("--reduced", action="store_true", help="use the reduced gluing for bprime")
     p_sum.add_argument("--trace", action="store_true", help="dump every decorated tree")
@@ -520,10 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--check", action="append", help="check name (repeatable, run in the order given); default: full suite"
     )
-    p_verify.add_argument("--max-n", dest="max_n", type=int)
-    p_verify.add_argument("--s", type=int)
-    p_verify.add_argument("--order", type=int)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--max-n", dest="max_n", type=_parse_int)
+    p_verify.add_argument("--s", type=_parse_int)
+    p_verify.add_argument("--order", type=_parse_int)
+    p_verify.add_argument("--seed", type=_parse_int)
     return parser
 
 
@@ -531,9 +543,6 @@ def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         if args.format == "csv" and args.command != "verify":
             raise ConfigError(f"--format csv is for verify; {args.command} prints pretty or json")
         cfg = load_config(args.config)
@@ -542,6 +551,8 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "treesum":
             return cmd_treesum(args, cfg)
         return cmd_verify(args, cfg)
+    except SystemExit as exc:  # argparse's own usage errors, -h and --help
+        return 2 if exc.code not in (0, None) else 0
     except (ConfigError, AlgebraError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -52,7 +52,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -938,14 +939,23 @@ def vertex_pair_edge_coefficient(
     return rf(cleared.coefficient_of(edge, 2))
 
 
+# Every component that random_conserving_momenta draws, p/q with q in 1..4.
+_DRAWN = {(p, q): Fraction(p, q) for p in range(-6, 7) for q in range(1, 5)}
+
+
 def random_conserving_momenta(n: int, dimension: int, rng) -> list[tuple[Fraction, ...]]:
-    """n exact rational D-vectors summing to zero componentwise."""
-    momenta = [
-        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dimension))
-        for _ in range(n - 1)
-    ]
-    last = tuple(-sum(p[d] for p in momenta) for d in range(dimension))
-    momenta.append(last)
+    """n exact rational D-vectors summing to zero componentwise.  Each drawn
+    component is p/q with q in 1..4, so the last momentum is the negated
+    integer column sum over their common denominator 12."""
+    momenta, last = [], [0] * dimension  # last: minus the column sums, times 12
+    for _ in range(n - 1):
+        row = []
+        for d in range(dimension):
+            draw = rng.randint(-6, 6), rng.randint(1, 4)
+            row.append(_DRAWN[draw])
+            last[d] -= draw[0] * (12 // draw[1])
+        momenta.append(tuple(row))
+    momenta.append(tuple(Fraction(c, 12) for c in last))
     return momenta
 
 
@@ -957,47 +967,66 @@ def kinematic_values(
     """The value of every symbol of ``r`` at exact momenta: the edge variable
     of a leg subset S is (sum_{i in S} p_i)^2 - msq, with the mostly-minus
     metric, and ``msq`` is ``mass_sq_value``.  A generalized edge variable
-    stands for a whole propagator polynomial and is refused.
+    stands for a whole propagator polynomial and is refused.  This is
+    ``kinematic_point(r)(momenta, mass_sq_value)``."""
+    return kinematic_point(r)(momenta, mass_sq_value)
+
+
+def kinematic_point(
+    r: RationalFunction,
+) -> Callable[[Sequence[Sequence[int | Fraction]], int | Fraction], dict[Symbol, int | Fraction]]:
+    """:func:`kinematic_values` of ``r`` as a function of the momenta and the
+    squared mass.  ``r``'s symbols are sorted, and each edge's leg indices
+    and whether it divides are read, here and once; each call checks its
+    momenta and refuses the first symbol, in that order, without a value.
 
     The momenta are scaled once to integers over the least common
     denominator ``L`` of their components, so a subset's momentum is a sum
     of integers and its square is ``Fraction(Q_0^2 - sum_d Q_d^2, L^2)``."""
-    if not momenta:
-        raise AlgebraError("need at least one momentum")
-    dimension = len(momenta[0])
-    if dimension < 2 or any(len(p) != dimension for p in momenta):
-        raise AlgebraError("momenta must share a dimension >= 2")
-    exact = (int, Fraction)
-    if not all(isinstance(c, exact) for p in momenta for c in p):
-        raise AlgebraError("momentum components must be int or Fraction")
-    if not isinstance(mass_sq_value, exact):
-        raise AlgebraError("the squared mass must be an int or Fraction")
-    lcd = lcm(*(c.denominator for p in momenta for c in p))
-    scaled = [[c.numerator * (lcd // c.denominator) for c in p] for p in momenta]
-    if any(map(sum, zip(*scaled))):
-        raise AlgebraError("momenta do not conserve: component sums must vanish")
-
-    table: dict[Symbol, int | Fraction] = {}
     den = r.den
-    m = mass_sq_value
-    for sym in sorted(r.symbols()):
-        if sym.kind == Kind.EDGE:
-            subset = sym.meta
-            if subset[0] < 1 or subset[-1] > len(momenta):
+    plan = [
+        (sym, [i - 1 for i in sym.meta] if sym.kind == Kind.EDGE else None, den.exponent(sym))
+        for sym in sorted(r.symbols())
+    ]
+
+    def values(momenta, mass_sq_value):
+        if not momenta:
+            raise AlgebraError("need at least one momentum")
+        dimension = len(momenta[0])
+        if dimension < 2 or any(len(p) != dimension for p in momenta):
+            raise AlgebraError("momenta must share a dimension >= 2")
+        exact = (int, Fraction)
+        if not all(isinstance(c, exact) for p in momenta for c in p):
+            raise AlgebraError("momentum components must be int or Fraction")
+        if not isinstance(mass_sq_value, exact):
+            raise AlgebraError("the squared mass must be an int or Fraction")
+        ratios = [[c.as_integer_ratio() for c in p] for p in momenta]
+        lcd = lcm(*(d for p in ratios for _, d in p))
+        scaled = [[n * (lcd // d) for n, d in p] for p in ratios]
+        if any(map(sum, zip(*scaled))):
+            raise AlgebraError("momenta do not conserve: component sums must vanish")
+        m_num, m_den = mass_sq_value.as_integer_ratio()
+        shift, base = m_num * lcd * lcd, lcd * lcd * m_den  # a value is (q_sq * m_den - shift) / base
+        table: dict[Symbol, int | Fraction] = {}
+        for sym, legs, divides in plan:
+            if legs is None:
+                if sym.kind != Kind.MASS_SQ:
+                    raise AlgebraError(f"unbound non-kinematic symbol {sym.name}")
+                table[sym] = mass_sq_value
+                continue
+            if legs[0] < 0 or legs[-1] >= len(momenta):
                 raise AlgebraError(f"no momentum supplied for edge variable {sym.name}")
             if sym.key[1] == 1:
                 raise AlgebraError(f"generalized edge variable {sym.name} has no kinematic value")
-            q = [sum(c) for c in zip(*(scaled[i - 1] for i in subset))]
-            q_sq = q[0] * q[0] - sum(c * c for c in q[1:])  # times lcd^2
-            value = Fraction(q_sq * m.denominator - m.numerator * lcd * lcd, lcd * lcd * m.denominator)
-            if not value and den.exponent(sym):
+            q = list(map(sum, zip(*[scaled[i] for i in legs])))
+            q_sq = 2 * q[0] * q[0] - sum(map(mul, q, q))  # Q_0^2 - sum_{d>0} Q_d^2, times lcd^2
+            value = Fraction(q_sq * m_den - shift, base)
+            if not value and divides:
                 raise AlgebraError(f"kinematic point annihilates the edge denominator {sym.name}")
             table[sym] = value
-        elif sym.kind == Kind.MASS_SQ:
-            table[sym] = mass_sq_value
-        else:
-            raise AlgebraError(f"unbound non-kinematic symbol {sym.name}")
-    return table
+        return table
+
+    return values
 
 
 def evaluate_at_kinematics(

@@ -101,8 +101,10 @@ class _Checker:
         self.expect_zero(left - right, **context)
 
     def expect(self, condition: bool, **context) -> None:
+        """A failed ``condition`` stops the check; exact numbers in
+        ``context`` are printed into the witness only then."""
         if not condition:
-            self._stop(dict(context))
+            self._stop({key: str(v) if isinstance(v, Scalar) else v for key, v in context.items()})
 
     def report(self) -> Report:
         wall = int((time.monotonic() - self.start) * 1000)
@@ -347,39 +349,29 @@ def check_kinematics(
             momenta = trees.random_conserving_momenta(4, dimension, rng)
             mass_value = Fraction(rng.randint(0, 5), rng.randint(1, 3))
             value = trees.evaluate_at_kinematics(identity4, momenta, mass_value)
-            chk.expect(value.is_zero(), trial=trial, compared="four-point conservation identity", value=str(value))
+            chk.expect(value.is_zero(), trial=trial, compared="four-point conservation identity", value=value)
         for n in n_values:
             display = rules.free_vertex(n, [rf(edge_symbol(frozenset((j,)))) for j in range(1, n + 1)], _SYMBOLIC)
             legs = frozenset(range(1, n + 1))
             subset = rules.generalized_vertex([frozenset((j,)) for j in legs], legs, diffeo=_SYMBOLIC)
-            # Every symbol of the two forms but the a_j, for kinematic_values.
+            # Every symbol of the two forms but the a_j, for the kinematic point.
             kinematic = sum((rf(s) for s in display.symbols() | subset.symbols() if s.kind != Kind.DIFFEO), RF_ZERO)
+            point_of = trees.kinematic_point(kinematic)
+            display_at, subset_at = display.evaluator(), subset.evaluator()
             for trial in range(trials):
                 point = {diffeo_coeff(j): Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for j in range(1, n - 1)}
                 momenta = trees.random_conserving_momenta(n, dimension, rng)
                 mass_value = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-                point.update(trees.kinematic_values(kinematic, momenta, mass_value))
-                left = display.evaluate(point)
-                right = subset.evaluate(point)
+                point.update(point_of(momenta, mass_value))
+                left = display_at(point)
+                right = subset_at(point)
                 if trial == 0:
                     oracle = display.substitute({s: rf(v) for s, v in point.items()}).constant_value()
                     chk.expect(
-                        left == oracle,
-                        n=n,
-                        trial=trial,
-                        compared="evaluator vs substitution",
-                        left=str(left),
-                        right=str(oracle),
+                        left == oracle, n=n, trial=trial, compared="evaluator vs substitution", left=left, right=oracle
                     )
-                chk.expect(
-                    left == right,
-                    n=n,
-                    trial=trial,
-                    compared="display vs subset vertex",
-                    left=str(left),
-                    right=str(right),
-                )
-                chk.expect(left == display.evaluate(point), n=n, trial=trial, compared="determinism")
+                chk.expect(left == right, n=n, trial=trial, compared="display vs subset vertex", left=left, right=right)
+                chk.expect(left == display_at(point), n=n, trial=trial, compared="determinism")
     return chk.report()
 
 

@@ -6,9 +6,11 @@ truncated substitution, term by term.  ``gn_explicit`` is the mass-term
 coupling as an explicit double-product sum, against which
 ``series.vertex_coefficients`` is checked, ``internal_edge_count`` counts
 the edges between internal vertices of a tree topology,
-``power_by_loop`` is the repeated-product oracle of ``algebra.power``, and
+``power_by_loop`` is the repeated-product oracle of ``algebra.power``,
 ``substitute_termwise`` is the per-term oracle of
-``RationalFunction.substitute``.
+``RationalFunction.substitute``, and ``momenta_by_fraction_sums`` is
+``trees.random_conserving_momenta`` with its last momentum summed one
+``Fraction`` at a time.
 """
 
 from fractions import Fraction
@@ -124,3 +126,16 @@ def substitute_termwise(value: RationalFunction, bindings) -> RationalFunction:
                 term = term * power
         out = out + term
     return RationalFunction(out)
+
+
+def momenta_by_fraction_sums(n: int, dimension: int, rng) -> list[tuple[Fraction, ...]]:
+    """Oracle draw: n - 1 momenta of components ``Fraction(randint(-6, 6),
+    randint(1, 4))``, drawn in that order, and the last one minus their sum,
+    added as ``Fraction``s."""
+    momenta = [
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dimension))
+        for _ in range(n - 1)
+    ]
+    last = tuple(-sum(p[d] for p in momenta) for d in range(dimension))
+    momenta.append(last)
+    return momenta

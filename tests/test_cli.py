@@ -577,6 +577,52 @@ class TestStreams:
         assert "csv" in line
 
 
+# Integer spellings that ``int`` reads but the CLI refuses: an underscore, the
+# Arabic-Indic three and the superscript three.
+_NOT_ASCII_INTS = ["1_0", "\u0663", "\u00b3"]
+
+
+def _refused_at_once(monkeypatch, capsys, argv, bad):
+    monkeypatch.setattr(verify, "run_suite", lambda specs: pytest.fail("a check ran"))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: expected an integer in ASCII digits, got {bad!r}\n"
+
+
+class TestIntegerFlags:
+    """Every integer flag takes an optional sign and ASCII digits only, as
+    config literals do; anything else is one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize("bad", _NOT_ASCII_INTS)
+    @pytest.mark.parametrize("flags", [["--n", "{}"], ["--n", "3", "--kind", "interaction", "--s", "{}"]])
+    def test_rules(self, flags, bad, monkeypatch, capsys):
+        _refused_at_once(monkeypatch, capsys, ["rules"] + [f.format(bad) for f in flags], bad)
+
+    @pytest.mark.parametrize("bad", _NOT_ASCII_INTS)
+    @pytest.mark.parametrize("flags", [["--kind", "A", "--n", "{}"], ["--kind", "S", "--n", "3", "--s", "{}"]])
+    def test_treesum(self, flags, bad, monkeypatch, capsys):
+        _refused_at_once(monkeypatch, capsys, ["treesum"] + [f.format(bad) for f in flags], bad)
+
+    @pytest.mark.parametrize("bad", _NOT_ASCII_INTS)
+    @pytest.mark.parametrize("flag", ["--max-n", "--s", "--order", "--seed"])
+    def test_verify(self, flag, bad, monkeypatch, capsys):
+        _refused_at_once(monkeypatch, capsys, ["verify", flag, bad], bad)
+
+    @pytest.mark.parametrize("bad", _NOT_ASCII_INTS)
+    def test_offshell_legs(self, bad, capsys):
+        spec = f"1,{bad}"
+        assert cli.main(["treesum", "--kind", "A", "--n", "3", "--offshell", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: bad offshell spec {spec!r}\n"
+
+    def test_signs_and_ascii_digits_are_read(self, monkeypatch, capsys):
+        assert cli.main(["treesum", "--kind", "A", "--n", "+3", "--offshell", "+1,3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 3 and payload["offshell_set"] == [1, 3]
+        (spec,) = planned_specs(monkeypatch, "--check", "bn", "--max-n", "+4")
+        assert spec.params["max_n"] == 4
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "cfg, argv",

@@ -1,6 +1,7 @@
-"""Exact point evaluation: ``RationalFunction.evaluate`` and
-``evaluate_at_kinematics`` against exact substitution, their errors, and the
-printing of values whose numerator leaves the packed exponent range."""
+"""Exact point evaluation: ``RationalFunction.evaluate``, the decoded
+``RationalFunction.evaluator`` and ``evaluate_at_kinematics`` against exact
+substitution, their errors, and the printing of values whose numerator
+leaves the packed exponent range."""
 
 import random
 import re
@@ -103,6 +104,54 @@ class TestEvaluate:
         values = {X1: Fraction(-2, 3), X12: Fraction(5, 7)}
         assert r.evaluate(values) == oracle(r, values)
         assert r.evaluate(values) == Scalar(Fraction(5, 7) ** EXPONENT_MAX, 3 * Fraction(-3, 2) ** 64)
+
+
+class TestEvaluator:
+    """One decoded value, ``r.evaluator()``, used at many points."""
+
+    VALUE = (
+        (rf(A1) * rf(X12) ** 2 * rf(X1).inverse()).scaled(Scalar(Fraction(2, 3), -5))
+        + (rf(MSQ) * rf(A2) * rf(XP).inverse() ** 3).scaled(Scalar(0, Fraction(-7, 4)))
+        + (rf(LAM3) ** 2 * rf(X2) * rf(X12).inverse()).scaled(Scalar(3, 1))
+        + rf(Scalar(Fraction(1, 6), 2))
+    )
+
+    def test_agrees_with_substitution_at_many_points(self):
+        rng = random.Random(3)
+        at = self.VALUE.evaluator()
+        outcomes = []
+        for _ in range(60):
+            values = {s: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for s in OFFSHELL + PLAIN}
+            values[A1] = rng.randint(-3, 3)  # an int value too
+            outcomes.append(outcome(at, values))
+            assert outcomes[-1] == outcome(oracle, self.VALUE, values)
+        # Both kinds of outcome occur: values, and a zero denominator named
+        # by the first zero symbol in the symbol order.
+        annihilated = [o for o in outcomes if isinstance(o, tuple)]
+        assert 0 < len(annihilated) < 30
+        assert {o[0] for o in annihilated} == {DenominatorAnnihilationError}
+
+    def test_an_unbound_symbol_is_the_first_the_terms_use(self):
+        # As the terms are stored, each one's symbols by field offset.
+        at = self.VALUE.evaluator()
+        order = []
+        for mono in self.VALUE.poly.terms:
+            for sym in sorted((s for s, _ in mono.pairs), key=lambda s: int(s.unit)):
+                if sym not in order:
+                    order.append(sym)
+        rng = random.Random(4)
+        for _ in range(20):
+            missing = rng.sample(order, rng.randint(1, 3))
+            values = {s: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for s in order if s not in missing}
+            first = next(s for s in order if s in missing)
+            with pytest.raises(AlgebraError, match=re.escape(f"no value bound for symbol {first.name}")) as err:
+                at(values)
+            assert type(err.value) is AlgebraError
+
+    def test_evaluate_is_one_decode_and_one_sum(self):
+        values = {s: Fraction(j + 1, 3) for j, s in enumerate(OFFSHELL + PLAIN)}
+        at = self.VALUE.evaluator()
+        assert at(values) == at(values) == self.VALUE.evaluate(values) == oracle(self.VALUE, values)
 
 
 def old_table(r, momenta, m2):

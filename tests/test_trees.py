@@ -7,7 +7,7 @@ from math import factorial
 
 import partition_walk
 import pytest
-from oracles import compose, internal_edge_count
+from oracles import compose, internal_edge_count, momenta_by_fraction_sums
 
 from diffeorules import algebra, trees
 from diffeorules.algebra import (
@@ -1097,6 +1097,17 @@ class TestKinematics:
                 assert evaluate_at_kinematics(display, momenta, m2) == evaluate_at_kinematics(
                     subset, momenta, m2
                 )
+
+    def test_momenta_draws_match_the_fraction_sum_oracle(self):
+        # The same randints in the same order, and equal Fraction tuples.
+        for seed in range(20):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for n in range(2, 8):
+                for dimension in range(2, 6):
+                    momenta = random_conserving_momenta(n, dimension, rng)
+                    assert momenta == momenta_by_fraction_sums(n, dimension, reference)
+                    assert all(type(c) is Fraction for p in momenta for c in p)
+            assert rng.getstate() == reference.getstate()
 
     def test_generalized_edges_need_beta(self):
         # A generalized edge variable stands for a whole propagator

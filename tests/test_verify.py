@@ -1,11 +1,12 @@
 """The theorem-check suite: pass behaviour, determinism, fault injection."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from diffeorules import verify
-from diffeorules.algebra import RF_ONE, RF_ZERO, Polynomial, RationalFunction, Scalar, rf, generic_symbol
+from diffeorules import trees, verify
+from diffeorules.algebra import RF_ONE, RF_ZERO, Kind, Polynomial, RationalFunction, Scalar, rf, generic_symbol
 from diffeorules.rules import NonlocalSpec
 from diffeorules.verify import (
     CheckSpec,
@@ -70,6 +71,42 @@ class TestIndividualChecks:
             monkeypatch.setattr(verify.rules, name, counted)
         assert check_kinematics(n_values=(3, 4, 5), trials=7).status == "pass"
         assert sorted(calls) == ["free_vertex"] * 3 + ["generalized_vertex"] * 3
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "b7da17378f1f72c86d56bb47d7c6bec65d1e9e6fc539e5897748fc04f5abde11"),
+            (7, "02dc46cc52d5d2fb12dc2689f0df4d3bf16092c2e4e172f7bd8f85a09fd1538f"),
+        ],
+    )
+    def test_kinematics_samples_pinned_points(self, seed, digest, monkeypatch):
+        # The reports record only "pass", so this pins the draws: every set
+        # of momenta in the order drawn, and the a_j and msq of every point
+        # evaluated (the identity's, then per trial the display form's, the
+        # subset form's and the determinism re-evaluation's).
+        seen = []
+        draw = trees.random_conserving_momenta
+
+        def drawn(*args):
+            seen.append(draw(*args))
+            return seen[-1]
+
+        evaluator = RationalFunction.evaluator
+
+        def spied(r):
+            at = evaluator(r)
+
+            def point(values):
+                seen.append(sorted((s.name, v) for s, v in values.items() if s.kind in (Kind.DIFFEO, Kind.MASS_SQ)))
+                return at(values)
+
+            return point
+
+        monkeypatch.setattr(trees, "random_conserving_momenta", drawn)
+        monkeypatch.setattr(RationalFunction, "evaluator", spied)
+        assert check_kinematics(n_values=(3, 4, 5), seed=seed).status == "pass"
+        assert len(seen) == 700  # 200 draws; 50 identity and 450 vertex evaluations
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "check, walks",
@@ -338,9 +375,13 @@ class TestOracleFaults:
         monkeypatch.setattr(verify.rules, "generalized_vertex", faulty)
         report = check_kinematics(n_values=(3, 4), trials=2)
         assert report.status == "fail"
-        assert report.witness["n"] == 4
-        assert report.witness["trial"] == 0
-        assert report.witness["compared"] == "display vs subset vertex"
+        assert report.witness == {
+            "n": 4,
+            "trial": 0,
+            "compared": "display vs subset vertex",
+            "left": "-250/9*i",
+            "right": "(1-250/9*i)",
+        }
 
     def test_broken_display_vertex_fails_kinematics(self, monkeypatch):
         vertex = verify.rules.free_vertex
@@ -352,32 +393,66 @@ class TestOracleFaults:
         monkeypatch.setattr(verify.rules, "free_vertex", faulty)
         report = check_kinematics(n_values=(3, 4, 5), trials=2)
         assert report.status == "fail"
-        assert {key: report.witness[key] for key in ("n", "trial", "compared")} == {
+        assert report.witness == {
             "n": 5,
             "trial": 0,
             "compared": "display vs subset vertex",
+            "left": "(1-92600/9*i)",
+            "right": "-92600/9*i",
         }
 
     @pytest.mark.parametrize(
-        "fault",
+        "fault, left",
         [
-            lambda evaluate, r, values: Scalar(0),
-            lambda evaluate, r, values: evaluate(drop_first_imaginary_term(r), values),
+            (lambda evaluator, r: lambda values: Scalar(0), "0"),
+            (lambda evaluator, r: evaluator(drop_first_imaginary_term(r)), "-2531/288*i"),
         ],
         ids=["zero", "drops a term"],
     )
-    def test_broken_evaluator_fails_kinematics(self, fault, monkeypatch):
-        # Both faults pass the conservation identity (zero, all terms real),
-        # the display vs subset comparison and determinism.
-        evaluate = RationalFunction.evaluate
-        monkeypatch.setattr(RationalFunction, "evaluate", lambda r, values: fault(evaluate, r, values))
+    def test_broken_evaluator_fails_kinematics(self, fault, left, monkeypatch):
+        # The check evaluates through ``RationalFunction.evaluator``, once
+        # decoded per value; ``evaluate`` and so the conservation identity
+        # go through it too.  Both faults pass the conservation identity
+        # (zero, all terms real), the display vs subset comparison and
+        # determinism.
+        evaluator = RationalFunction.evaluator
+        monkeypatch.setattr(RationalFunction, "evaluator", lambda r: fault(evaluator, r))
         report = check_kinematics(n_values=(3, 4), trials=2)
         assert report.status == "fail"
-        assert {key: report.witness[key] for key in ("n", "trial", "compared")} == {
+        assert report.witness == {
             "n": 3,
             "trial": 0,
             "compared": "evaluator vs substitution",
+            "left": left,
+            "right": "-1199/144*i",
         }
+
+    def test_broken_conservation_identity_fails_kinematics(self, monkeypatch):
+        monkeypatch.setattr(trees, "evaluate_at_kinematics", lambda r, momenta, mass: Scalar(0, Fraction(-3, 2)))
+        report = check_kinematics(n_values=(3,), trials=2)
+        assert report.status == "fail"
+        assert report.witness == {"trial": 0, "compared": "four-point conservation identity", "value": "-3/2*i"}
+
+    def test_an_evaluator_that_drifts_fails_determinism(self, monkeypatch):
+        # Right at a point's first evaluation and off by one at the next: the
+        # oracle and the display vs subset comparison pass, the second
+        # evaluation of the display form does not.
+        evaluator = RationalFunction.evaluator
+
+        def drifting(r):
+            at, seen = evaluator(r), []
+
+            def point(values):
+                drift = Scalar(1) if any(v is values for v in seen) else Scalar(0)
+                seen.append(values)
+                return at(values) + drift
+
+            return point
+
+        monkeypatch.setattr(RationalFunction, "evaluator", drifting)
+        report = check_kinematics(n_values=(3, 4), trials=2)
+        assert report.status == "fail"
+        assert report.witness == {"n": 3, "trial": 0, "compared": "determinism"}
 
     def test_broken_nonlocal_beta_fails_its_generating_function(self, monkeypatch):
         beta = verify.rules.nonlocal_beta
