@@ -24,6 +24,13 @@ is deliberately narrow:
   step or multivariate GCD exists.  The numerator and the least monomial
   denominator (``num``, ``den``) are computed when read, for printing and
   for the checks of :meth:`RationalFunction.substitute`.
+* How a value stores its terms is this module's business.  Products go
+  through one multiply-accumulate kernel (:func:`mul_into`), which only
+  this module calls; other modules multiply and add values, and add up a
+  sum of products through :func:`sum_of_products`, which multiplies each
+  pair into one term map.  The tree-sum engine alone reads term maps
+  outside this module, through :func:`split_phases` and
+  :func:`join_phases`.
 """
 
 from __future__ import annotations
@@ -458,7 +465,9 @@ def mul_into(out: dict, x: Mapping[Monomial, Scalar], y: Mapping[Monomial, Scala
     ``out`` in place, dropping the terms that cancel; returns ``out``.
 
     This is the multiply-accumulate kernel of every product of two
-    polynomials; the tree-sum engine multiplies its split term maps through
+    polynomials, and only this module calls it: other modules multiply
+    values, or add products of values through :func:`sum_of_products`; the
+    tree-sum engine multiplies its split term maps through
     :func:`plain_mul_into` instead.  Each term pair lands in ``out`` as it is
     formed (Monagan & Pearce, CASC 2007), with no product dict and no
     second merging pass: the packed monomials add as ints under the mask
@@ -965,6 +974,19 @@ RF_ZERO = RationalFunction(Polynomial.zero())
 RF_ONE = RationalFunction(Polynomial.constant(1))
 RF_I = RationalFunction(Polynomial.constant(SC_I))
 RF_MINUS_I = RationalFunction(Polynomial.constant(SC_MINUS_I))
+
+
+def sum_of_products(pairs: Iterable[tuple[RationalFunction, RationalFunction]]) -> RationalFunction:
+    """The sum of ``x * y`` over the ``(x, y)`` of ``pairs``.  Each product
+    is added into one term map by :func:`mul_into` as it is formed, so no
+    product and no partial sum is built as a value (Monagan & Pearce, CASC
+    2007).  A pair with a zero factor adds nothing."""
+    terms: dict = {}
+    for x, y in pairs:
+        x, y = x.poly.terms, y.poly.terms
+        if x and y:
+            mul_into(terms, x, y)
+    return RationalFunction(_adopt(terms))
 
 
 def rf(value) -> RationalFunction:

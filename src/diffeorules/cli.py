@@ -110,8 +110,8 @@ def _parse_int(text: str) -> int:
     """An integer flag or offshell leg: an optional sign and ASCII digits, as
     :func:`parse_rational` reads ``p``; ``int`` alone takes underscores and
     other scripts' digits.  It raises :class:`ConfigError`, which argparse
-    passes on (a ``ValueError`` would print its usage), so the error is one
-    line."""
+    passes on, so the error line states the rule (for a ``ValueError``
+    argparse would name this function instead)."""
     match = re.fullmatch(r"[+-]?[0-9]+", text.strip())
     if match is None:
         raise ConfigError(f"expected an integer in ASCII digits, got {text!r}")
@@ -504,8 +504,18 @@ def _add_common(parser: argparse.ArgumentParser, top: bool) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ConfigError`,
+    so each is one ``error:`` line and exit 2, as every other bad argument
+    is; ``-h`` still prints the help and exits 0.  ``add_subparsers`` builds
+    the subcommands' parsers from this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffeorules",
         description="Exact Feynman rules and tree-level cancellation checks for field substitutions",
     )
@@ -551,7 +561,7 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "treesum":
             return cmd_treesum(args, cfg)
         return cmd_verify(args, cfg)
-    except SystemExit as exc:  # argparse's own usage errors, -h and --help
+    except SystemExit as exc:  # -h and --help
         return 2 if exc.code not in (0, None) else 0
     except (ConfigError, AlgebraError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -43,12 +43,11 @@ from .algebra import (
     RF_ZERO,
     Scalar,
     Symbol,
-    _adopt,
     coupling,
     edge_symbol,
     mass_sq,
-    merge_terms,
     rf,
+    sum_of_products,
 )
 from . import series
 
@@ -198,12 +197,9 @@ def nonlocal_beta(n: int, spec: NonlocalSpec) -> RationalFunction:
     beta_n = sum_{k<n} alpha_{n-1-k} alpha_k - msq * sum_{k<=n} alpha_{n-k} alpha_k."""
     if n < 0:
         raise AlgebraError("beta index must be nonnegative")
-    kinetic = RF_ZERO
-    for k in range(n):
-        kinetic = kinetic + spec.alpha_at(n - 1 - k) * spec.alpha_at(k)
-    massive = RF_ZERO
-    for k in range(n + 1):
-        massive = massive + spec.alpha_at(n - k) * spec.alpha_at(k)
+    alpha = spec.alpha_at
+    kinetic = sum_of_products((alpha(n - 1 - k), alpha(k)) for k in range(n))
+    massive = sum_of_products((alpha(n - k), alpha(k)) for k in range(n + 1))
     return kinetic - massive * spec.mass_sq_value
 
 
@@ -278,17 +274,16 @@ def generalized_vertex(
         raise AlgebraError("vertices start at valence 3")
     if frozenset().union(*blocks) != universe or sum(len(b) for b in blocks) != len(universe):
         raise AlgebraError("adjacent blocks must partition the universe")
-    out: dict[Monomial, Scalar] = {}
-    for k in range(1, n):
-        weight = diffeo.a(n - k - 1) * diffeo.a(k - 1)
-        if weight.is_zero():
-            continue
-        terms = weight.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2))).poly.terms
-        for choice in combinations(blocks, k):
-            canon = canonical_subset(frozenset().union(*choice), universe)
-            edge = Monomial.of(edge_symbol(canon, generalized))
-            merge_terms(out, ((mono * edge, c) for mono, c in terms.items()))
-    return RationalFunction(_adopt(out))
+    weights = {  # k -> (i/2) a_{n-k-1} a_{k-1} (n-k)! k!
+        k: w.scaled(Scalar(0, Fraction(factorial(n - k) * factorial(k), 2)))
+        for k in range(1, n)
+        if not (w := diffeo.a(n - k - 1) * diffeo.a(k - 1)).is_zero()
+    }
+    return sum_of_products(
+        (weight, edge_var(frozenset().union(*choice), universe, generalized=generalized))
+        for k, weight in weights.items()
+        for choice in combinations(blocks, k)
+    )
 
 
 def propagator(

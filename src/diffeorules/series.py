@@ -24,13 +24,12 @@ from .algebra import (
     RF_ONE,
     RF_ZERO,
     Scalar,
-    _adopt,
     coupling,
     diffeo_coeff,
     fixed_offshell,
-    mul_into,
     power,
     rf,
+    sum_of_products,
 )
 
 CoeffFn = Callable[[int], RationalFunction]
@@ -51,15 +50,11 @@ def _bell_table(args: Sequence[RationalFunction]) -> Callable[[int, int], Ration
         if j == 0:
             value = RF_ONE if m == 0 else RF_ZERO
         else:
-            value = RF_ZERO
-            for step in range(1, m - j + 2):
-                arg = args[step - 1]
-                if arg.is_zero():
-                    continue
-                sub = get(m - step, j - 1)
-                if sub.is_zero():
-                    continue
-                value = value + (arg * sub).scaled(Scalar(comb(m - 1, step - 1)))
+            value = sum_of_products(
+                (args[step - 1].scaled(Scalar(comb(m - 1, step - 1))), sub)
+                for step in range(1, m - j + 2)
+                if not args[step - 1].is_zero() and not (sub := get(m - step, j - 1)).is_zero()
+            )
         table[(m, j)] = value
         return value
 
@@ -116,19 +111,10 @@ class PowerSeries:
         return PowerSeries([self[i] - other[i] for i in range(n + 1)])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        # Each output coefficient accumulates all its products in one term
-        # map through the package's multiply-accumulate kernel.
+        # Coefficient k is the sum of products x_i y_{k-i}.
         n = min(self.order, other.order)
-        xs = [c.poly.terms for c in self.coeffs[: n + 1]]
-        ys = [c.poly.terms for c in other.coeffs[: n + 1]]
-        out = []
-        for k in range(n + 1):
-            terms: dict = {}
-            for i in range(k + 1):
-                if xs[i] and ys[k - i]:
-                    mul_into(terms, xs[i], ys[k - i])
-            out.append(RationalFunction(_adopt(terms)))
-        return PowerSeries(out)
+        xs, ys = self.coeffs, other.coeffs
+        return PowerSeries([sum_of_products(zip(xs[: k + 1], ys[k::-1])) for k in range(n + 1)])
 
     def __pow__(self, k: int) -> "PowerSeries":
         return power(self, k, PowerSeries([RF_ONE] + [RF_ZERO] * self.order))

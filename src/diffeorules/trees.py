@@ -59,7 +59,6 @@ from .algebra import (
     AlgebraError,
     Kind,
     Monomial,
-    Polynomial,
     RationalFunction,
     RF_MINUS_I,
     RF_ONE,
@@ -68,10 +67,10 @@ from .algebra import (
     Symbol,
     edge_symbol,
     join_phases,
-    merge_terms,
     plain_mul_into,
     rf,
     split_phases,
+    sum_of_products,
 )
 from .rules import (
     ROOT,
@@ -329,10 +328,10 @@ _NO_INT = 0  # valence key for "no interaction vertex yet" in the valence-tracke
 _ONE = {(_NO_INT, 0): {0: 1}}  # the keyed unit; never an accumulator
 
 
-def _split(poly: Polynomial, valence: int = _NO_INT) -> dict:
-    """``poly`` as a keyed entry under ``valence``: one plain term map per
+def _split(value: RationalFunction, valence: int = _NO_INT) -> dict:
+    """``value`` as a keyed entry under ``valence``: one plain term map per
     nonzero phase."""
-    return {(valence, phase): x for phase, x in enumerate(split_phases(poly.terms)) if x}
+    return {(valence, phase): x for phase, x in enumerate(split_phases(value.poly.terms)) if x}
 
 
 def _mul_into(acc: dict, x: dict, y: dict, sign: int = 1) -> dict:
@@ -488,7 +487,7 @@ class TreeSumEngine:
         """``c_j = (j+1)! a_j``, keyed, read on first use; empty when ``a_j = 0``."""
         while len(self._coefficients) <= j:
             i = len(self._coefficients)
-            self._coefficients.append(_split(self.diffeo.a(i).scaled(Scalar(factorial(i + 1))).poly))
+            self._coefficients.append(_split(self.diffeo.a(i).scaled(Scalar(factorial(i + 1)))))
         return self._coefficients[j]
 
     def _vertex(self, v: int) -> dict:
@@ -498,7 +497,7 @@ class TreeSumEngine:
         if vertex is None:
             its = [it for it in self.theory.interactions if it.power <= v]
             vertices = (interaction_vertex(v, it.power, self.diffeo, it.coupling_value) for it in its)
-            vertex = self._vertices[v] = _split(sum(vertices, RF_ZERO).poly, v if self.single else _NO_INT)
+            vertex = self._vertices[v] = _split(sum(vertices, RF_ZERO), v if self.single else _NO_INT)
         return vertex
 
     def _edge(self, t: int, sign: int = 1) -> dict:
@@ -531,7 +530,7 @@ class TreeSumEngine:
             else:
                 b, forests = self._walk(t)
                 edge = propagator(_legs(t), self._universe, generalized=self.theory.generalized)
-                g = _mul_into({}, b, _split(edge.poly))
+                g = _mul_into({}, b, _split(edge))
                 b = {} if top else b  # released before the forests, as no larger block reads it
             read_q = self._q_is_read(t)
             q: dict = {}
@@ -719,25 +718,32 @@ def _reduced_bprime(
         lambda_cache[group] = value
         return value
 
-    total = Polynomial()
     glued_terms = 0
-    for partition in set_partitions(sorted(legs)):
-        m = len(partition)
-        if m < 2:
-            continue
-        top = b_table[m]
-        if m == s - 1:
-            top = top + root_prop * (lam * RF_MINUS_I)
-        factor = top
-        for group in partition:
-            if len(group) >= 2:
-                factor = factor * lambda_tree(frozenset(group))
-            if factor.is_zero():
-                break
-        if not factor.is_zero():
-            glued_terms += 1
-            merge_terms(total.terms, factor.poly.terms.items())
-    return RationalFunction(total), glued_terms
+
+    def glued() -> Iterator[tuple[RationalFunction, RationalFunction]]:
+        # Each nonzero glued term as its product of all factors but the
+        # last and its last factor, whose product lands in the sum.  Exact
+        # values form an integral domain, so a term is zero exactly when one
+        # of its factors is, and the factors are read up to the first zero.
+        nonlocal glued_terms
+        for partition in set_partitions(sorted(legs)):
+            m = len(partition)
+            if m < 2:
+                continue
+            factor, last = RF_ONE, b_table[m]
+            if m == s - 1:
+                last = last + root_prop * (lam * RF_MINUS_I)
+            for group in partition:
+                if last.is_zero():
+                    break
+                if len(group) >= 2:
+                    factor, last = factor * last, lambda_tree(frozenset(group))
+            if not last.is_zero():
+                glued_terms += 1
+                yield factor, last
+
+    total = sum_of_products(glued())
+    return total, glued_terms
 
 
 def _amputated(engine: TreeSumEngine, m: int) -> TreeSumResult:
@@ -959,24 +965,14 @@ def random_conserving_momenta(n: int, dimension: int, rng) -> list[tuple[Fractio
     return momenta
 
 
-def kinematic_values(
-    r: RationalFunction,
-    momenta: Sequence[Sequence[int | Fraction]],
-    mass_sq_value: int | Fraction,
-) -> dict[Symbol, int | Fraction]:
-    """The value of every symbol of ``r`` at exact momenta: the edge variable
-    of a leg subset S is (sum_{i in S} p_i)^2 - msq, with the mostly-minus
-    metric, and ``msq`` is ``mass_sq_value``.  A generalized edge variable
-    stands for a whole propagator polynomial and is refused.  This is
-    ``kinematic_point(r)(momenta, mass_sq_value)``."""
-    return kinematic_point(r)(momenta, mass_sq_value)
-
-
 def kinematic_point(
     r: RationalFunction,
 ) -> Callable[[Sequence[Sequence[int | Fraction]], int | Fraction], dict[Symbol, int | Fraction]]:
-    """:func:`kinematic_values` of ``r`` as a function of the momenta and the
-    squared mass.  ``r``'s symbols are sorted, and each edge's leg indices
+    """The function that gives, for exact momenta and a squared mass
+    ``msq``, the value of every symbol of ``r``: the edge variable of a leg
+    subset S is (sum_{i in S} p_i)^2 - msq, with the mostly-minus metric.  A
+    generalized edge variable stands for a whole propagator polynomial and
+    is refused.  ``r``'s symbols are sorted, and each edge's leg indices
     and whether it divides are read, here and once; each call checks its
     momenta and refuses the first symbol, in that order, without a value.
 
@@ -1034,6 +1030,8 @@ def evaluate_at_kinematics(
     momenta: Sequence[Sequence[int | Fraction]],
     mass_sq_value: int | Fraction,
 ) -> Scalar:
-    """Exact value of ``r`` at the point that :func:`kinematic_values`
-    gives for these momenta."""
-    return r.evaluate(kinematic_values(r, momenta, mass_sq_value))
+    """Exact value of ``r`` at the point that :func:`kinematic_point` gives
+    for these momenta: ``r.evaluate(kinematic_point(r)(momenta,
+    mass_sq_value))``.  A caller that evaluates one value at many points
+    builds both steps once."""
+    return r.evaluate(kinematic_point(r)(momenta, mass_sq_value))

@@ -577,6 +577,42 @@ class TestStreams:
         assert "csv" in line
 
 
+class TestUsageErrors:
+    """argparse's own usage errors are one ``error:`` line and exit 2, as
+    every other bad argument is; ``-h`` still prints the help and exits 0.
+    Each line is matched on a fragment, since argparse words them a little
+    differently from one Python version to the next."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["rules", "--n", "3", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+            (["treesum", "--kind", "A"], "the following arguments are required: --n"),
+            (["treesum", "--kind", "b", "--n", "3", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+            (["--version"], "the following arguments are required: command"),
+        ],
+        ids=["rules kind", "treesum without --n", "treesum format", "verify flag", "no command", "version"],
+    )
+    def test_one_line_and_exit_2(self, argv, fragment, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and fragment in line
+
+    def test_the_line_is_all_a_run_prints(self):
+        out = run_cli("verify", "--bogus", timeout=30)
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["rules", "-h"], ["treesum", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: diffeorules") and err == ""
+
+
 # Integer spellings that ``int`` reads but the CLI refuses: an underscore, the
 # Arabic-Indic three and the superscript three.
 _NOT_ASCII_INTS = ["1_0", "\u0663", "\u00b3"]

@@ -26,7 +26,7 @@ from diffeorules.algebra import (
     mass_sq,
     rf,
 )
-from diffeorules.trees import evaluate_at_kinematics, kinematic_values, random_conserving_momenta
+from diffeorules.trees import evaluate_at_kinematics, kinematic_point, random_conserving_momenta
 
 A1, A2, LAM3, MSQ, XP = diffeo_coeff(1), diffeo_coeff(2), coupling(3), mass_sq(), fixed_offshell()
 X1, X2, X12 = edge_symbol({1}), edge_symbol({2}), edge_symbol({1, 2})
@@ -203,13 +203,13 @@ class TestKinematicPoint:
             assert got == (AlgebraError, f"kinematic point annihilates the edge denominator {refused[0].name}")
         else:
             assert got == oracle(r, table)
-            assert kinematic_values(r, momenta, m2) == table
+            assert kinematic_point(r)(momenta, m2) == table
 
     def test_int_momenta(self):
         momenta = [(3, 1, 0), (-1, 2, 2), (-2, -3, -2)]
         r = rf(X12) * rf(X1) + rf(MSQ).scaled(Scalar(0, 2)) + rf(edge_symbol({2, 3})).inverse()
         assert evaluate_at_kinematics(r, momenta, 2) == oracle(r, old_table(r, momenta, 2))
-        assert kinematic_values(r, momenta, 2)[X1] == 9 - 1 - 2
+        assert kinematic_point(r)(momenta, 2)[X1] == 9 - 1 - 2
 
     @pytest.mark.parametrize("legs", [{0}, {4}, {0, 1}, {2, 4}])
     def test_leg_labels_outside_the_momenta(self, legs):

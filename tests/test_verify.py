@@ -1,6 +1,7 @@
 """The theorem-check suite: pass behaviour, determinism, fault injection."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,46 @@ def plus_one_in_entry(step):
     return wrap
 
 
+def plus_one_in_value(fn):
+    """Wrap a tree sum so that its value is off by one."""
+
+    def faulty(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return replace(result, value=result.value + RF_ONE)
+
+    return faulty
+
+
+def plus_one_in_sum(step):
+    """Wrap a function that returns tree sums keyed by a step ``n`` so that
+    the value at ``step`` is off by one."""
+
+    def wrap(fn):
+        def faulty(*args, **kwargs):
+            results = fn(*args, **kwargs)
+            results[step] = replace(results[step], value=results[step].value + RF_ONE)
+            return results
+
+        return faulty
+
+    return wrap
+
+
+def plus_one_in_coefficient(step):
+    """Wrap a function that returns a power series so that its coefficient
+    of ``t**step`` is off by one."""
+
+    def wrap(fn):
+        def faulty(*args, **kwargs):
+            series = fn(*args, **kwargs)
+            series.coeffs[step] = series.coeffs[step] + RF_ONE
+            return series
+
+        return faulty
+
+    return wrap
+
+
 def drop_first_imaginary_term(r):
     terms = dict(r.poly.terms)
     first = next((m for m, c in terms.items() if c.im), None)
@@ -337,33 +378,66 @@ class TestOracleFaults:
             (
                 # Entry 3 of [None, b_1, b_2, ...] is b_3.
                 verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_smatrix_free(max_n=5),
-                {"n": 4, "offshell_leg": 1, "compared": "A1 single leg"},
+                {"n": 4, "offshell_leg": 1, "compared": "A1 single leg", "residual": "i*x1"},
             ),
             (
                 verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_generalized(max_n=5),
-                {"n": 4, "offshell_leg": 1, "compared": "A1 generalized"},
+                {"n": 4, "offshell_leg": 1, "compared": "A1 generalized", "residual": "i*X1"},
             ),
             (
                 verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_adiabatic(s=3, max_n=4),
-                {"k": 3, "compared": "closed-form b_k"},
+                {"k": 3, "compared": "closed-form b_k", "residual": "1"},
             ),
             (
                 # The check reads every b_n of the recursion off one memo.
                 verify.trees, "_recursive_tree_sums", plus_one_in_entry(2), lambda: check_generalized(max_n=3),
-                {"n": 2, "compared": "recursion vs enumeration"},
+                {"n": 2, "compared": "recursion vs enumeration", "residual": "1"},
             ),
             (
                 verify.rules, "nonlocal_beta", plus_one_at(2), lambda: check_nonlocal(max_n=3),
-                {"n": 2, "compared": "identity transform beta"},
+                {"n": 2, "compared": "identity transform beta", "residual": "1"},
+            ),
+            (
+                # The check reads every b_k off one walk at max_n.
+                verify.trees, "rooted_tree_sum", plus_one_in_value, lambda: check_adiabatic(s=3, max_n=4),
+                {"k": 4, "compared": "enumerated b_k", "residual": "1"},
+            ),
+            (
+                verify.trees, "interacting_rooted_tree_sum", plus_one_in_value, lambda: check_adiabatic(s=3, max_n=4),
+                {"n": 4, "compared": "b'_n at the fixed offshell value", "residual": "1"},
+            ),
+            (
+                verify.series, "fc_functional_residual", plus_one_in_coefficient(2),
+                lambda: check_adiabatic(s=3, max_n=4, order=5),
+                {"order": 2, "compared": "Fuss-Catalan functional equation", "residual": "1"},
+            ),
+            (
+                verify.trees, "amputated_family", plus_one_in_sum(4), lambda: check_interaction_cancellation(s=3, max_n=5),
+                {"n": 4, "compared": "enumeration vs delta", "residual": "1"},
+            ),
+            (
+                # The reduced gluing reads the closed forms through ``trees``,
+                # which this fault does not reach.
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(2), lambda: check_bprime(s=4, max_n=3),
+                {"n": 2, "compared": "b'_k = b_k below s-1", "residual": "-1"},
+            ),
+            (
+                verify.series, "tree_sum_closed_forms", plus_one_in_entry(3), lambda: check_bprime(s=4, max_n=3),
+                {"n": 3, "compared": "b'_{s-1} pole term", "residual": "-1"},
             ),
         ],
-        ids=["smatrix_free", "generalized one offshell", "adiabatic", "generalized", "nonlocal"],
+        ids=[
+            "smatrix_free", "generalized one offshell", "adiabatic", "generalized", "nonlocal",
+            "adiabatic b_k", "adiabatic b'_n", "adiabatic Fuss-Catalan", "interaction_cancellation",
+            "bprime below", "bprime pole",
+        ],
     )
     def test_broken_oracle_fails_at_its_step(self, module, name, fault, run, witness, monkeypatch):
+        # Each fault stops its check at exactly the comparison the witness names.
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         report = run()
         assert report.status == "fail"
-        assert {key: report.witness[key] for key in witness} == witness
+        assert report.witness == witness
 
     def test_broken_subset_vertex_fails_kinematics(self, monkeypatch):
         vertex = verify.rules.generalized_vertex
@@ -428,7 +502,9 @@ class TestOracleFaults:
         }
 
     def test_broken_conservation_identity_fails_kinematics(self, monkeypatch):
-        monkeypatch.setattr(trees, "evaluate_at_kinematics", lambda r, momenta, mass: Scalar(0, Fraction(-3, 2)))
+        # The identity is planned once (``trees.kinematic_point``) and
+        # evaluated through its ``evaluator``, and its trials run first.
+        monkeypatch.setattr(RationalFunction, "evaluator", lambda r: lambda values: Scalar(0, Fraction(-3, 2)))
         report = check_kinematics(n_values=(3,), trials=2)
         assert report.status == "fail"
         assert report.witness == {"trial": 0, "compared": "four-point conservation identity", "value": "-3/2*i"}
